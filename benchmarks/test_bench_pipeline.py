@@ -23,6 +23,7 @@ import pytest
 
 from repro.resilience import faults
 from repro.workloads import fig23_config, sweep
+from tests.legacy_route import legacy_route
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -36,8 +37,8 @@ def factory(q):
 
 def run_seed(grid):
     """The pre-pipeline solve path: cold R solves, no artifact reuse."""
-    return sweep("quantum_mean", grid, factory,
-                 model_kwargs=dict(warm_start=False, reuse_artifacts=False))
+    with legacy_route():
+        return sweep("quantum_mean", grid, factory)
 
 
 def run_pipeline(grid, **kwargs):

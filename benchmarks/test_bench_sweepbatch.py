@@ -8,8 +8,7 @@ paper-resolution (``full``) grid, solved with ``batch_points=8``, must
   records ~1.4x on this grid; the in-test floor is deliberately looser
   to absorb single-run timing noise),
 * reproduce the per-point mean-jobs series to 1e-8 at every grid
-  point (in practice the R solves are bitwise identical and the
-  figures agree below 1e-11),
+  point,
 * warm-start every non-head point (continuation hit rate ``(n - ceil(n
   / batch)) / n``).
 
@@ -33,13 +32,6 @@ from repro.workloads.sweeps import sweep_scenario
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 BATCH = 8
-
-
-@pytest.fixture(autouse=True)
-def isolated_calibration(tmp_path, monkeypatch):
-    """Keep probe timings out of the user's calibration sidecar."""
-    monkeypatch.setenv("REPRO_GANG_CALIBRATION",
-                       str(tmp_path / "calibration.json"))
 
 
 def run_fig2(batch_points):

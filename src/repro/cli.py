@@ -79,8 +79,7 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
      {"type": int, "metavar": "N",
       "help": "solve up to N adjacent sweep points at once through the "
               "batched lockstep engine (stacked BLAS, continuation "
-              "warm-starts, adaptive backend crossover); 0 or 1 keeps "
-              "the per-point path"}),
+              "warm-starts); 0 or 1 keeps the per-point path"}),
     ("max_iterations", "--max-iterations",
      {"type": int, "metavar": "N",
       "help": "fixed-point iteration budget (default 200)"}),

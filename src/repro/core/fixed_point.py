@@ -9,13 +9,18 @@ One iteration:
 3. Reassemble every ``F_p`` from the other classes' effective quanta
    and repeat until the per-class mean job counts stop moving.
 
-The per-class work runs through the staged pipeline of
-:mod:`repro.pipeline`: one :class:`~repro.pipeline.context.SolveContext`
-per run carries reusable assembly/extraction workspaces, the previous
-iteration's ``R`` matrices (warm starts for the next solve), a
-content-keyed cache of solved chains, and per-stage wall-clock
-timings.  ``FixedPointOptions(warm_start=False, reuse_artifacts=False)``
-routes every stage through the reference implementations instead.
+This module is the only home of that loop.  :func:`run_lockstep`
+advances n >= 1 points through it in lockstep, each point carrying
+one :class:`~repro.pipeline.context.SolveContext` (reusable
+assembly/extraction workspaces, the previous iteration's ``R``
+matrices as warm starts, a content-keyed cache of solved chains,
+per-stage wall-clock timings).  The per-class work of steps 1-2 comes
+from a :class:`StageSet`: a single solve (:func:`run_fixed_point`, the
+n = 1 case) runs the per-point stages of :mod:`repro.pipeline.stages`;
+a batched sweep chunk runs the stacked kernels of
+:mod:`repro.workloads.batched`.  Everything else — initialization,
+bootstrap, saturation, the convergence test, Aitken, order reduction,
+recombination and per-point failure isolation — is shared.
 
 Initialization and saturation handling
 --------------------------------------
@@ -44,7 +49,10 @@ space of the paper's figures:
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +61,7 @@ from repro.core.statespace import ClassStateSpace
 from repro.core.vacation import (
     fixed_point_vacation,
     heavy_traffic_vacation,
+    reduce_order,
 )
 from repro.errors import UnstableSystemError
 from repro.obs import metrics
@@ -67,7 +76,7 @@ from repro.qbd.structure import QBDProcess
 from repro.resilience.fallback import DEFAULT_POLICY, ResiliencePolicy
 
 __all__ = ["FixedPointOptions", "FixedPointResult", "IterationRecord",
-           "run_fixed_point"]
+           "PointState", "StageSet", "run_fixed_point", "run_lockstep"]
 
 
 @dataclass(frozen=True)
@@ -123,17 +132,6 @@ class FixedPointOptions:
     #: extrapolated iterates that turn out unstable or non-positive are
     #: simply discarded for that round.
     acceleration: str = "aitken"
-    #: Seed each class's ``R`` solve with its previous iterate (see
-    #: :func:`repro.qbd.rmatrix.solve_R`).  The fixed point moves the
-    #: blocks a little per iteration, so the previous ``R`` is a
-    #: near-solution and the warm Newton refinement converges in a
-    #: couple of steps.
-    warm_start: bool = True
-    #: Use the Kronecker assembler and vectorized extractor with their
-    #: per-class workspaces (:mod:`repro.pipeline`); ``False`` routes
-    #: every stage through the reference implementations in
-    #: :mod:`repro.core`.
-    reuse_artifacts: bool = True
     #: Kernel backend for assembly and the QBD solves: ``"auto"``
     #: switches each block/solve between the dense and sparse kernels
     #: on a size-and-density threshold, ``"dense"``/``"sparse"`` force
@@ -220,6 +218,60 @@ def _aitken_target(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray,
     return target, ok
 
 
+class StageSet(NamedTuple):
+    """The per-class stages the lockstep driver runs.
+
+    ``solve(points)`` assembles and solves every class of each point at
+    its current ``vacations``, stores the
+    ``(spaces, processes, solutions, saturated)`` tuple in
+    ``point.state``, and fails a point (:meth:`PointState.fail`) rather
+    than raise.  ``extract(points)`` returns ``raw(point, p)``, the raw
+    effective quantum of stable class ``p``; a lookup that raises fails
+    only that point.
+    """
+
+    solve: Callable[[list], None]
+    extract: Callable[[list], Callable]
+
+
+#: The per-point stage set of :mod:`repro.pipeline.stages`.
+PER_POINT = StageSet(stages.solve_points, stages.extract_points)
+
+
+class PointState:
+    """One point advancing through the lockstep iteration."""
+
+    def __init__(self, config: SystemConfig, opts: FixedPointOptions):
+        self.config = config
+        self.opts = opts
+        self.pol = resolve_policy(opts.policy)
+        self.ctx = SolveContext.create(config, opts)
+        self.vacations: list[PhaseType] = []
+        #: ``(spaces, processes, solutions, saturated)`` of the last solve.
+        self.state = None
+        self.result = FixedPointResult(spaces=[], processes=[], solutions=[],
+                                       vacations=[])
+        self.prev_means: np.ndarray | None = None
+        self.prev_sat: list[bool] | None = None
+        self.eff_hist: list[np.ndarray] = []
+        self.error: BaseException | None = None
+        self.finished = False
+        self.started = time.perf_counter()
+        self.elapsed = 0.0
+
+    @property
+    def L(self) -> int:
+        return self.config.num_classes
+
+    def fail(self, exc: BaseException) -> None:
+        self.error = exc
+        self.finish()
+
+    def finish(self) -> None:
+        self.finished = True
+        self.elapsed = time.perf_counter() - self.started
+
+
 def run_fixed_point(config: SystemConfig,
                     opts: FixedPointOptions | None = None) -> FixedPointResult:
     """Run the Section 4.3 fixed-point iteration to convergence.
@@ -227,118 +279,180 @@ def run_fixed_point(config: SystemConfig,
     Raises
     ------
     UnstableSystemError
-        When every class is saturated (with ``heavy_traffic_only``,
+        When all classes are saturated (with ``heavy_traffic_only``,
         when any class fails the drift test — no recovery is attempted
         for the pure Theorem 4.1 model).
     """
     opts = opts or FixedPointOptions()
     pol = resolve_policy(opts.policy)
     with span("fixed_point", classes=config.num_classes, policy=pol.kind):
-        return _run_fixed_point(config, opts)
+        point = PointState(config, opts)
+        run_lockstep([point], PER_POINT)
+        if point.error is not None:
+            raise point.error
+        return point.result
 
 
-def _run_fixed_point(config: SystemConfig,
-                     opts: FixedPointOptions) -> FixedPointResult:
-    L = config.num_classes
-    pol = resolve_policy(opts.policy)
-    ctx = SolveContext.create(config, opts)
-    vacations = [heavy_traffic_vacation(config, p, policy=pol)
-                 for p in range(L)]
+def _live(points: list[PointState]) -> list[PointState]:
+    return [pt for pt in points if not pt.finished]
 
-    result = FixedPointResult(spaces=[], processes=[], solutions=[],
-                              vacations=vacations)
 
-    state = stages.solve_all(ctx, vacations)
-    if opts.heavy_traffic_only and any(state[3]):
-        bad = [p for p, s in enumerate(state[3]) if s]
+def _start(pt: PointState) -> None:
+    """Heavy-traffic vacations of Theorem 4.1: iteration 0."""
+    pt.vacations = [heavy_traffic_vacation(pt.config, p, policy=pt.pol)
+                    for p in range(pt.L)]
+    pt.result.vacations = pt.vacations
+
+
+def _bootstrap(pt: PointState) -> bool:
+    """Restart from near-zero quanta when heavy traffic is unstable."""
+    saturated = pt.state[3]
+    if pt.opts.heavy_traffic_only and any(saturated):
+        bad = [p for p, s in enumerate(saturated) if s]
         raise UnstableSystemError(
             f"heavy-traffic model unstable for class(es) {bad} "
-            f"({', '.join(config.class_names[p] for p in bad)})")
-    if any(state[3]) and opts.allow_optimistic_bootstrap \
-            and not opts.heavy_traffic_only:
+            f"({', '.join(pt.config.class_names[p] for p in bad)})")
+    if any(saturated) and pt.opts.allow_optimistic_bootstrap \
+            and not pt.opts.heavy_traffic_only:
         # Heavy-traffic init failed for someone: approach from below.
-        result.used_bootstrap = True
-        eff0 = _optimistic_quanta(ctx.views)
-        vacations = [fixed_point_vacation(config, p, eff0, policy=pol)
-                     for p in range(L)]
-        state = stages.solve_all(ctx, vacations)
-    if all(state[3]):
-        raise UnstableSystemError(
-            "every class is saturated: the offered load exceeds the "
-            "system's capacity under any vacation assignment")
+        pt.result.used_bootstrap = True
+        eff0 = _optimistic_quanta(pt.ctx.views)
+        pt.vacations = [fixed_point_vacation(pt.config, p, eff0,
+                                             policy=pt.pol)
+                        for p in range(pt.L)]
+        return True
+    return False
 
-    prev_means: np.ndarray | None = None
-    prev_sat: list[bool] | None = None
-    eff_means_history: list[np.ndarray] = []
-    for it in range(max(1, opts.max_iterations)):
-        spaces, processes, solutions, saturated = state
-        means = np.array([
-            sol.mean_level if sol is not None else np.inf
-            for sol in solutions
-        ])
-        stable_idx = [p for p in range(L) if not saturated[p]]
-        if prev_means is None or prev_sat != saturated:
-            change = float("inf")
-        elif stable_idx:
-            diffs = [abs(means[p] - prev_means[p])
-                     / max(1.0, abs(means[p])) for p in stable_idx]
-            change = float(max(diffs))
-        else:  # pragma: no cover - guarded by the all-saturated raise
-            change = 0.0
-        result.history.append(IterationRecord(
-            iteration=it,
-            mean_jobs=tuple(float(m) for m in means),
-            vacation_means=tuple(v.mean for v in vacations),
-            max_rel_change=change,
-        ))
-        result.spaces, result.processes = spaces, processes
-        result.solutions, result.vacations = solutions, vacations
-        result.saturated = saturated
-        if opts.heavy_traffic_only:
-            result.converged = True
+
+def _fail_saturated(points: list[PointState], message: str) -> None:
+    for pt in _live(points):
+        if all(pt.state[3]):
+            pt.fail(UnstableSystemError(message))
+
+
+def _record(pt: PointState, it: int) -> None:
+    """Log iteration ``it`` and finish the point if it has converged."""
+    spaces, processes, solutions, saturated = pt.state
+    means = np.array([sol.mean_level if sol is not None else np.inf
+                      for sol in solutions])
+    stable_idx = [p for p in range(pt.L) if not saturated[p]]
+    if pt.prev_means is None or pt.prev_sat != saturated:
+        change = float("inf")
+    elif stable_idx:
+        diffs = [abs(means[p] - pt.prev_means[p]) / max(1.0, abs(means[p]))
+                 for p in stable_idx]
+        change = float(max(diffs))
+    else:  # pragma: no cover - guarded by the all-saturated failure
+        change = 0.0
+    result = pt.result
+    result.history.append(IterationRecord(
+        iteration=it,
+        mean_jobs=tuple(float(m) for m in means),
+        vacation_means=tuple(v.mean for v in pt.vacations),
+        max_rel_change=change,
+    ))
+    result.spaces, result.processes = spaces, processes
+    result.solutions, result.vacations = solutions, pt.vacations
+    result.saturated = saturated
+    if pt.opts.heavy_traffic_only or (
+            pt.prev_means is not None and pt.prev_sat == saturated
+            and change < pt.opts.tol):
+        result.converged = True
+        pt.finish()
+    else:
+        pt.prev_means, pt.prev_sat = means, saturated
+
+
+def _reduce(pt: PointState, p: int, raw: PhaseType) -> PhaseType:
+    with span("stage.reduce", timings=pt.ctx.timings, stage="reduce",
+              klass=p):
+        return reduce_order(raw, pt.opts.reduction, backend=pt.opts.backend)
+
+
+def _recombine(pt: PointState, it: int, raw) -> None:
+    """Effective quanta, Aitken, and the next iterate's vacations."""
+    opts, ctx, saturated = pt.opts, pt.ctx, pt.state[3]
+    # Effective quanta: Theorem 4.3 for stable classes; a saturated
+    # class never empties, so its effective quantum is its full
+    # quantum (the heavy-traffic behaviour, exactly).  Each raw
+    # quantum is reduced and dropped before the next is looked up.
+    eff: dict[int, PhaseType] = {}
+    for p in range(pt.L):
+        eff[p] = (ctx.views[p].quantum if saturated[p]
+                  else _reduce(pt, p, raw(pt, p)))
+
+    # Aitken delta-squared acceleration on the per-class effective-
+    # quantum means, applied every third round from a window of
+    # three consecutive mean vectors.
+    pt.eff_hist.append(np.array([eff[p].mean for p in range(pt.L)]))
+    if opts.acceleration == "aitken" and len(pt.eff_hist) >= 3 \
+            and it % 3 == 2 and not any(saturated):
+        target, ok = _aitken_target(*pt.eff_hist[-3:], opts.tol)
+        if ok:
+            for p in range(pt.L):
+                if eff[p].mean > 0 and target[p] != eff[p].mean:
+                    eff[p] = PhaseType.from_trusted(
+                        eff[p].alpha,
+                        np.asarray(eff[p].S) * (eff[p].mean / target[p]))
+            pt.eff_hist.clear()
+
+    with span("stage.recombine", timings=ctx.timings, stage="recombine"):
+        pt.vacations = [fixed_point_vacation(pt.config, p, eff, policy=pt.pol)
+                        for p in range(pt.L)]
+
+
+def _isolated(points: list[PointState], step, *args) -> list[PointState]:
+    """Run ``step`` on every live point; a raise fails that point only.
+
+    Returns the points for which ``step`` returned a truthy value.
+    """
+    chosen = []
+    for pt in _live(points):
+        try:
+            if step(pt, *args):
+                chosen.append(pt)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            pt.fail(exc)
+    return chosen
+
+
+def run_lockstep(points: list[PointState], stage_set: StageSet) -> None:
+    """Advance ``points`` through the Section 4.3 iteration in lockstep.
+
+    Every point follows the same control flow — heavy-traffic start,
+    optimistic bootstrap, per-class saturation, the convergence test,
+    Aitken windows — and drops out when it converges, exhausts its
+    iteration budget, or fails.  A failure is stored on the point
+    (``point.error``) and never stops the others; results land in
+    ``point.result``.
+    """
+    _isolated(points, _start)
+    stage_set.solve(_live(points))
+    stage_set.solve(_isolated(points, _bootstrap))
+    _fail_saturated(points,
+                    "every class is saturated: the offered load exceeds "
+                    "the system's capacity under any vacation assignment")
+
+    budget = max((max(1, pt.opts.max_iterations) for pt in _live(points)),
+                 default=0)
+    for it in range(budget):
+        live = [pt for pt in _live(points)
+                if it < max(1, pt.opts.max_iterations)]
+        _isolated(live, _record, it)
+        live = _live(live)
+        if not live:
             break
-        if prev_means is not None and prev_sat == saturated \
-                and change < opts.tol:
-            result.converged = True
-            break
-        prev_means, prev_sat = means, saturated
-
-        # Effective quanta: Theorem 4.3 for stable classes; a saturated
-        # class never empties, so its effective quantum is its full
-        # quantum (the heavy-traffic behaviour, exactly).
-        eff: dict[int, PhaseType] = {}
-        for p in range(L):
-            if saturated[p]:
-                eff[p] = ctx.views[p].quantum
-            else:
-                eff[p] = stages.extract_class(ctx, p)
-
-        # Aitken delta-squared acceleration on the per-class effective-
-        # quantum means, applied every third round from a window of
-        # three consecutive mean vectors.
-        eff_means_history.append(np.array([eff[p].mean for p in range(L)]))
-        if opts.acceleration == "aitken" and len(eff_means_history) >= 3 \
-                and it % 3 == 2 and not any(saturated):
-            target, ok = _aitken_target(*eff_means_history[-3:], opts.tol)
-            if ok:
-                for p in range(L):
-                    if eff[p].mean > 0 and target[p] != eff[p].mean:
-                        eff[p] = PhaseType.from_trusted(
-                            eff[p].alpha,
-                            np.asarray(eff[p].S) * (eff[p].mean / target[p]))
-                eff_means_history.clear()
-
-        with span("stage.recombine", timings=ctx.timings, stage="recombine"):
-            vacations = [fixed_point_vacation(config, p, eff, policy=pol)
-                         for p in range(L)]
-        state = stages.solve_all(ctx, vacations)
-        if all(state[3]):
-            raise UnstableSystemError(
-                "every class became saturated during the fixed-point "
-                "iteration: the system is over capacity")
-    result.timings = ctx.timings.as_dict()
-    result.cache_stats = ctx.cache.stats()
-    metrics.inc("fixed_point.runs", converged=result.converged,
-                bootstrap=result.used_bootstrap, policy=pol.kind)
-    metrics.observe("fixed_point.iterations", result.iterations)
-    return result
+        _isolated(live, _recombine, it, stage_set.extract(live))
+        stage_set.solve(_live(live))
+        _fail_saturated(live,
+                        "every class became saturated during the "
+                        "fixed-point iteration: the system is over capacity")
+    for pt in points:
+        if not pt.finished:  # iteration budget exhausted: not converged
+            pt.finish()
+        if pt.error is None:
+            pt.result.timings = pt.ctx.timings.as_dict()
+            pt.result.cache_stats = pt.ctx.cache.stats()
+            metrics.inc("fixed_point.runs", converged=pt.result.converged,
+                        bootstrap=pt.result.used_bootstrap, policy=pt.pol.kind)
+            metrics.observe("fixed_point.iterations", pt.result.iterations)

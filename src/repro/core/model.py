@@ -162,7 +162,6 @@ resilience, backend:
                  truncation_mass: float = 1e-9,
                  max_truncation_levels: int = 400,
                  resilience: "ResiliencePolicy | None" = DEFAULT_POLICY,
-                 warm_start: bool = True, reuse_artifacts: bool = True,
                  backend: str = "auto",
                  policy: "SchedulingPolicy | None" = None,
                  cache: ArtifactCache | None = None):
@@ -173,8 +172,6 @@ resilience, backend:
         self._truncation_mass = truncation_mass
         self._max_truncation_levels = max_truncation_levels
         self._resilience = resilience
-        self._warm_start = warm_start
-        self._reuse_artifacts = reuse_artifacts
         self._backend = resolve_backend(backend)
         # One cache per model instance: solve() followed by
         # solve_heavy_traffic() (or repeated solves) revisit identical
@@ -192,8 +189,6 @@ resilience, backend:
             max_truncation_levels=self._max_truncation_levels,
             heavy_traffic_only=heavy_traffic_only,
             resilience=self._resilience,
-            warm_start=self._warm_start,
-            reuse_artifacts=self._reuse_artifacts,
             backend=self._backend,
             policy=self.policy,
             cache=self._cache,

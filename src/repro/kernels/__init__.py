@@ -12,26 +12,13 @@ The package splits into:
   solver replacing the dense all-levels least-squares path;
 * :mod:`repro.kernels.batched` — ``(n, m, m)`` stacked twins of the
   R/G solvers, driving many sweep points through one batched-BLAS
-  iteration with per-point dropout;
-* :mod:`repro.kernels.adaptive` — measured dense/sparse crossover:
-  armed per-site winners plus the host+shape-keyed JSON sidecar.
+  iteration with per-point dropout.
 
 Every kernel here has a dense reference twin elsewhere in the repo;
 ``backend="dense"`` routes around this package entirely and the
 sparse paths fall back to the references on numerical failure.
 """
 
-from repro.kernels.adaptive import (
-    CALIBRATION_ENV,
-    arm_decisions,
-    armed_decision,
-    armed_decisions,
-    calibrated,
-    calibration_key,
-    calibration_path,
-    load_calibration,
-    store_calibration,
-)
 from repro.kernels.backend import (
     AUTO,
     BACKENDS,
@@ -79,15 +66,6 @@ __all__ = [
     "SPARSE_SIZE_THRESHOLD",
     "resolve_backend",
     "select_backend",
-    "CALIBRATION_ENV",
-    "arm_decisions",
-    "armed_decision",
-    "armed_decisions",
-    "calibrated",
-    "calibration_key",
-    "calibration_path",
-    "load_calibration",
-    "store_calibration",
     "stack_blocks",
     "batched_gth",
     "batched_drift",

@@ -14,11 +14,13 @@ value.  This package makes the repeated work explicit and reusable:
   :class:`~repro.pipeline.context.SolveContext` carrying class
   artifacts (including warm-start ``R`` seeds) and stage timings;
 * :mod:`repro.pipeline.stages` — the assemble / stability / R-solve /
-  boundary / extract stages the fixed-point driver composes.
+  boundary / extract stages the fixed-point driver composes for a
+  single solve.
 
-The reference implementations in :mod:`repro.core` remain the
-semantic ground truth; ``FixedPointOptions(reuse_artifacts=False,
-warm_start=False)`` routes the driver back through them.
+The reference implementations in :mod:`repro.core`
+(``build_class_qbd``, ``effective_quantum``) remain as test oracles:
+the parity tests patch them into the stages in place of the fast
+versions.
 """
 
 from repro.pipeline.assembly import AssemblyWorkspace, build_class_qbd_fast

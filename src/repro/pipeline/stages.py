@@ -1,10 +1,10 @@
 """The staged per-class solve: assemble -> stability -> R -> boundary -> extract.
 
 Each stage reads and writes the :class:`~repro.pipeline.context.SolveContext`;
-:func:`solve_all` strings them together with exactly the legacy
-``_solve_all`` semantics (same fault-injection sites, same saturation
-handling, same return shape) so the fixed-point driver stays a thin
-loop over iterations.
+:func:`solve_all` strings them together for one point.
+:func:`solve_points` and :func:`extract_points` lift them over a list of
+points: they are the per-point :class:`~repro.core.fixed_point.StageSet`
+the fixed-point driver runs for a single solve.
 
 The stages fold in the pipeline's three per-iteration wins:
 
@@ -14,23 +14,18 @@ The stages fold in the pipeline's three per-iteration wins:
 * a content-keyed cache of full stationary solutions serving
   bit-identical re-solves (bootstrap restarts, repeated grid points).
 
-``opts.reuse_artifacts=False`` routes assembly and extraction through
-the reference implementations, and ``opts.warm_start=False`` drops the
-seeding — together they reproduce the legacy solve path exactly.
-
 Every stage runs under an observability span (``stage.assemble``,
 ``stage.stability``, ``stage.rsolve``, ``stage.boundary``,
-``stage.extract``, ``stage.reduce``; see :mod:`repro.obs`) tagged with
-the class index.  The spans feed ``ctx.timings`` from the same clock
-window they trace, so ``FixedPointResult.timings`` is a view over the
-trace — and with tracing disabled they degrade to the bare wall-clock
+``stage.extract``; the driver adds ``stage.reduce`` and
+``stage.recombine``; see :mod:`repro.obs`) tagged with the class
+index.  The spans feed ``ctx.timings`` from the same clock window they
+trace, so ``FixedPointResult.timings`` is a view over the trace — and
+with tracing disabled they degrade to the bare wall-clock
 accumulation.
 """
 
 from __future__ import annotations
 
-from repro.core.generator import build_class_qbd
-from repro.core.vacation import effective_quantum, reduce_order
 from repro.errors import UnstableSystemError
 from repro.obs.trace import span
 from repro.phasetype import PhaseType
@@ -45,7 +40,8 @@ from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.fallback import resilient_solve_R
 from repro.resilience.faults import maybe_fault
 
-__all__ = ["assemble_class", "solve_class", "extract_class", "solve_all"]
+__all__ = ["assemble_class", "solve_class", "solve_rmatrix", "extract_class",
+           "solve_all", "solve_points", "extract_points"]
 
 #: Tolerance of the per-class ``R`` solves (the ``solve_qbd`` default).
 _R_TOL = 1e-12
@@ -62,18 +58,11 @@ def assemble_class(ctx: SolveContext, p: int, vacation: PhaseType) -> None:
     art = ctx.classes[p]
     with span("stage.assemble", timings=ctx.timings, stage="assemble",
               klass=p):
-        if getattr(ctx.opts, "reuse_artifacts", True):
-            process, space, art.assembly = build_class_qbd_fast(
-                view.partitions, view.arrival, view.service,
-                view.quantum, vacation, policy=ctx.config.empty_queue_policy,
-                workspace=art.assembly,
-                backend=getattr(ctx.opts, "backend", None),
-            )
-        else:
-            process, space = build_class_qbd(
-                view.partitions, view.arrival, view.service,
-                view.quantum, vacation, policy=ctx.config.empty_queue_policy,
-            )
+        process, space, art.assembly = build_class_qbd_fast(
+            view.partitions, view.arrival, view.service,
+            view.quantum, vacation, policy=ctx.config.empty_queue_policy,
+            workspace=art.assembly, backend=ctx.opts.backend,
+        )
     art.process, art.space, art.vacation = process, space, vacation
 
 
@@ -100,29 +89,18 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
             f"(rho={report.traffic_intensity:.4g})",
             drift=report.drift,
         )
-    backend = getattr(opts, "backend", None)
     key = ArtifactCache.key(process, method=opts.rmatrix_method, tol=_R_TOL,
-                            policy=opts.resilience, backend=backend)
+                            policy=opts.resilience, backend=opts.backend)
     cached = ctx.cache.get(key)
     if cached is not None:
         art.solution, art.R = cached, cached.R
         return cached
-    R0 = art.R if getattr(opts, "warm_start", True) else None
     with span("stage.rsolve", timings=ctx.timings, stage="rsolve",
               klass=p):
-        if opts.resilience is None:
-            R = solve_R(process.A0, process.A1, process.A2,
-                        method=opts.rmatrix_method, tol=_R_TOL, R0=R0,
-                        backend=backend)
-            solve_report = None
-        else:
-            R, solve_report = resilient_solve_R(
-                process.A0, process.A1, process.A2,
-                method=opts.rmatrix_method, tol=_R_TOL,
-                policy=opts.resilience, R0=R0, backend=backend)
+        R, solve_report = solve_rmatrix(process, opts, art.R)
     with span("stage.boundary", timings=ctx.timings, stage="boundary",
               klass=p):
-        pi = solve_boundary(process, R, backend=backend)
+        pi = solve_boundary(process, R, backend=opts.backend)
     sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
                                     drift_report=report,
                                     solve_report=solve_report)
@@ -131,38 +109,49 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
     return sol
 
 
+def solve_rmatrix(process, opts, R0):
+    """``(R, report)`` of one QBD, seeded with ``R0``.
+
+    Runs the resilience chain of ``opts`` (``report`` is its
+    :class:`~repro.resilience.fallback.SolveReport`), or a fail-fast
+    single-method solve with ``report=None`` when it is disabled.
+    """
+    if opts.resilience is None:
+        return solve_R(process.A0, process.A1, process.A2,
+                       method=opts.rmatrix_method, tol=_R_TOL, R0=R0,
+                       backend=opts.backend), None
+    return resilient_solve_R(process.A0, process.A1, process.A2,
+                             method=opts.rmatrix_method, tol=_R_TOL,
+                             policy=opts.resilience, R0=R0,
+                             backend=opts.backend)
+
+
 def extract_class(ctx: SolveContext, p: int) -> PhaseType:
-    """Effective quantum of (stable, solved) class ``p``, order-reduced."""
+    """Raw effective quantum of (stable, solved) class ``p``.
+
+    Order reduction is the driver's step (``stage.reduce``), shared
+    with the stacked stage set.
+    """
     opts = ctx.opts
     art = ctx.classes[p]
     with span("stage.extract", timings=ctx.timings, stage="extract",
               klass=p):
-        if getattr(opts, "reuse_artifacts", True):
-            raw = extract_effective_quantum(
-                art.space, art.process, art.solution, art.vacation,
-                truncation_mass=opts.truncation_mass,
-                max_levels=opts.max_truncation_levels,
-                workspace=art.extraction,
-            )
-        else:
-            raw = effective_quantum(
-                art.space, art.process, art.solution, art.vacation,
-                truncation_mass=opts.truncation_mass,
-                max_levels=opts.max_truncation_levels,
-            )
-    with span("stage.reduce", timings=ctx.timings, stage="reduce",
-              klass=p):
-        return reduce_order(raw, opts.reduction,
-                            backend=getattr(opts, "backend", None))
+        return extract_effective_quantum(
+            art.space, art.process, art.solution, art.vacation,
+            truncation_mass=opts.truncation_mass,
+            max_levels=opts.max_truncation_levels,
+            workspace=art.extraction,
+        )
 
 
 def solve_all(ctx: SolveContext, vacations: list[PhaseType]):
     """Solve every class; saturated classes get ``None`` solutions.
 
-    Drop-in for the legacy ``fixed_point._solve_all`` — same return
-    shape, same ``fixed_point.class_solve`` fault site inside the
-    saturation guard.  A saturated class keeps its previous ``R`` as
-    the warm seed for whenever it turns stable again.
+    Returns ``(spaces, processes, solutions, saturated)``.  Class ``p``
+    is assembled, then its ``fixed_point.class_solve`` and ``qbd.solve``
+    fault sites fire inside the saturation guard, before class
+    ``p + 1`` starts.  A saturated class keeps its previous ``R`` as the
+    warm seed for whenever it turns stable again.
     """
     spaces, processes, solutions, saturated = [], [], [], []
     for p in range(ctx.config.num_classes):
@@ -182,3 +171,26 @@ def solve_all(ctx: SolveContext, vacations: list[PhaseType]):
         solutions.append(sol)
         saturated.append(sat)
     return spaces, processes, solutions, saturated
+
+
+def solve_points(points) -> None:
+    """:func:`solve_all` for each point at its current vacations.
+
+    Stores the result in ``point.state``; an error other than a
+    class's instability fails that point only.
+    """
+    for pt in points:
+        try:
+            pt.state = solve_all(pt.ctx, pt.vacations)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            pt.fail(exc)
+
+
+def extract_points(points):
+    """``raw(point, p)``: :func:`extract_class` on lookup.
+
+    Extracting on demand lets the driver reduce and drop each raw
+    quantum (up to the truncation depth in order) before the next is
+    built.
+    """
+    return lambda pt, p: extract_class(pt.ctx, p)

@@ -176,7 +176,7 @@ class EngineSpec:
     checkpoint: str | None = None
     #: Batched sweep chunk width: solve up to this many adjacent grid
     #: points at once through :mod:`repro.workloads.batched` (stacked
-    #: BLAS, continuation warm-starts, adaptive backend crossover).
+    #: BLAS, continuation warm-starts).
     #: ``0`` (default) and ``1`` keep the per-point path.  Unlike
     #: ``workers``, this knob participates in the scenario's semantic
     #: hash: continuation changes which warm starts each point sees.

@@ -6,18 +6,19 @@ overhead around small dense BLAS calls — exactly the workload shape
 that batching fixes.  This engine advances *all pending points of a
 sweep chunk through the same fixed-point iteration simultaneously*:
 
-* Each point keeps its own :class:`~repro.pipeline.context.SolveContext`
-  and follows the exact control flow of
-  :func:`repro.core.fixed_point._run_fixed_point` (bootstrap,
-  per-class saturation, Aitken windows, identical convergence tests),
-  so a batched point's trajectory is the serial trajectory.
-* The per-class linear algebra of one lockstep iteration — drift
+* The iteration itself is :func:`repro.core.fixed_point.run_lockstep`,
+  the same driver a single solve runs (bootstrap, per-class
+  saturation, Aitken windows, identical convergence tests), so a
+  batched point's trajectory is the serial trajectory.
+* This module supplies the driver's stacked :data:`STACKED` stage
+  set: the per-class linear algebra of one lockstep iteration — drift
   tests, warm Newton refinements, logarithmic reductions, dense
-  boundary solves — is gathered across points, grouped by matrix
-  shape, and dispatched as ``(njobs, m, m)`` stacked kernels
-  (:mod:`repro.kernels.batched`).  Points converge and drop out of the
-  batch individually; any per-slice failure falls back to the serial
-  resilience chain for just that point.
+  boundary solves, effective-quantum extraction — is gathered across
+  points, grouped by matrix shape, and dispatched as
+  ``(njobs, m, m)`` stacked kernels (:mod:`repro.kernels.batched`).
+  Points converge and drop out of the batch individually; any
+  per-slice failure falls back to the serial resilience chain for just
+  that point.
 
 Continuation
 ------------
@@ -36,20 +37,6 @@ composition-independent kernels make the resume byte-identical.  The
 chunk-local lineage (a chunk never seeds from outside itself) is what
 lets the service daemon shard a batched sweep by chunk without
 changing any point's bytes.
-
-Adaptive backend crossover
---------------------------
-In ``backend="auto"`` mode on grids with at least three chunks, the
-first two chunks act as probes: chunk 0's head solves with the dense
-kernels, chunk 1's head with the sparse ones (tail points stay on the
-static policy), and the heads' per-stage timings pick
-a per-site winner (:func:`repro.kernels.adaptive.pick_winners`) that
-is armed for every later chunk.  Probe timings ride on the heads'
-journal records, so a resumed sweep re-derives the same winners; a
-sidecar (:func:`repro.kernels.adaptive.store_calibration`) lets later
-runs skip probing entirely.  On systems below the sparse kernels'
-minimum operand size the winner cannot change any result — both
-probes degrade to dense — so calibration is always safe to engage.
 """
 
 from __future__ import annotations
@@ -59,30 +46,21 @@ import time
 
 import numpy as np
 
-from repro.core.fixed_point import (
-    FixedPointResult,
-    IterationRecord,
-    _aitken_target,
-    _optimistic_quanta,
-)
+from repro.core.fixed_point import PointState, StageSet, run_lockstep
 from repro.core.model import GangSchedulingModel
-from repro.core.vacation import fixed_point_vacation, heavy_traffic_vacation, reduce_order
 from repro.errors import UnstableSystemError, ValidationError
-from repro.kernels import adaptive, to_dense
+from repro.kernels import to_dense
 from repro.kernels import batched as bk
-from repro.kernels.backend import resolve_backend, select_backend
+from repro.kernels.backend import select_backend
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.phasetype import PhaseType
-from repro.pipeline.assembly import build_class_qbd_fast
-from repro.pipeline.context import SolveContext
+from repro.pipeline import stages
 from repro.pipeline.extract import _off_diag, extract_effective_quantum
-from repro.policy import resolve_policy
 from repro.kernels.sparse import row_sums, sub_dense
 from repro.qbd.boundary import solve_boundary
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.stationary import QBDStationaryDistribution
-from repro.resilience.fallback import resilient_solve_R
 from repro.resilience.faults import maybe_fault
 
 __all__ = ["plan_chunks", "run_batched_pending"]
@@ -101,54 +79,25 @@ def plan_chunks(values, batch: int) -> list[list[float]]:
     return [order[i:i + batch] for i in range(0, len(order), batch)]
 
 
-class _Task:
-    """One grid point advancing through the lockstep iteration."""
+class _Task(PointState):
+    """A sweep grid point in the lockstep driver, maybe warm-seeded."""
 
-    def __init__(self, value: float, config, model: GangSchedulingModel,
-                 opts, seed: list | None):
+    def __init__(self, value: float, model: GangSchedulingModel, opts,
+                 seed: list | None):
+        super().__init__(model.config, opts)
         self.value = value
-        self.config = config
         self.model = model
-        self.opts = opts
-        self.ctx = SolveContext.create(config, opts)
-        self.pol = resolve_policy(model.policy)
-        self.seed = seed
         self.warm = False
-        if seed is not None:
-            for p, R in enumerate(seed):
-                if R is not None and p < len(self.ctx.classes):
-                    self.ctx.classes[p].R = np.asarray(R, dtype=np.float64)
-                    self.warm = True
-        self.vacations: list[PhaseType] = []
-        self.result = FixedPointResult(spaces=[], processes=[], solutions=[],
-                                       vacations=[])
-        self.state = None
-        self.prev_means = None
-        self.prev_sat = None
-        self.eff_hist: list[np.ndarray] = []
-        self.error: BaseException | None = None
-        self.finished = False
-        self.started = time.perf_counter()
-        self.elapsed = 0.0
-
-    @property
-    def L(self) -> int:
-        return self.config.num_classes
-
-    def fail(self, exc: BaseException) -> None:
-        self.error = exc
-        self.finished = True
-        self.elapsed = time.perf_counter() - self.started
-
-    def finish(self) -> None:
-        self.finished = True
-        self.elapsed = time.perf_counter() - self.started
+        for p, R in enumerate(seed or ()):
+            if R is not None and p < len(self.ctx.classes):
+                self.ctx.classes[p].R = np.asarray(R, dtype=np.float64)
+                self.warm = True
 
 
 class _Job:
     """One (task, class) solve inside a lockstep iteration."""
 
-    __slots__ = ("task", "p", "art", "report", "R", "sol", "sat", "done")
+    __slots__ = ("task", "p", "art", "report", "R", "done")
 
     def __init__(self, task: _Task, p: int):
         self.task = task
@@ -156,46 +105,27 @@ class _Job:
         self.art = task.ctx.classes[p]
         self.report = None
         self.R = None
-        self.sol = None
-        self.sat = False
         self.done = False
 
 
-def _live(tasks: list[_Task]) -> list[_Task]:
-    return [t for t in tasks if not t.finished]
-
-
 def _solve_all_batched(tasks: list[_Task]) -> None:
-    """Batched mirror of :func:`repro.pipeline.stages.solve_all`.
+    """Stacked twin of :func:`repro.pipeline.stages.solve_points`.
 
     Assembles every (task, class) QBD, then runs drift, ``R`` and
     boundary solves grouped by shape as stacked kernels.  Per-class
     ``UnstableSystemError`` marks the class saturated (exactly the
     serial guard); any other per-task exception fails that task only.
     """
-    tasks = _live(tasks)
     if not tasks:
         return
     jobs: list[_Job] = []
-    t0 = time.perf_counter()
     for t in tasks:
         try:
             for p in range(t.L):
-                view = t.ctx.views[p]
-                art = t.ctx.classes[p]
-                process, space, art.assembly = build_class_qbd_fast(
-                    view.partitions, view.arrival, view.service,
-                    view.quantum, t.vacations[p],
-                    policy=t.config.empty_queue_policy,
-                    workspace=art.assembly,
-                    backend=getattr(t.opts, "backend", None),
-                )
-                art.process, art.space, art.vacation = (process, space,
-                                                        t.vacations[p])
+                stages.assemble_class(t.ctx, p, t.vacations[p])
                 jobs.append(_Job(t, p))
         except Exception as exc:  # noqa: BLE001 - per-task isolation
             t.fail(exc)
-    _charge(tasks, "assemble", time.perf_counter() - t0)
     jobs = [j for j in jobs if not j.task.finished]
 
     # Fault sites fire per (task, class) in deterministic order, with
@@ -220,35 +150,22 @@ def _solve_all_batched(tasks: list[_Task]) -> None:
     _stage_boundary(tasks, jobs)
 
     for t in tasks:
-        if t.finished:
-            continue
-        spaces, processes, solutions, saturated = [], [], [], []
-        for p in range(t.L):
-            art = t.ctx.classes[p]
-            spaces.append(art.space)
-            processes.append(art.process)
-            solutions.append(art.solution)
-            saturated.append(art.saturated)
-        t.state = (spaces, processes, solutions, saturated)
+        if not t.finished:
+            arts = t.ctx.classes
+            t.state = ([a.space for a in arts], [a.process for a in arts],
+                       [a.solution for a in arts],
+                       [a.saturated for a in arts])
 
 
 def _saturate(j: _Job) -> None:
-    j.sat = True
     j.done = True
     j.art.saturated = True
     j.art.solution = None
 
 
-def _complete(j: _Job) -> None:
-    j.art.saturated = False
-    j.art.solution = j.sol
-    j.art.R = j.R
-    j.done = True
-
-
 def _charge(tasks: list[_Task], stage: str, seconds: float) -> None:
     """Split a batched stage's wall time across its live tasks."""
-    live = _live(tasks)
+    live = [t for t in tasks if not t.finished]
     if not live:
         return
     share = seconds / len(live)
@@ -311,12 +228,12 @@ def _stage_rsolve(tasks: list[_Task], jobs: list[_Job]) -> None:
             serial.append(j)
             continue
         d = j.art.process.phase_dim
-        prev = j.art.R if getattr(opts, "warm_start", True) else None
+        prev = j.art.R
         if prev is not None and (prev.shape != (d, d)
                                  or not np.all(np.isfinite(prev))):
             prev = None  # serial solve_R silently discards such seeds
-        if prev is not None and select_backend(
-                getattr(opts, "backend", None), d * d) == "sparse":
+        if prev is not None and select_backend(opts.backend,
+                                               d * d) == "sparse":
             # Serial refines this seed matrix-free (GMRES); there is no
             # bitwise batched twin, so the serial path keeps the bits.
             serial.append(j)
@@ -349,20 +266,8 @@ def _stage_rsolve(tasks: list[_Task], jobs: list[_Job]) -> None:
                 serial.append(j)
     for j in serial:
         try:
-            opts = j.task.opts
-            process = j.art.process
-            R0 = j.art.R if getattr(opts, "warm_start", True) else None
-            if opts.resilience is None:
-                from repro.qbd.rmatrix import solve_R
-                j.R = solve_R(process.A0, process.A1, process.A2,
-                              method=opts.rmatrix_method, tol=1e-12, R0=R0,
-                              backend=getattr(opts, "backend", None))
-            else:
-                j.R, _ = resilient_solve_R(
-                    process.A0, process.A1, process.A2,
-                    method=opts.rmatrix_method, tol=1e-12,
-                    policy=opts.resilience, R0=R0,
-                    backend=getattr(opts, "backend", None))
+            j.R, _ = stages.solve_rmatrix(j.art.process, j.task.opts,
+                                          j.art.R)
         except UnstableSystemError:
             _saturate(j)
         except Exception as exc:  # noqa: BLE001 - per-task isolation
@@ -380,9 +285,8 @@ def _stage_boundary(tasks: list[_Task], jobs: list[_Job]) -> None:
         process = j.art.process
         dims = tuple(process.boundary_dims())
         n = int(sum(dims))
-        backend = getattr(j.task.opts, "backend", None)
-        if process.boundary_levels >= 1 and \
-                select_backend(backend, n, site="boundary") == "sparse":
+        if process.boundary_levels >= 1 and select_backend(
+                j.task.opts.backend, n, site="boundary") == "sparse":
             serial.append(j)  # block-tridiagonal kernel, per point
         else:
             groups.setdefault((dims, process.phase_dim), []).append(j)
@@ -420,7 +324,7 @@ def _stage_boundary(tasks: list[_Task], jobs: list[_Job]) -> None:
     for j in serial:
         try:
             pi = solve_boundary(j.art.process, j.R,
-                                backend=getattr(j.task.opts, "backend", None))
+                                backend=j.task.opts.backend)
             _finish_boundary(j, pi)
         except UnstableSystemError:
             _saturate(j)
@@ -430,14 +334,16 @@ def _stage_boundary(tasks: list[_Task], jobs: list[_Job]) -> None:
 
 
 def _finish_boundary(j: _Job, pi) -> None:
-    j.sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=j.R,
-                                      drift_report=j.report,
-                                      solve_report=None)
-    _complete(j)
+    j.done = True
+    j.art.saturated = False
+    j.art.solution = QBDStationaryDistribution(
+        boundary_pi=tuple(pi), R=j.R, drift_report=j.report,
+        solve_report=None)
+    j.art.R = j.R
 
 
-def _batched_extract(tasks: list[_Task]) -> dict:
-    """Effective-quantum extraction for every live (task, class) job.
+def _batched_extract(tasks: list[_Task]):
+    """Stacked twin of :func:`repro.pipeline.stages.extract_points`.
 
     Batched mirror of
     :func:`repro.pipeline.extract.extract_effective_quantum`: jobs are
@@ -449,7 +355,8 @@ def _batched_extract(tasks: list[_Task]) -> dict:
     group-level surprise falls back to the serial extractor per job;
     per-job failures fail only that task.
 
-    Returns ``{(id(task), class): raw PhaseType}``.
+    Returns the driver's ``raw(task, p)`` lookup over the extracted
+    quanta.
     """
     t0 = time.perf_counter()
     raws: dict[tuple[int, int], PhaseType] = {}
@@ -476,7 +383,7 @@ def _batched_extract(tasks: list[_Task]) -> dict:
                 except Exception as exc:  # noqa: BLE001 - per-task
                     t.fail(exc)
     _charge(tasks, "extract", time.perf_counter() - t0)
-    return raws
+    return lambda t, p: raws[(id(t), p)]
 
 
 def _extract_group(space, group: list, raws: dict) -> None:
@@ -708,143 +615,8 @@ def _extract_group(space, group: list, raws: dict) -> None:
             raws[(id(t), p)] = PhaseType.from_trusted(xi[si] / total, T[si])
 
 
-def _iteration_top(t: _Task, it: int) -> None:
-    """Convergence bookkeeping: the head of the serial iteration body."""
-    spaces, processes, solutions, saturated = t.state
-    L = t.L
-    means = np.array([sol.mean_level if sol is not None else np.inf
-                      for sol in solutions])
-    stable_idx = [p for p in range(L) if not saturated[p]]
-    if t.prev_means is None or t.prev_sat != saturated:
-        change = float("inf")
-    elif stable_idx:
-        diffs = [abs(means[p] - t.prev_means[p]) / max(1.0, abs(means[p]))
-                 for p in stable_idx]
-        change = float(max(diffs))
-    else:  # pragma: no cover - guarded by the all-saturated failure
-        change = 0.0
-    t.result.history.append(IterationRecord(
-        iteration=it,
-        mean_jobs=tuple(float(m) for m in means),
-        vacation_means=tuple(v.mean for v in t.vacations),
-        max_rel_change=change,
-    ))
-    t.result.spaces, t.result.processes = spaces, processes
-    t.result.solutions, t.result.vacations = solutions, t.vacations
-    t.result.saturated = saturated
-    if t.opts.heavy_traffic_only:
-        t.result.converged = True
-        t.finish()
-    elif t.prev_means is not None and t.prev_sat == saturated \
-            and change < t.opts.tol:
-        t.result.converged = True
-        t.finish()
-    else:
-        t.prev_means, t.prev_sat = means, saturated
-
-
-def _iteration_bottom(t: _Task, it: int, raws: dict) -> None:
-    """Effective quanta, Aitken, recombination: the iteration's tail."""
-    saturated = t.state[3]
-    L = t.L
-    eff: dict[int, PhaseType] = {}
-    for p in range(L):
-        if saturated[p]:
-            eff[p] = t.ctx.views[p].quantum
-        else:
-            t0r = time.perf_counter()
-            eff[p] = reduce_order(raws[(id(t), p)], t.opts.reduction,
-                                  backend=getattr(t.opts, "backend", None))
-            t.ctx.timings.add("reduce", time.perf_counter() - t0r)
-    t.eff_hist.append(np.array([eff[p].mean for p in range(L)]))
-    if t.opts.acceleration == "aitken" and len(t.eff_hist) >= 3 \
-            and it % 3 == 2 and not any(saturated):
-        target, ok = _aitken_target(*t.eff_hist[-3:], t.opts.tol)
-        if ok:
-            for p in range(L):
-                if eff[p].mean > 0 and target[p] != eff[p].mean:
-                    eff[p] = PhaseType.from_trusted(
-                        eff[p].alpha,
-                        np.asarray(eff[p].S) * (eff[p].mean / target[p]))
-            t.eff_hist.clear()
-    t0 = time.perf_counter()
-    t.vacations = [fixed_point_vacation(t.config, p, eff, policy=t.pol)
-                   for p in range(L)]
-    t.ctx.timings.add("recombine", time.perf_counter() - t0)
-
-
-def _solve_tasks(tasks: list[_Task]) -> None:
-    """Run a set of points through the lockstep fixed-point iteration.
-
-    Control flow is :func:`repro.core.fixed_point._run_fixed_point`
-    applied to every task simultaneously; a finished (converged or
-    failed) task drops out of the lockstep while the rest continue.
-    """
-    for t in tasks:
-        try:
-            t.vacations = [heavy_traffic_vacation(t.config, p, policy=t.pol)
-                           for p in range(t.L)]
-            t.result.vacations = t.vacations
-        except Exception as exc:  # noqa: BLE001 - per-task isolation
-            t.fail(exc)
-    _solve_all_batched(tasks)
-
-    bootstrap: list[_Task] = []
-    for t in _live(tasks):
-        saturated = t.state[3]
-        if t.opts.heavy_traffic_only and any(saturated):
-            bad = [p for p, s in enumerate(saturated) if s]
-            t.fail(UnstableSystemError(
-                f"heavy-traffic model unstable for class(es) {bad} "
-                f"({', '.join(t.config.class_names[p] for p in bad)})"))
-            continue
-        if any(saturated) and t.opts.allow_optimistic_bootstrap \
-                and not t.opts.heavy_traffic_only:
-            t.result.used_bootstrap = True
-            eff0 = _optimistic_quanta(t.ctx.views)
-            t.vacations = [fixed_point_vacation(t.config, p, eff0,
-                                                policy=t.pol)
-                           for p in range(t.L)]
-            bootstrap.append(t)
-    _solve_all_batched(bootstrap)
-    for t in _live(tasks):
-        if all(t.state[3]):
-            t.fail(UnstableSystemError(
-                "every class is saturated: the offered load exceeds the "
-                "system's capacity under any vacation assignment"))
-
-    max_iterations = max((max(1, t.opts.max_iterations)
-                          for t in _live(tasks)), default=0)
-    for it in range(max_iterations):
-        live = [t for t in _live(tasks) if it < max(1, t.opts.max_iterations)]
-        if not live:
-            break
-        for t in live:
-            _iteration_top(t, it)
-        live = _live(live)
-        if not live:
-            break
-        raws = _batched_extract(live)
-        for t in _live(live):
-            try:
-                _iteration_bottom(t, it, raws)
-            except Exception as exc:  # noqa: BLE001 - per-task isolation
-                t.fail(exc)
-        _solve_all_batched(live)
-        for t in _live(live):
-            if all(t.state[3]):
-                t.fail(UnstableSystemError(
-                    "every class became saturated during the fixed-point "
-                    "iteration: the system is over capacity"))
-    for t in tasks:
-        if not t.finished:  # iteration budget exhausted: not converged
-            t.finish()
-        if t.error is None:
-            t.result.timings = t.ctx.timings.as_dict()
-            t.result.cache_stats = t.ctx.cache.stats()
-            metrics.inc("fixed_point.runs", converged=t.result.converged,
-                        bootstrap=t.result.used_bootstrap, policy=t.pol.kind)
-            metrics.observe("fixed_point.iterations", t.result.iterations)
+#: The driver's stacked stage set.
+STACKED = StageSet(_solve_all_batched, _batched_extract)
 
 
 def _final_rs(t: _Task) -> list:
@@ -873,73 +645,6 @@ def _cont_from_record(rec: dict | None) -> list | None:
         return None
 
 
-def _shape_signature(config, pol) -> dict:
-    views = pol.views(config)
-    return {"P": int(config.processors),
-            "classes": [[int(v.partitions), int(v.arrival.order),
-                         int(v.service.order), int(v.quantum.order)]
-                        for v in views]}
-
-
-class _Calibration:
-    """Probe / sidecar bookkeeping for one batched sweep."""
-
-    def __init__(self, mode: str, chunks: list[list[float]],
-                 done_records: dict):
-        self.engaged = mode == "auto" and len(chunks) >= 3
-        self.probe_values = ([chunks[0][0], chunks[1][0]]
-                             if self.engaged else [])
-        self.timings: dict[str, dict] = {}   # backend -> stage seconds
-        self.decisions: dict[str, str] = {}
-        self.from_sidecar = False
-        self.key: str | None = None
-        if not self.engaged:
-            return
-        journaled = False
-        for v, forced in zip(self.probe_values, ("dense", "sparse")):
-            rec = done_records.get(v) or {}
-            probe = rec.get("probe")
-            if probe and probe.get("backend") == forced:
-                self.timings[forced] = dict(probe.get("stage_seconds") or {})
-                journaled = True
-        self.journal_has_probes = journaled
-
-    def prepare(self, config, pol) -> None:
-        """Consult the sidecar (journal probe data outranks it)."""
-        if not self.engaged:
-            return
-        self.key = adaptive.calibration_key(_shape_signature(config, pol))
-        if not self.journal_has_probes:
-            stored = adaptive.load_calibration(self.key)
-            if stored is not None:
-                self.decisions = stored
-                self.from_sidecar = True
-
-    def forced_backend(self, chunk_index: int) -> str | None:
-        """Probe chunks pin their head's backend; others run armed."""
-        if not self.engaged or self.from_sidecar:
-            return None
-        return ("dense", "sparse")[chunk_index] if chunk_index < 2 else None
-
-    def record_probe(self, chunk_index: int, stage_seconds: dict) -> dict:
-        forced = ("dense", "sparse")[chunk_index]
-        self.timings[forced] = dict(stage_seconds)
-        return {"backend": forced, "stage_seconds": dict(stage_seconds)}
-
-    def resolve(self) -> dict[str, str]:
-        """Winners for chunks past the probes (may be empty)."""
-        if not self.engaged or self.from_sidecar:
-            return self.decisions
-        if not self.decisions and "dense" in self.timings \
-                and "sparse" in self.timings:
-            self.decisions = adaptive.pick_winners(self.timings["dense"],
-                                                   self.timings["sparse"])
-            if self.decisions and self.key is not None:
-                adaptive.store_calibration(self.key, self.decisions,
-                                           self.timings)
-        return self.decisions
-
-
 def run_batched_pending(*, grid, pending, batch: int,
                         heavy_traffic_only: bool,
                         model_kwargs: dict | None,
@@ -950,10 +655,10 @@ def run_batched_pending(*, grid, pending, batch: int,
 
     Parameters mirror the serial loop of
     :func:`repro.workloads.sweeps.sweep`; ``finish(slot, point, extra)``
-    journals a completed point (``extra`` carries continuation seeds
-    and probe timings on chunk-head records) and ``done_records`` maps
+    journals a completed point (``extra`` carries the continuation
+    seeds on chunk-head records) and ``done_records`` maps
     already-journaled values to their raw records (the source of seeds
-    and probe timings on resume).
+    on resume).
     """
     from repro.workloads.sweeps import SweepPoint, _error_point
 
@@ -966,17 +671,10 @@ def run_batched_pending(*, grid, pending, batch: int,
     for slot, v, config in pending:
         by_value.setdefault(float(v), []).append((slot, config))
 
-    chunks = plan_chunks(grid, batch)
-    mode = resolve_backend(model_kwargs.get("backend") or "auto")
-    calib = _Calibration(mode, chunks, done_records)
-
-    def make_task(v: float, config, seed, forced: str | None) -> _Task:
-        kwargs = dict(model_kwargs)
-        if forced is not None:
-            kwargs["backend"] = forced
-        model = GangSchedulingModel(config, **kwargs)
+    def make_task(v: float, seed) -> _Task:
+        model = GangSchedulingModel(by_value[v][0][1], **model_kwargs)
         opts = model._options(max_iterations, tol, heavy_traffic_only)
-        return _Task(v, config, model, opts, seed)
+        return _Task(v, model, opts, seed)
 
     def emit(t: _Task, extra: dict | None) -> BaseException | None:
         """Turn a finished task into points for all its slots."""
@@ -1008,17 +706,11 @@ def run_batched_pending(*, grid, pending, batch: int,
         return None
 
     abort: BaseException | None = None
-    first_config = pending[0][2]
-    probe_model = GangSchedulingModel(first_config, **model_kwargs)
-    calib.prepare(first_config, resolve_policy(probe_model.policy))
-
-    for ci, chunk in enumerate(chunks):
+    for ci, chunk in enumerate(plan_chunks(grid, batch)):
         todo = [v for v in chunk if v in by_value
                 and done_records.get(v) is None]
         if not todo:
             continue
-        forced = calib.forced_backend(ci)
-        decisions = calib.resolve() if forced is None else {}
 
         # Fire the sweep-level fault site for every value about to be
         # solved, in ascending order (the serial driver's ordering).
@@ -1039,35 +731,21 @@ def run_batched_pending(*, grid, pending, batch: int,
 
         head_v = chunk[0]
         head_rs = _cont_from_record(done_records.get(head_v))
-        with adaptive.calibrated(decisions or None), \
-                span("sweep.chunk", index=ci, size=len(solvable)):
+        with span("sweep.chunk", index=ci, size=len(solvable)):
             if head_v in solvable:
-                head_task = make_task(head_v, by_value[head_v][0][1],
-                                      None, forced)
-                _solve_tasks([head_task])
-                extra: dict = {}
+                head_task = make_task(head_v, None)
+                run_lockstep([head_task], STACKED)
+                extra = None
                 if head_task.error is None:
                     head_rs = _final_rs(head_task)
                     if len(chunk) > 1:
-                        extra["cont"] = _cont_payload(head_rs)
-                if forced is not None:
-                    extra["probe"] = calib.record_probe(
-                        ci, head_task.ctx.timings.as_dict())
-                abort = abort or emit(head_task, extra or None)
+                        extra = {"cont": _cont_payload(head_rs)}
+                abort = emit(head_task, extra)
                 if abort is not None:
                     break
-            elif forced is not None and forced not in calib.timings:
-                # The journaled head lacks probe timings (written by a
-                # per-point run): calibration stays static for safety.
-                pass
-            # Only the head is pinned during probe chunks: it alone
-            # feeds the calibration timings, and leaving the tails on
-            # the static policy keeps their numbers on the serial
-            # path's backend choices.
-            tail = [make_task(v, by_value[v][0][1], head_rs, None)
-                    for v in solvable if v != head_v]
+            tail = [make_task(v, head_rs) for v in solvable if v != head_v]
             if tail:
-                _solve_tasks(tail)
+                run_lockstep(tail, STACKED)
                 for t in tail:
                     abort = abort or emit(t, None)
         if abort is not None:

@@ -306,12 +306,10 @@ def sweep(parameter: str, values: Sequence[float],
     batch:
         Solve up to this many adjacent grid points at once through the
         batched lockstep engine (:mod:`repro.workloads.batched`):
-        stacked BLAS across points, continuation warm-starts within
-        each chunk, and (in ``backend="auto"`` mode) an adaptive
-        dense/sparse crossover calibrated on the first chunks.
-        ``None``/``0``/``1`` keeps the per-point path; ``workers``
-        takes precedence (worker processes already amortize the
-        per-point overhead the batch engine targets).
+        stacked BLAS across points and continuation warm-starts within
+        each chunk.  ``None``/``0``/``1`` keeps the per-point path;
+        ``workers`` takes precedence (worker processes already amortize
+        the per-point overhead the batch engine targets).
     workers:
         Solve points in this many OS processes (``None``/``0``/``1``:
         serially in-process).  Configs are built — and fault-injection
@@ -343,7 +341,7 @@ def sweep(parameter: str, values: Sequence[float],
     journal = SweepJournal(checkpoint) if checkpoint is not None else None
     done: dict[float, SweepPoint] = {}
     #: Raw journal records by value — the batched engine reads its
-    #: continuation seeds and probe timings back from these on resume.
+    #: continuation seeds back from these on resume.
     done_records: dict[float, dict] = {}
     result: SweepResult | None = None
     header_written = False
@@ -423,9 +421,9 @@ def sweep(parameter: str, values: Sequence[float],
         if journal is not None:
             rec = _point_record(point)
             if extra:
-                # Batched-engine payloads (continuation seeds, probe
-                # timings) ride on the point record; resume hands them
-                # back through ``done_records``.
+                # Batched-engine continuation seeds ride on the point
+                # record; resume hands them back through
+                # ``done_records``.
                 rec.update(extra)
             journal.append(rec)
 

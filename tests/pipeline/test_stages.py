@@ -9,6 +9,7 @@ from repro.core.fixed_point import FixedPointOptions, run_fixed_point
 from repro.core.model import GangSchedulingModel
 from repro.pipeline.cache import ArtifactCache
 from repro.workloads.presets import fig23_config
+from tests.legacy_route import legacy_route
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +19,8 @@ def config():
 
 @pytest.fixture(scope="module")
 def results(config):
-    legacy = run_fixed_point(config, FixedPointOptions(
-        warm_start=False, reuse_artifacts=False))
+    with legacy_route():
+        legacy = run_fixed_point(config, FixedPointOptions())
     fast = run_fixed_point(config, FixedPointOptions())
     return legacy, fast
 

@@ -38,6 +38,8 @@ def _assert_points_close(batched, serial, tol=1e-8):
     for bp, sp in zip(batched.points, serial.points):
         assert bp.value == sp.value
         assert bp.error is None and sp.error is None
+        assert bp.iterations == sp.iterations
+        assert bp.converged == sp.converged
         for b, s in zip(bp.mean_jobs + bp.mean_response_time,
                         sp.mean_jobs + sp.mean_response_time):
             assert b == pytest.approx(s, rel=tol, abs=tol)
@@ -48,8 +50,9 @@ class TestContinuationParity:
                          min_size=3, max_size=6))
     @settings(max_examples=10, deadline=None)
     def test_matches_cold_per_point_on_any_grid(self, grid):
-        """Warm-started batched results track cold solves to 1e-8 on
-        grids with duplicates and arbitrary (non-monotone) order."""
+        """Warm-started batched results track cold solves to 1e-8, with
+        the same iteration counts, on grids with duplicates and
+        arbitrary (non-monotone) order."""
         batched = sweep("lambda", grid, tiny_config, batch=3)
         serial = sweep("lambda", grid, tiny_config)
         _assert_points_close(batched, serial)
@@ -113,19 +116,19 @@ class TestKillAndResume:
             assert rp.mean_response_time == cp.mean_response_time
             assert rp.iterations == cp.iterations
         assert resumed.render() == clean.render()
-        # The journals agree record-for-record once run-local probe
-        # timings (measured wall seconds, never identical across runs)
-        # are set aside.
-        strip = lambda rec: {k: v for k, v in rec.items() if k != "probe"}
-        clean_recs = [strip(json.loads(ln)) for ln in
-                      clean_path.read_text().splitlines()]
-        crash_recs = [strip(json.loads(ln)) for ln in
-                      crash_path.read_text().splitlines()]
-        assert crash_recs == clean_recs
+        assert crash_path.read_bytes() == clean_path.read_bytes()
 
     def test_resume_skips_all_solves(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         sweep("lambda", self.GRID, tiny_config, batch=3, checkpoint=path)
+        # Journals from older releases carry a ``probe`` timing object
+        # on chunk-head records; they must still load and resume.
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[1])
+        head["probe"] = {"backend": "dense",
+                         "stage_seconds": {"assemble": 0.01, "rsolve": 0.02}}
+        lines[1] = json.dumps(head)
+        path.write_text("\n".join(lines) + "\n")
         with faults.inject("sweeps.point", raises=RuntimeError) as spec:
             second = sweep("lambda", self.GRID, tiny_config, batch=3,
                            checkpoint=path)
