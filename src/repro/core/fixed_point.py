@@ -13,14 +13,15 @@ This module is the only home of that loop.  :func:`run_lockstep`
 advances n >= 1 points through it in lockstep, each point carrying
 one :class:`~repro.pipeline.context.SolveContext` (reusable
 assembly/extraction workspaces, the previous iteration's ``R``
-matrices as warm starts, a content-keyed cache of solved chains,
-per-stage wall-clock timings).  The per-class work of steps 1-2 comes
-from a :class:`StageSet`: a single solve (:func:`run_fixed_point`, the
-n = 1 case) runs the per-point stages of :mod:`repro.pipeline.stages`;
-a batched sweep chunk runs the stacked kernels of
-:mod:`repro.workloads.batched`.  Everything else — initialization,
-bootstrap, saturation, the convergence test, Aitken, order reduction,
-recombination and per-point failure isolation — is shared.
+matrices as warm starts, per-stage wall-clock timings).  The per-class
+work of steps 1-2 comes from a :class:`StageSet`: a single solve
+(:func:`run_fixed_point`, the n = 1 case) runs the per-point stages of
+:mod:`repro.pipeline.stages`; a batched sweep chunk runs the stacked
+kernels of :mod:`repro.workloads.batched`.  Both extract through the
+one stacked :func:`repro.pipeline.extract.extract_effective_quanta`.
+Everything else — initialization, bootstrap, saturation, the
+convergence test, Aitken, order reduction, recombination and
+per-point failure isolation — is shared.
 
 Initialization and saturation handling
 --------------------------------------
@@ -68,7 +69,6 @@ from repro.obs import metrics
 from repro.obs.trace import span
 from repro.phasetype import PhaseType
 from repro.pipeline import stages
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import SolveContext
 from repro.policy import SchedulingPolicy, resolve_policy
 from repro.qbd.stationary import QBDStationaryDistribution
@@ -103,9 +103,6 @@ class FixedPointOptions:
     heavy_traffic_only:
         Stop after the heavy-traffic solve (Theorem 4.1 model); no
         bootstrap or saturation handling is applied.
-    allow_optimistic_bootstrap:
-        Restart from near-zero effective quanta when the heavy-traffic
-        initialization is unstable.
     """
 
     max_iterations: int = 200
@@ -119,7 +116,6 @@ class FixedPointOptions:
     truncation_mass: float = 1e-9
     max_truncation_levels: int = 400
     heavy_traffic_only: bool = False
-    allow_optimistic_bootstrap: bool = True
     #: Scheduling policy shaping the cycle (``None`` = the paper's
     #: round-robin).  The policy's per-class views feed every stage:
     #: capacity ``c_p``, effective service, quantum mass, and the
@@ -137,8 +133,6 @@ class FixedPointOptions:
     #: on a size-and-density threshold, ``"dense"``/``"sparse"`` force
     #: one side (see :mod:`repro.kernels`).
     backend: str = "auto"
-    #: Optional shared artifact cache; ``None`` gives each run its own.
-    cache: ArtifactCache | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -172,9 +166,6 @@ class FixedPointResult:
     used_bootstrap: bool = False
     #: Wall-clock seconds per pipeline stage, accumulated over the run.
     timings: dict[str, float] = field(default_factory=dict)
-    #: Hit/miss/eviction counters of the run's artifact cache
-    #: (:meth:`repro.pipeline.cache.ArtifactCache.stats`).
-    cache_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -312,8 +303,7 @@ def _bootstrap(pt: PointState) -> bool:
         raise UnstableSystemError(
             f"heavy-traffic model unstable for class(es) {bad} "
             f"({', '.join(pt.config.class_names[p] for p in bad)})")
-    if any(saturated) and pt.opts.allow_optimistic_bootstrap \
-            and not pt.opts.heavy_traffic_only:
+    if any(saturated):
         # Heavy-traffic init failed for someone: approach from below.
         pt.result.used_bootstrap = True
         eff0 = _optimistic_quanta(pt.ctx.views)
@@ -452,7 +442,6 @@ def run_lockstep(points: list[PointState], stage_set: StageSet) -> None:
             pt.finish()
         if pt.error is None:
             pt.result.timings = pt.ctx.timings.as_dict()
-            pt.result.cache_stats = pt.ctx.cache.stats()
             metrics.inc("fixed_point.runs", converged=pt.result.converged,
                         bootstrap=pt.result.used_bootstrap, policy=pt.pol.kind)
             metrics.observe("fixed_point.iterations", pt.result.iterations)

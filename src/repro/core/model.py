@@ -16,7 +16,6 @@ from repro.core.statespace import ClassStateSpace
 from repro.kernels import resolve_backend
 from repro.obs.trace import StageTimings, span
 from repro.phasetype import PhaseType
-from repro.pipeline.cache import ArtifactCache
 from repro.policy import SchedulingPolicy, resolve_policy
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.fallback import DEFAULT_POLICY, ResiliencePolicy
@@ -66,10 +65,6 @@ class SolvedModel:
     #: stability, rsolve, boundary, extract, reduce, recombine,
     #: measures), accumulated over the whole solve.
     timings: dict[str, float] = field(default_factory=dict, compare=False)
-    #: Artifact-cache counters of the solve
-    #: (:meth:`repro.pipeline.cache.ArtifactCache.stats`).  The cache
-    #: lives on the model, so repeated solves see cumulative numbers.
-    cache_stats: dict[str, int] = field(default_factory=dict, compare=False)
     #: Lazily built per-class :class:`ClassDistributions` cache
     #: (see :meth:`distributions`); never compared.
     _distributions: dict = field(default_factory=dict, compare=False,
@@ -163,8 +158,7 @@ resilience, backend:
                  max_truncation_levels: int = 400,
                  resilience: "ResiliencePolicy | None" = DEFAULT_POLICY,
                  backend: str = "auto",
-                 policy: "SchedulingPolicy | None" = None,
-                 cache: ArtifactCache | None = None):
+                 policy: "SchedulingPolicy | None" = None):
         self.config = config
         self.policy = resolve_policy(policy) if policy is not None else None
         self._reduction = reduction
@@ -173,10 +167,6 @@ resilience, backend:
         self._max_truncation_levels = max_truncation_levels
         self._resilience = resilience
         self._backend = resolve_backend(backend)
-        # One cache per model instance: solve() followed by
-        # solve_heavy_traffic() (or repeated solves) revisit identical
-        # heavy-traffic chains and get them for free.
-        self._cache = cache if cache is not None else ArtifactCache()
 
     def _options(self, max_iterations: int, tol: float,
                  heavy_traffic_only: bool) -> FixedPointOptions:
@@ -191,7 +181,6 @@ resilience, backend:
             resilience=self._resilience,
             backend=self._backend,
             policy=self.policy,
-            cache=self._cache,
         )
 
     def solve(self, *, max_iterations: int = 200, tol: float = 1e-5,
@@ -238,5 +227,4 @@ resilience, backend:
             history=tuple(raw.history),
             converged=raw.converged,
             timings=timings,
-            cache_stats=self._cache.stats(),
         )

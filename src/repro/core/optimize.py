@@ -109,13 +109,10 @@ def slo_objective(selector: str) -> Callable[[SolvedModel], float]:
 
 
 def _evaluate(config: SystemConfig, objective, model_kwargs,
-              policy: SchedulingPolicy | None = None,
-              cache=None) -> float:
+              policy: SchedulingPolicy | None = None) -> float:
     kwargs = dict(model_kwargs or {})
     if policy is not None:
         kwargs["policy"] = policy
-    if cache is not None:
-        kwargs["cache"] = cache
     try:
         solved = GangSchedulingModel(config, **kwargs).solve()
     except UnstableSystemError:
@@ -183,15 +180,9 @@ def optimize_quantum(config_factory: Callable[[float], SystemConfig],
         quantizing factory, repeated searches sharing the dict) cost
         zero solves.  Entries assume the same ``objective`` and
         ``model_kwargs``; pass a fresh dict when either changes.
-        ``evaluations`` counts actual model solves only.
-
-    All evaluations in one search also share one
-    :class:`~repro.pipeline.cache.ArtifactCache`, so bit-identical
-    per-class QBD sub-solves across bracket points are served from
-    cache instead of re-solved.
+        ``evaluations`` counts actual model solves only.  Solves share
+        nothing; the memo is the only reuse between them.
     """
-    from repro.pipeline.cache import ArtifactCache
-
     lo, hi = bounds
     if not 0 < lo <= hi:
         raise ValidationError(
@@ -201,7 +192,6 @@ def optimize_quantum(config_factory: Callable[[float], SystemConfig],
 
     cache: dict[float, float] = {}
     content_memo = memo if memo is not None else {}
-    artifacts = ArtifactCache()
 
     def f(q: float) -> float:
         nonlocal evals
@@ -209,8 +199,7 @@ def optimize_quantum(config_factory: Callable[[float], SystemConfig],
             config = config_factory(q)
             ck = _config_key(config)
             if ck not in content_memo:
-                content_memo[ck] = _evaluate(config, objective,
-                                             model_kwargs, cache=artifacts)
+                content_memo[ck] = _evaluate(config, objective, model_kwargs)
                 evals += 1
             cache[q] = content_memo[ck]
         return cache[q]
@@ -345,17 +334,12 @@ def optimize_quantum_for_slo(config_factory: Callable[[float], SystemConfig],
                           best_quantum=probe.quantum,
                           best_metric_value=probe.objective_value)
 
-    from repro.pipeline.cache import ArtifactCache
-
-    artifacts = ArtifactCache()
-
     def g(q: float) -> float:
         nonlocal evals
         config = config_factory(q)
         ck = _config_key(config)
         if ck not in content_memo:
-            content_memo[ck] = _evaluate(config, objective, model_kwargs,
-                                         cache=artifacts)
+            content_memo[ck] = _evaluate(config, objective, model_kwargs)
             evals += 1
         return content_memo[ck]
 

@@ -44,7 +44,6 @@ from repro.kernels.boundary import solve_boundary_blocktridiag
 from repro.kernels.kron import KronSumOperator, kron2, solve_sylvester
 from repro.kernels.sparse import (
     Factorization,
-    block_bytes,
     density,
     diagonal,
     factorize,
@@ -79,7 +78,6 @@ __all__ = [
     "kron2",
     "solve_sylvester",
     "Factorization",
-    "block_bytes",
     "density",
     "diagonal",
     "factorize",

@@ -24,7 +24,6 @@ __all__ = [
     "diagonal",
     "row_sums",
     "sub_dense",
-    "block_bytes",
     "Factorization",
     "factorize",
     "ph_moments",
@@ -86,22 +85,6 @@ def sub_dense(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if _sp.issparse(M):
         return M[np.ix_(rows, cols)].toarray()
     return M[np.ix_(rows, cols)]
-
-
-def block_bytes(M) -> tuple[bytes, ...]:
-    """Content-identifying bytes of a block, for cache keys.
-
-    Dense blocks hash their shape + raw bytes; CSR blocks hash shape +
-    ``(data, indices, indptr)``, which identifies the matrix exactly
-    (scipy keeps canonical CSR for matrices built through its
-    constructors).
-    """
-    if _sp.issparse(M):
-        csr = M.tocsr()
-        return (b"csr", repr(csr.shape).encode(), csr.data.tobytes(),
-                csr.indices.tobytes(), csr.indptr.tobytes())
-    arr = np.asarray(M)
-    return (repr(arr.shape).encode(), arr.tobytes())
 
 
 class Factorization:

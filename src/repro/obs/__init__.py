@@ -10,7 +10,7 @@ Zero-dependency (stdlib-only) substrate shared by every solver layer:
     accumulator behind ``FixedPointResult.timings``.
 ``repro.obs.metrics``
     A registry of counters, gauges, and histograms fed by instrumented
-    sites across the pipeline (R-solve iterations, cache hits,
+    sites across the pipeline (R-solve iterations, backend decisions,
     fallback attempts, GMRES iterations, dense boundary fallbacks,
     fault injections, checkpoint writes...).
 ``repro.obs.report``

@@ -2,9 +2,9 @@
 
 The solver stack is full of numbers that matter for understanding a
 run but never reach the caller — R-solver iteration counts on the
-*success* path, fallback attempts per method, cache hits and
-evictions, GMRES iteration counts, dense-fallback boundary solves,
-injected faults, checkpoint writes.  Instrumented call sites feed
+*success* path, fallback attempts per method, backend decisions,
+GMRES iteration counts, dense-fallback boundary solves, injected
+faults, checkpoint writes.  Instrumented call sites feed
 them here through the module-level helpers (:func:`inc`,
 :func:`observe`, :func:`set_gauge`), which are a single ``bool`` test
 when collection is disabled — cheap enough to instrument every site

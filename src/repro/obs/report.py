@@ -12,10 +12,10 @@ reduces the raw event stream written by :mod:`repro.obs.trace` to:
   (``sweep.point``, ``fixed_point``...);
 * a **metrics rollup** — every ``"metrics"`` record in the file
   (the close-time snapshot plus one per parallel-sweep worker point)
-  merged with :func:`repro.obs.metrics.merge_snapshots`: cache
-  hits/misses/evictions, backend decisions, fallback attempts,
-  R-solve iterations, GMRES iterations, dense boundary fallbacks,
-  fault injections, checkpoint writes;
+  merged with :func:`repro.obs.metrics.merge_snapshots`: backend
+  decisions, fallback attempts, R-solve iterations, GMRES iterations,
+  dense boundary fallbacks, fault injections, checkpoint writes
+  (counters outside these rollups print under "other metrics");
 * a **per-request rollup** — spans tagged with a service request ID
   (``"req"``; see :func:`repro.obs.trace.request_scope`) grouped per
   request with span counts, wall time, and the set of pids that worked
@@ -308,7 +308,6 @@ def render_report(summary: TraceSummary) -> str:
                      "(see `repro report --requests` for the table)")
         lines.append("")
     lines += _profile_lines(summary)
-    lines += _rollup_section(summary, "cache", ("cache.",))
     lines += _rollup_section(summary, "backend", ("backend.",))
     lines += _rollup_section(
         summary, "solver", ("rsolve.", "fallback.", "gmres.", "boundary.",
@@ -316,8 +315,8 @@ def render_report(summary: TraceSummary) -> str:
     lines += _rollup_section(
         summary, "resilience", ("faults.", "checkpoint.", "sweep."))
     lines += _continuation_lines(summary)
-    remaining_prefixes = ("cache.", "backend.", "rsolve.", "fallback.",
-                          "gmres.", "boundary.", "fixed_point.", "faults.",
+    remaining_prefixes = ("backend.", "rsolve.", "fallback.", "gmres.",
+                          "boundary.", "fixed_point.", "faults.",
                           "checkpoint.", "sweep.")
     snap = summary.metrics
     leftovers = {

@@ -6,10 +6,10 @@ value.  This package makes the repeated work explicit and reusable:
 
 * :mod:`repro.pipeline.assembly` — Kronecker-product generator
   assembly with a per-class workspace of vacation-independent factors;
-* :mod:`repro.pipeline.extract` — vectorized effective-quantum
-  extraction with cached per-space index plans;
-* :mod:`repro.pipeline.cache` — content-keyed cache of solved
-  stationary distributions;
+* :mod:`repro.pipeline.extract` — effective-quantum extraction
+  stacked over n >= 1 chains of one state space, with cached per-space
+  index plans; single solves call it at n = 1, batched sweep chunks
+  once per space group;
 * :mod:`repro.pipeline.context` — the per-run
   :class:`~repro.pipeline.context.SolveContext` carrying class
   artifacts (including warm-start ``R`` seeds) and stage timings;
@@ -24,9 +24,12 @@ versions.
 """
 
 from repro.pipeline.assembly import AssemblyWorkspace, build_class_qbd_fast
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import ClassArtifacts, SolveContext, StageTimings
-from repro.pipeline.extract import ExtractionWorkspace, extract_effective_quantum
+from repro.pipeline.extract import (
+    ExtractionWorkspace,
+    extract_effective_quanta,
+    extract_effective_quantum,
+)
 from repro.pipeline.stages import (
     assemble_class,
     extract_class,
@@ -35,7 +38,6 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "ArtifactCache",
     "AssemblyWorkspace",
     "ClassArtifacts",
     "ExtractionWorkspace",
@@ -44,6 +46,7 @@ __all__ = [
     "assemble_class",
     "build_class_qbd_fast",
     "extract_class",
+    "extract_effective_quanta",
     "extract_effective_quantum",
     "solve_all",
     "solve_class",

@@ -1,4 +1,4 @@
-"""Vectorized effective-quantum extraction (Theorem 4.3).
+"""Effective-quantum extraction (Theorem 4.3), stacked over n >= 1 chains.
 
 :func:`repro.core.vacation.effective_quantum` is the reference
 implementation and documents the construction; this module computes
@@ -12,12 +12,18 @@ cost was index bookkeeping rather than arithmetic:
   ordered ``(a, v, k)`` with ``k`` fastest, so they are arange
   patterns, not state-enumeration loops);
 * every level above the boundary shares the repeating blocks, so the
-  retained/absorbing slices of ``A0``/``A1``/``A2`` are sliced once
-  and placed ``K - c`` times;
+  retained/absorbing slices of ``A0``/``A1``/``A2`` are placed as
+  strided diagonal bands in one copy each;
 * the truncation search walks ``pi_b R^n`` incrementally instead of
   calling ``tail_probability`` (a fresh ``matrix_power``) per level,
-  and the entry flows of the repeating levels reuse one sliced flow
-  matrix.
+  and the powers it generates are the repeating levels' entry flows.
+
+:func:`extract_effective_quanta` is the one implementation.  It takes
+n >= 1 solved chains sharing a state space and stacks their work; every
+stacked operation acts per slice, so a chain's quantum has the same
+bits whatever else shares the call.  A single solve calls it at n = 1
+through :func:`extract_effective_quantum`, on lookup, one class at a
+time; a batched sweep chunk calls it once per state-space group.
 
 Results agree with the reference to floating-point noise (asserted by
 ``tests/pipeline/test_extract.py``); they are not bit-identical
@@ -26,6 +32,7 @@ because sums associate differently.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +44,8 @@ from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
 
-__all__ = ["ExtractionWorkspace", "extract_effective_quantum"]
+__all__ = ["ExtractionWorkspace", "extract_effective_quanta",
+           "extract_effective_quantum"]
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,9 @@ class ExtractionWorkspace:
                                repeating=self._indices(space, c + 1))
 
 
-def _off_diag(M: np.ndarray) -> np.ndarray:
-    out = M.copy()
-    np.fill_diagonal(out, 0.0)
-    return out
+#: Speculative tail-walk steps per block, and their offsets 1..8.
+_BLOCK = 8
+_STEPS = np.arange(1, _BLOCK + 1)
 
 
 def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
@@ -112,131 +119,259 @@ def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
 
     Same construction, same truncation rule, same entry vector; see the
     reference implementation for the semantics.  ``workspace`` carries
-    the per-space index plans across fixed-point iterations.
+    the per-space index plans across fixed-point iterations.  This is
+    :func:`extract_effective_quanta` for one chain.
+    """
+    return extract_effective_quanta(
+        space, [(process, solution, vacation)],
+        truncation_mass=truncation_mass, max_levels=max_levels,
+        workspace=workspace)[0]
+
+
+def extract_effective_quanta(space: ClassStateSpace,
+                             jobs: Sequence[tuple[QBDProcess,
+                                                  QBDStationaryDistribution,
+                                                  PhaseType]],
+                             *, truncation_mass: float = 1e-9,
+                             max_levels: int = 400,
+                             workspace: ExtractionWorkspace | None = None,
+                             ) -> list[PhaseType]:
+    """Raw effective quanta of n >= 1 solved chains sharing ``space``.
+
+    ``jobs`` are ``(process, solution, vacation)`` triples; the result
+    holds one quantum per job, in order.  The truncation tail-walk runs
+    lockstep across the jobs, and within each truncation-depth subgroup
+    the level placement and the ``pi R^n`` entry flows are stacked.
+
+    Raises
+    ------
+    ValidationError
+        On the first job that cannot be extracted (no service states, or
+        no probability flow into quantum starts).
     """
     if workspace is None:
         workspace = ExtractionWorkspace()
     plan = workspace.plan(space)
     c = space.boundary_levels
     lvl_start = plan.lvl_start
-
-    # ---- truncation level: incremental tail walk ------------------------
-    R = solution.R
-    pib = solution.boundary_pi[solution.boundary_levels]
-    e = np.ones(R.shape[0])
-    w = np.linalg.solve(np.eye(R.shape[0]) - R, e)
-    K = c + 1
-    vec = pib @ R @ R          # tail(K) = pi_b R^{K-b+1} (I-R)^{-1} e, b = c
-    while K < max_levels and float(vec @ w) > truncation_mass:
-        K += 1
-        vec = vec @ R
-
-    def indices(lvl: int) -> _LevelIndices:
-        if lvl > c:
-            return plan.repeating
-        return plan.boundary[lvl - lvl_start]
-
-    offsets: dict[int, int] = {}
-    pos = 0
-    for lvl in range(lvl_start, K + 1):
-        offsets[lvl] = pos
-        pos += len(indices(lvl).svc)
-    order = pos
-    if order == 0:
-        raise ValidationError("no service states found; is m_quantum zero?")
-
-    T = np.zeros((order, order))
-    absorb = np.zeros(order)
-
-    # ---- boundary levels: per-level slices ------------------------------
     rep = plan.repeating
     rs = rep.svc
-    A0, A1, A2 = process.A0, process.A1, process.A2
-    for lvl in range(lvl_start, c + 1):
-        idx = indices(lvl)
-        rows = idx.svc
-        base = offsets[lvl]
-        local = process.block(lvl, lvl)
-        T[base:base + len(rows), base:base + len(rows)] += \
-            _off_diag(sub_dense(local, rows, rows))
-        if idx.wait.size:
-            absorb[base:base + len(rows)] += \
-                sub_dense(local, rows, idx.wait).sum(axis=1)
-        if lvl < K:
-            upb = process.block(lvl, lvl + 1)
-            up_rows = indices(lvl + 1).svc
-            T[base:base + len(rows),
-              offsets[lvl + 1]:offsets[lvl + 1] + len(up_rows)] += \
-                sub_dense(upb, rows, up_rows)
-        if lvl > lvl_start:
-            dnb = process.block(lvl, lvl - 1)
-            dn = indices(lvl - 1)
-            T[base:base + len(rows),
-              offsets[lvl - 1]:offsets[lvl - 1] + len(dn.svc)] += \
-                sub_dense(dnb, rows, dn.svc)
-            if dn.wait.size:
-                absorb[base:base + len(rows)] += \
-                    sub_dense(dnb, rows, dn.wait).sum(axis=1)
-        elif lvl == 1 and lvl_start == 1:
-            # Switch policy: the whole down block from level 1 lands in
-            # level-0 waiting states — pure absorption.
-            dnb = process.block(1, 0)
-            absorb[base:base + len(rows)] += row_sums(dnb)[rows]
+    nrep = len(rs)
+    n = len(jobs)
+    sols = [sol for _, sol, _ in jobs]
 
-    # ---- repeating levels: slice once, place K - c times ----------------
-    if K > c:
-        nrep = len(rs)
-        rep_local = _off_diag(A1[np.ix_(rs, rs)])
-        rep_local_abs = A1[np.ix_(rs, rep.wait)].sum(axis=1) \
-            if rep.wait.size else np.zeros(nrep)
-        rep_up = A0[np.ix_(rs, rs)]
-        rep_down = A2[np.ix_(rs, rs)]
-        rep_down_abs = A2[np.ix_(rs, rep.wait)].sum(axis=1) \
-            if rep.wait.size else np.zeros(nrep)
-        for lvl in range(c + 1, K + 1):
+    # ---- truncation level: lockstep tail walk ---------------------------
+    # Every slice follows the rule tail(K) = pi_b R^{K-c+1} (I - R)^{-1} e
+    # and freezes as its threshold is met.  The powers pi_b R^j generated
+    # along the way are exactly the entry-flow vectors the repeating
+    # levels need, so they are kept.
+    Rs = np.stack([np.asarray(s.R, dtype=np.float64) for s in sols])
+    d = Rs.shape[1]
+    pib = np.stack([np.asarray(s.boundary_pi[s.boundary_levels],
+                               dtype=np.float64) for s in sols])
+    w = np.linalg.solve(np.eye(d)[None] - Rs, np.ones((n, d, 1)))[..., 0]
+    cur = np.matmul(pib[:, None, :], Rs)
+    powers = [cur[:, 0, :]]                  # powers[j] = pi_b R^{j+1}
+    cur = np.matmul(cur, Rs)
+    powers.append(cur[:, 0, :])
+    K = np.full(n, c + 1, dtype=np.intp)
+    tail = np.einsum("nd,nd->n", powers[-1], w)
+    done = ~((K < max_levels) & (tail > truncation_mass))
+    while not done.all():
+        # Speculative block of steps: the powers are the same
+        # sequential matmuls (bitwise), the tails are evaluated in one
+        # stacked einsum, and each live slice stops at the first step
+        # whose level K + s reaches the cap or whose tail is within the
+        # threshold.  Powers past the stopping step are computed but
+        # never used (downstream slices by depth, not by count).
+        block = []
+        for _ in range(_BLOCK):
+            cur = np.matmul(cur, Rs)
+            block.append(cur[:, 0, :])
+        tails = np.einsum("nbd,nd->nb", np.stack(block, axis=1), w)
+        powers.extend(block)
+        stop = ~(((K[:, None] + _STEPS) < max_levels)
+                 & (tails > truncation_mass))
+        stopped = stop.any(axis=1)
+        live = ~done
+        K[live] += np.where(stopped, stop.argmax(axis=1) + 1, _BLOCK)[live]
+        done[live] = stopped[live]
+    P = np.stack(powers, axis=1) if rep.wait.size else None
+
+    by_depth: dict[int, list[int]] = {}
+    for i in range(n):
+        by_depth.setdefault(int(K[i]), []).append(i)
+
+    def indices(lvl: int) -> _LevelIndices:
+        return rep if lvl > c else plan.boundary[lvl - lvl_start]
+
+    out: list[PhaseType | None] = [None] * n
+    for Kv, idxs in by_depth.items():
+        ns = len(idxs)
+        offsets: dict[int, int] = {}
+        pos = 0
+        for lvl in range(lvl_start, Kv + 1):
+            offsets[lvl] = pos
+            pos += len(indices(lvl).svc)
+        order = pos
+        if order == 0:
+            raise ValidationError(
+                "no service states found; is m_quantum zero?")
+        nlev = Kv - c                        # repeating levels, >= 1
+        if c < lvl_start or offsets[c + 1] - nrep != offsets[c]:
+            # The down band of level c+1 must land exactly on level c's
+            # block: level c shares the repeating phase layout.
+            raise ValidationError(
+                "repeating levels do not share level c's phase layout")
+
+        T = np.zeros((ns, order, order))
+        absorb = np.zeros((ns, order))
+        xi = np.zeros((ns, order))
+
+        # ---- boundary levels: per-level slices --------------------------
+        # Each level's blocks are stacked across the subgroup so one
+        # fancy gather (pure element copies) replaces the per-job
+        # ``sub_dense`` calls.  A level whose blocks are not all dense
+        # gathers per job.  Local blocks keep their diagonal entries:
+        # they land on T's diagonal, which is rebuilt from the row sums
+        # below.
+        procs = [jobs[gi][0] for gi in idxs]
+        for lvl in range(lvl_start, c + 1):
+            idx = indices(lvl)
+            rows = idx.svc
+            nr = len(rows)
             base = offsets[lvl]
-            sl = slice(base, base + nrep)
-            T[sl, sl] += rep_local
-            absorb[sl] += rep_local_abs
-            if lvl < K:
-                T[sl, offsets[lvl + 1]:offsets[lvl + 1] + nrep] += rep_up
-            # Down target: level c shares the repeating phase layout,
-            # so one slice serves every repeating level.
-            T[sl, offsets[lvl - 1]:offsets[lvl - 1] + nrep] += rep_down
-            absorb[sl] += rep_down_abs
+            blocks = [pr.block(lvl, lvl) for pr in procs]
+            dense = all(isinstance(b, np.ndarray) for b in blocks)
+            loc = np.stack(blocks) if dense else None
+            if dense:
+                T[:, base:base + nr, base:base + nr] += \
+                    loc[:, rows[:, None], rows[None, :]]
+                if idx.wait.size:
+                    absorb[:, base:base + nr] += \
+                        loc[:, rows[:, None], idx.wait[None, :]].sum(axis=2)
+            else:
+                for si, b in enumerate(blocks):
+                    T[si, base:base + nr, base:base + nr] += \
+                        sub_dense(b, rows, rows)
+                    if idx.wait.size:
+                        absorb[si, base:base + nr] += \
+                            sub_dense(b, rows, idx.wait).sum(axis=1)
+            up_rows = indices(lvl + 1).svc
+            o1 = offsets[lvl + 1]
+            ubs = [pr.block(lvl, lvl + 1) for pr in procs]
+            if all(isinstance(b, np.ndarray) for b in ubs):
+                T[:, base:base + nr, o1:o1 + len(up_rows)] += \
+                    np.stack(ubs)[:, rows[:, None], up_rows[None, :]]
+            else:
+                for si, b in enumerate(ubs):
+                    T[si, base:base + nr, o1:o1 + len(up_rows)] += \
+                        sub_dense(b, rows, up_rows)
+            if lvl > lvl_start:
+                dn = indices(lvl - 1)
+                o0 = offsets[lvl - 1]
+                dbs = [pr.block(lvl, lvl - 1) for pr in procs]
+                if all(isinstance(b, np.ndarray) for b in dbs):
+                    dstack = np.stack(dbs)
+                    T[:, base:base + nr, o0:o0 + len(dn.svc)] += \
+                        dstack[:, rows[:, None], dn.svc[None, :]]
+                    if dn.wait.size:
+                        absorb[:, base:base + nr] += \
+                            dstack[:, rows[:, None], dn.wait[None, :]].sum(axis=2)
+                else:
+                    for si, b in enumerate(dbs):
+                        T[si, base:base + nr, o0:o0 + len(dn.svc)] += \
+                            sub_dense(b, rows, dn.svc)
+                        if dn.wait.size:
+                            absorb[si, base:base + nr] += \
+                                sub_dense(b, rows, dn.wait).sum(axis=1)
+            elif lvl == 1 and lvl_start == 1:
+                # Switch policy: the whole down block from level 1 lands
+                # in level-0 waiting states — pure absorption.
+                dbs = [pr.block(1, 0) for pr in procs]
+                if all(isinstance(b, np.ndarray) for b in dbs):
+                    absorb[:, base:base + nr] += \
+                        np.stack(dbs).sum(axis=2)[:, rows]
+                else:
+                    for si, b in enumerate(dbs):
+                        absorb[si, base:base + nr] += row_sums(b)[rows]
+            if idx.wait.size:
+                # Entry flows of the boundary level: waiting -> service.
+                pis = np.stack([sols[gi].level(lvl) for gi in idxs])
+                if dense:
+                    wsub = loc[:, idx.wait[:, None], idx.svc[None, :]]
+                else:
+                    wsub = np.stack([sub_dense(b, idx.wait, idx.svc)
+                                     for b in blocks])
+                flow = np.matmul(pis[:, None, idx.wait], wsub)[:, 0, :]
+                xi[:, offsets[lvl]:offsets[lvl] + len(idx.svc)] += flow
 
-    np.fill_diagonal(T, 0.0)
-    T[np.diag_indices(order)] = -(T.sum(axis=1) + absorb)
+        # ---- repeating levels: three strided band copies ----------------
+        rep_local = np.empty((ns, nrep, nrep))
+        rep_up = np.empty((ns, nrep, nrep))
+        rep_down = np.empty((ns, nrep, nrep))
+        labs = np.zeros((ns, nrep))
+        dabs = np.zeros((ns, nrep))
+        Wm = np.empty((ns, rep.wait.size, nrep))
+        for si, pr in enumerate(procs):
+            A0, A1, A2 = pr.A0, pr.A1, pr.A2
+            rep_local[si] = A1[np.ix_(rs, rs)]
+            rep_up[si] = A0[np.ix_(rs, rs)]
+            rep_down[si] = A2[np.ix_(rs, rs)]
+            if rep.wait.size:
+                labs[si] = A1[np.ix_(rs, rep.wait)].sum(axis=1)
+                dabs[si] = A2[np.ix_(rs, rep.wait)].sum(axis=1)
+                Wm[si] = A1[np.ix_(rep.wait, rs)]
+        # The three bands are diagonal block runs, so a strided view
+        # places all K - c levels of every job with one block copy each
+        # (every location is written exactly once onto zeros).
+        off0 = offsets[c + 1]
+        s0, s1, s2 = T.strides
+        lstep = (order + 1) * nrep * s2
+        dview = np.lib.stride_tricks.as_strided(
+            T[:, off0:, off0:], shape=(ns, nlev, nrep, nrep),
+            strides=(s0, lstep, s1, s2))
+        dview += rep_local[:, None]
+        if nlev > 1:
+            uview = np.lib.stride_tricks.as_strided(
+                T[:, off0:, off0 + nrep:],
+                shape=(ns, nlev - 1, nrep, nrep),
+                strides=(s0, lstep, s1, s2))
+            uview += rep_up[:, None]
+        # Down target: level c shares the repeating phase layout, so the
+        # band continues onto level c's block.
+        dnview = np.lib.stride_tricks.as_strided(
+            T[:, off0:, off0 - nrep:], shape=(ns, nlev, nrep, nrep),
+            strides=(s0, lstep, s1, s2))
+        dnview += rep_down[:, None]
+        absorb[:, off0:off0 + nlev * nrep] += np.tile(labs + dabs, (1, nlev))
 
-    # ---- initial vector xi ----------------------------------------------
-    xi = np.zeros(order)
-    for lvl in range(lvl_start, c + 1):
-        idx = indices(lvl)
-        if idx.wait.size == 0:
-            continue
-        pi = solution.level(lvl)
-        local = process.block(lvl, lvl)
-        flow = pi[idx.wait] @ sub_dense(local, idx.wait, idx.svc)
-        xi[offsets[lvl]:offsets[lvl] + len(idx.svc)] += flow
-    if K > c and rep.wait.size:
-        W = A1[np.ix_(rep.wait, rs)]
-        pi = pib.copy()
-        for lvl in range(c + 1, K + 1):
-            pi = pi @ R
-            xi[offsets[lvl]:offsets[lvl] + len(rs)] += pi[rep.wait] @ W
+        diag = np.arange(order)
+        T[:, diag, diag] = 0.0
+        T[:, diag, diag] = -(T.sum(axis=2) + absorb)
 
-    # Skipped quanta: vacation completions while the system is empty.
-    atom_flow = 0.0
-    if lvl_start == 1:
-        pi0 = solution.level(0)
-        v0 = vacation.exit_rates
-        atom_flow = float((pi0.reshape(-1, space.m_vacation) @ v0).sum())
+        if rep.wait.size:
+            # Entry flows of the repeating levels: levels c+1..K need
+            # pi_b R^1 .. R^{nlev} restricted to waiting phases — the
+            # collected powers, pushed through one stacked matmul.
+            flows = np.matmul(P[idxs][:, :nlev][:, :, rep.wait], Wm)
+            xi[:, off0:off0 + nlev * nrep] += flows.reshape(ns, nlev * nrep)
 
-    total = xi.sum() + atom_flow
-    if total <= 0:
-        raise ValidationError(
-            "no probability flow into quantum starts; the chain never serves"
-        )
-    # T is a sub-generator by construction (diagonal set from the
-    # row sums plus absorption); skip the O(n^3) validation.
-    return PhaseType.from_trusted(xi / total, T)
+        for si, gi in enumerate(idxs):
+            # Skipped quanta: vacation completions while the system is
+            # empty.
+            atom_flow = 0.0
+            if lvl_start == 1:
+                pi0 = sols[gi].level(0)
+                v0 = jobs[gi][2].exit_rates
+                atom_flow = float(
+                    (pi0.reshape(-1, space.m_vacation) @ v0).sum())
+            total = xi[si].sum() + atom_flow
+            if total <= 0:
+                raise ValidationError(
+                    "no probability flow into quantum starts; the chain "
+                    "never serves")
+            # T is a sub-generator by construction (diagonal set from
+            # the row sums plus absorption); skip the O(n^3) validation.
+            out[gi] = PhaseType.from_trusted(xi[si] / total, T[si])
+    return out

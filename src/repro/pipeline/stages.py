@@ -6,13 +6,17 @@ Each stage reads and writes the :class:`~repro.pipeline.context.SolveContext`;
 points: they are the per-point :class:`~repro.core.fixed_point.StageSet`
 the fixed-point driver runs for a single solve.
 
-The stages fold in the pipeline's three per-iteration wins:
+The stages fold in the pipeline's two per-iteration wins:
 
 * Kronecker assembly with a reused workspace
   (:func:`repro.pipeline.assembly.build_class_qbd_fast`);
-* warm-started ``R`` solves seeded with the class's previous iterate;
-* a content-keyed cache of full stationary solutions serving
-  bit-identical re-solves (bootstrap restarts, repeated grid points).
+* warm-started ``R`` solves seeded with the class's previous iterate.
+  A class re-solved from its own converged ``R`` passes the refinement's
+  residual test at once and gets that ``R`` back unchanged.
+
+Extraction runs :func:`repro.pipeline.extract.extract_effective_quantum`
+(the n = 1 case of the stacked extraction the batched engine shares)
+on lookup, one class at a time.
 
 Every stage runs under an observability span (``stage.assemble``,
 ``stage.stability``, ``stage.rsolve``, ``stage.boundary``,
@@ -30,7 +34,6 @@ from repro.errors import UnstableSystemError
 from repro.obs.trace import span
 from repro.phasetype import PhaseType
 from repro.pipeline.assembly import build_class_qbd_fast
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import SolveContext
 from repro.pipeline.extract import extract_effective_quantum
 from repro.qbd.boundary import solve_boundary
@@ -71,9 +74,8 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
 
     Semantically :func:`repro.qbd.stationary.solve_qbd` (same fault
     site, same instability message, same resilience plumbing) with the
-    stages timed separately, the solve served from ``ctx.cache`` when
-    the blocks are bit-identical to an earlier one, and the ``R``
-    iteration seeded with the class's previous iterate.
+    stages timed separately and the ``R`` iteration seeded with the
+    class's previous iterate.
     """
     opts = ctx.opts
     art = ctx.classes[p]
@@ -89,12 +91,6 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
             f"(rho={report.traffic_intensity:.4g})",
             drift=report.drift,
         )
-    key = ArtifactCache.key(process, method=opts.rmatrix_method, tol=_R_TOL,
-                            policy=opts.resilience, backend=opts.backend)
-    cached = ctx.cache.get(key)
-    if cached is not None:
-        art.solution, art.R = cached, cached.R
-        return cached
     with span("stage.rsolve", timings=ctx.timings, stage="rsolve",
               klass=p):
         R, solve_report = solve_rmatrix(process, opts, art.R)
@@ -104,7 +100,6 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
     sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
                                     drift_report=report,
                                     solve_report=solve_report)
-    ctx.cache.put(key, sol)
     art.solution, art.R = sol, R
     return sol
 

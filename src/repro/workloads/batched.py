@@ -13,10 +13,12 @@ sweep chunk through the same fixed-point iteration simultaneously*:
 * This module supplies the driver's stacked :data:`STACKED` stage
   set: the per-class linear algebra of one lockstep iteration — drift
   tests, warm Newton refinements, logarithmic reductions, dense
-  boundary solves, effective-quantum extraction — is gathered across
-  points, grouped by matrix shape, and dispatched as
-  ``(njobs, m, m)`` stacked kernels (:mod:`repro.kernels.batched`).
-  Points converge and drop out of the batch individually; any
+  boundary solves — is gathered across points, grouped by matrix
+  shape, and dispatched as ``(njobs, m, m)`` stacked kernels
+  (:mod:`repro.kernels.batched`).  Effective-quantum extraction runs
+  :func:`repro.pipeline.extract.extract_effective_quanta`, the same
+  stacked function a single solve calls at n = 1, once per state-space
+  group.  Points converge and drop out of the batch individually; any
   per-slice failure falls back to the serial resilience chain for just
   that point.
 
@@ -48,7 +50,7 @@ import numpy as np
 
 from repro.core.fixed_point import PointState, StageSet, run_lockstep
 from repro.core.model import GangSchedulingModel
-from repro.errors import UnstableSystemError, ValidationError
+from repro.errors import UnstableSystemError
 from repro.kernels import to_dense
 from repro.kernels import batched as bk
 from repro.kernels.backend import select_backend
@@ -56,9 +58,8 @@ from repro.obs import metrics
 from repro.obs.trace import span
 from repro.phasetype import PhaseType
 from repro.pipeline import stages
-from repro.pipeline.extract import _off_diag, extract_effective_quantum
-from repro.kernels.sparse import row_sums, sub_dense
-from repro.qbd.boundary import solve_boundary
+from repro.pipeline.extract import extract_effective_quanta
+from repro.qbd.boundary import balance_matrix, solve_boundary
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.faults import maybe_fault
@@ -294,21 +295,12 @@ def _stage_boundary(tasks: list[_Task], jobs: list[_Job]) -> None:
         offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         N = int(offsets[-1])
         b = len(dims) - 1
-        M = np.zeros((len(group), N, N))
+        M = np.empty((len(group), N, N))
         A2 = np.empty((len(group), d, d))
         R = np.empty((len(group), d, d))
         for i, j in enumerate(group):
-            process = j.art.process
-            for col in range(b + 1):
-                cols = slice(offsets[col], offsets[col + 1])
-                for row in (col - 1, col, col + 1):
-                    if row < 0 or row > b:
-                        continue
-                    blk = process.boundary[row][col]
-                    if blk is None:
-                        continue
-                    M[i, offsets[row]:offsets[row + 1], cols] += to_dense(blk)
-            A2[i] = to_dense(process.A2)
+            M[i] = balance_matrix(j.art.process, offsets)
+            A2[i] = to_dense(j.art.process.A2)
             R[i] = j.R
         x, ok = bk.batched_boundary_solve(M, A2, R, offsets, b)
         n_ok = int(ok.sum())
@@ -345,15 +337,11 @@ def _finish_boundary(j: _Job, pi) -> None:
 def _batched_extract(tasks: list[_Task]):
     """Stacked twin of :func:`repro.pipeline.stages.extract_points`.
 
-    Batched mirror of
-    :func:`repro.pipeline.extract.extract_effective_quantum`: jobs are
-    grouped by state space, the truncation tail-walk runs lockstep
-    across the group, and within each truncation-depth subgroup the
-    repeating-level band placement and the ``pi R^n`` entry-flow
-    recurrence are stacked across jobs.  The boundary-level code is the
-    serial code verbatim per job (it is a handful of levels).  Any
-    group-level surprise falls back to the serial extractor per job;
-    per-job failures fail only that task.
+    Groups the stable classes of all tasks by state space and extracts
+    each group with one
+    :func:`~repro.pipeline.extract.extract_effective_quanta` call.  A
+    group that raises is extracted again one class at a time, so only
+    the failing task fails.
 
     Returns the driver's ``raw(task, p)`` lookup over the extracted
     quanta.
@@ -365,254 +353,37 @@ def _batched_extract(tasks: list[_Task]):
         saturated = t.state[3]
         for p in range(t.L):
             if not saturated[p]:
-                art = t.ctx.classes[p]
-                groups.setdefault(art.space, []).append((t, p, art))
+                groups.setdefault(t.ctx.classes[p].space, []).append((t, p))
     for space, group in groups.items():
         try:
-            _extract_group(space, group, raws)
-        except Exception:  # noqa: BLE001 - serial path owns the error
-            for t, p, art in group:
-                if t.finished or (id(t), p) in raws:
+            _extract(space, group, raws)
+        except Exception:  # noqa: BLE001 - isolate the failing task
+            for t, p in group:
+                if t.finished:
                     continue
                 try:
-                    raws[(id(t), p)] = extract_effective_quantum(
-                        art.space, art.process, art.solution, art.vacation,
-                        truncation_mass=t.opts.truncation_mass,
-                        max_levels=t.opts.max_truncation_levels,
-                        workspace=art.extraction)
+                    _extract(space, [(t, p)], raws)
                 except Exception as exc:  # noqa: BLE001 - per-task
                     t.fail(exc)
     _charge(tasks, "extract", time.perf_counter() - t0)
     return lambda t, p: raws[(id(t), p)]
 
 
-def _extract_group(space, group: list, raws: dict) -> None:
-    """Extract one space-group of jobs (see :func:`_batched_extract`)."""
-    plan = group[0][2].extraction.plan(space)
-    c = space.boundary_levels
-    lvl_start = plan.lvl_start
-    rep = plan.repeating
-    rs = rep.svc
-    nrep = len(rs)
-    n = len(group)
-    sols = [art.solution for _, _, art in group]
+def _extract(space, group: list, raws: dict) -> None:
+    """One extraction call over ``group``'s ``(task, p)`` classes.
 
-    Rs = np.stack([np.asarray(s.R, dtype=np.float64) for s in sols])
-    d = Rs.shape[1]
-    pib = np.stack([np.asarray(s.boundary_pi[s.boundary_levels],
-                               dtype=np.float64) for s in sols])
-    mass = np.array([t.opts.truncation_mass for t, _, _ in group])
-    max_levels = np.array([t.opts.max_truncation_levels
-                           for t, _, _ in group], dtype=np.intp)
-
-    # Lockstep truncation tail-walk: every slice follows the serial
-    # rule (tail(K) = pi_b R^{K-c+1} (I - R)^{-1} e) and freezes as its
-    # own threshold is met.  The powers pi_b R^j generated along the
-    # way are exactly the entry-flow vectors the repeating levels need,
-    # so they are kept.
-    w = np.linalg.solve(np.eye(d)[None] - Rs, np.ones((n, d, 1)))[..., 0]
-    cur = np.matmul(pib[:, None, :], Rs)
-    powers = [cur[:, 0, :]]                  # powers[j] = pi_b R^{j+1}
-    cur = np.matmul(cur, Rs)
-    powers.append(cur[:, 0, :])
-    K = np.full(n, c + 1, dtype=np.intp)
-    tail = np.einsum("nd,nd->n", powers[-1], w)
-    done = ~((K < max_levels) & (tail > mass))
-    while not done.all():
-        # Speculative block of 8 steps: the powers are the same
-        # sequential matmuls (bitwise), the tails are evaluated in one
-        # stacked einsum, and the per-step freeze rule replays in order
-        # below.  Powers past the stopping step are computed but never
-        # used (downstream slices by depth, not by count).
-        block = []
-        for _ in range(8):
-            cur = np.matmul(cur, Rs)
-            block.append(cur[:, 0, :])
-        tails = np.einsum("nbd,nd->nb", np.stack(block, axis=1), w)
-        powers.extend(block)
-        for s in range(8):
-            K[~done] += 1
-            done |= ~((K < max_levels) & (tails[:, s] > mass))
-            if done.all():
-                break
-    P = np.stack(powers, axis=1) if rep.wait.size else None
-
-    by_depth: dict[int, list[int]] = {}
-    for i in range(n):
-        by_depth.setdefault(int(K[i]), []).append(i)
-
-    def indices(lvl: int):
-        return rep if lvl > c else plan.boundary[lvl - lvl_start]
-
-    for Kv, idxs in by_depth.items():
-        ns = len(idxs)
-        offsets: dict[int, int] = {}
-        pos = 0
-        for lvl in range(lvl_start, Kv + 1):
-            offsets[lvl] = pos
-            pos += len(indices(lvl).svc)
-        order = pos
-        if order == 0:
-            raise ValidationError(
-                "no service states found; is m_quantum zero?")
-        nlev = Kv - c
-        if nlev > 0 and (c < lvl_start
-                         or offsets[c + 1] - nrep != offsets[c]):
-            # The down band of level c+1 must land exactly on level c's
-            # block; anything else is a layout the serial extractor
-            # should handle (and error on) itself.
-            raise RuntimeError("repeating layout mismatch")
-
-        T = np.zeros((ns, order, order))
-        absorb = np.zeros((ns, order))
-        xi = np.zeros((ns, order))
-        rep_local = np.empty((ns, nrep, nrep))
-        rep_up = np.empty((ns, nrep, nrep))
-        rep_down = np.empty((ns, nrep, nrep))
-        labs = np.zeros((ns, nrep))
-        dabs = np.zeros((ns, nrep))
-        Wm = np.empty((ns, rep.wait.size, nrep))
-
-        # Boundary levels: the serial per-level slice adds, but each
-        # level's blocks are stacked across the subgroup so one fancy
-        # gather (pure element copies — bitwise) replaces the per-job
-        # ``sub_dense`` calls.  A level whose blocks are not all dense
-        # falls back to the per-job serial gathers for that level.
-        procs = [group[gi][2].process for gi in idxs]
-        for lvl in range(lvl_start, c + 1):
-            idx = indices(lvl)
-            rows = idx.svc
-            nr = len(rows)
-            base = offsets[lvl]
-            blocks = [pr.block(lvl, lvl) for pr in procs]
-            dense = all(isinstance(b, np.ndarray) for b in blocks)
-            loc = np.stack(blocks) if dense else None
-            if dense:
-                sub = loc[:, rows[:, None], rows[None, :]]
-                sub[:, np.arange(nr), np.arange(nr)] = 0.0
-                T[:, base:base + nr, base:base + nr] += sub
-                if idx.wait.size:
-                    absorb[:, base:base + nr] += \
-                        loc[:, rows[:, None], idx.wait[None, :]].sum(axis=2)
-            else:
-                for si, b in enumerate(blocks):
-                    T[si, base:base + nr, base:base + nr] += \
-                        _off_diag(sub_dense(b, rows, rows))
-                    if idx.wait.size:
-                        absorb[si, base:base + nr] += \
-                            sub_dense(b, rows, idx.wait).sum(axis=1)
-            if lvl < Kv and lvl < c + 1:
-                up_rows = indices(lvl + 1).svc
-                o1 = offsets[lvl + 1]
-                ubs = [pr.block(lvl, lvl + 1) for pr in procs]
-                if all(isinstance(b, np.ndarray) for b in ubs):
-                    T[:, base:base + nr, o1:o1 + len(up_rows)] += \
-                        np.stack(ubs)[:, rows[:, None], up_rows[None, :]]
-                else:
-                    for si, b in enumerate(ubs):
-                        T[si, base:base + nr, o1:o1 + len(up_rows)] += \
-                            sub_dense(b, rows, up_rows)
-            if lvl > lvl_start:
-                dn = indices(lvl - 1)
-                o0 = offsets[lvl - 1]
-                dbs = [pr.block(lvl, lvl - 1) for pr in procs]
-                if all(isinstance(b, np.ndarray) for b in dbs):
-                    dstack = np.stack(dbs)
-                    T[:, base:base + nr, o0:o0 + len(dn.svc)] += \
-                        dstack[:, rows[:, None], dn.svc[None, :]]
-                    if dn.wait.size:
-                        absorb[:, base:base + nr] += \
-                            dstack[:, rows[:, None], dn.wait[None, :]].sum(axis=2)
-                else:
-                    for si, b in enumerate(dbs):
-                        T[si, base:base + nr, o0:o0 + len(dn.svc)] += \
-                            sub_dense(b, rows, dn.svc)
-                        if dn.wait.size:
-                            absorb[si, base:base + nr] += \
-                                sub_dense(b, rows, dn.wait).sum(axis=1)
-            elif lvl == 1 and lvl_start == 1:
-                dbs = [pr.block(1, 0) for pr in procs]
-                if all(isinstance(b, np.ndarray) for b in dbs):
-                    absorb[:, base:base + nr] += \
-                        np.stack(dbs).sum(axis=2)[:, rows]
-                else:
-                    for si, b in enumerate(dbs):
-                        absorb[si, base:base + nr] += row_sums(b)[rows]
-            if idx.wait.size:
-                pis = np.stack([sols[gi].level(lvl) for gi in idxs])
-                if dense:
-                    wsub = loc[:, idx.wait[:, None], idx.svc[None, :]]
-                else:
-                    wsub = np.stack([sub_dense(b, idx.wait, idx.svc)
-                                     for b in blocks])
-                flow = np.matmul(pis[:, None, idx.wait], wsub)[:, 0, :]
-                xi[:, offsets[lvl]:offsets[lvl] + len(idx.svc)] += flow
-
-        if nlev > 0:
-            for si, gi in enumerate(idxs):
-                process = group[gi][2].process
-                A0, A1, A2 = process.A0, process.A1, process.A2
-                rep_local[si] = _off_diag(A1[np.ix_(rs, rs)])
-                rep_up[si] = A0[np.ix_(rs, rs)]
-                rep_down[si] = A2[np.ix_(rs, rs)]
-                if rep.wait.size:
-                    labs[si] = A1[np.ix_(rs, rep.wait)].sum(axis=1)
-                    dabs[si] = A2[np.ix_(rs, rep.wait)].sum(axis=1)
-                    Wm[si] = A1[np.ix_(rep.wait, rs)]
-
-        if nlev > 0:
-            # Repeating levels: the three bands are diagonal block
-            # runs, so a strided view places all K - c levels of every
-            # job with three block copies (values identical to the
-            # serial per-level slice adds — each location is written
-            # exactly once onto zeros).
-            off0 = offsets[c + 1]
-            s0, s1, s2 = T.strides
-            lstep = (order + 1) * nrep * s2
-            dview = np.lib.stride_tricks.as_strided(
-                T[:, off0:, off0:], shape=(ns, nlev, nrep, nrep),
-                strides=(s0, lstep, s1, s2))
-            dview += rep_local[:, None]
-            if nlev > 1:
-                uview = np.lib.stride_tricks.as_strided(
-                    T[:, off0:, off0 + nrep:],
-                    shape=(ns, nlev - 1, nrep, nrep),
-                    strides=(s0, lstep, s1, s2))
-                uview += rep_up[:, None]
-            dnview = np.lib.stride_tricks.as_strided(
-                T[:, off0:, off0 - nrep:], shape=(ns, nlev, nrep, nrep),
-                strides=(s0, lstep, s1, s2))
-            dnview += rep_down[:, None]
-            absorb[:, off0:off0 + nlev * nrep] += np.tile(labs + dabs,
-                                                          (1, nlev))
-
-        diag = np.arange(order)
-        T[:, diag, diag] = 0.0
-        T[:, diag, diag] = -(T.sum(axis=2) + absorb)
-
-        if nlev > 0 and rep.wait.size:
-            # Entry flows of the repeating levels: levels c+1..K need
-            # pi_b R^1 .. R^{nlev} restricted to waiting phases — the
-            # collected powers, pushed through one stacked matmul.
-            flows = np.matmul(P[idxs][:, :nlev][:, :, rep.wait], Wm)
-            xi[:, off0:off0 + nlev * nrep] += flows.reshape(
-                ns, nlev * nrep)
-
-        for si, gi in enumerate(idxs):
-            t, p, art = group[gi]
-            atom_flow = 0.0
-            if lvl_start == 1:
-                pi0 = sols[gi].level(0)
-                v0 = art.vacation.exit_rates
-                atom_flow = float(
-                    (pi0.reshape(-1, space.m_vacation) @ v0).sum())
-            total = xi[si].sum() + atom_flow
-            if total <= 0:
-                t.fail(ValidationError(
-                    "no probability flow into quantum starts; the chain "
-                    "never serves"))
-                continue
-            raws[(id(t), p)] = PhaseType.from_trusted(xi[si] / total, T[si])
+    The tasks of a sweep chunk share their options, so the first task's
+    truncation settings and workspace serve the whole group.
+    """
+    t, p = group[0]
+    arts = [task.ctx.classes[q] for task, q in group]
+    quanta = extract_effective_quanta(
+        space, [(a.process, a.solution, a.vacation) for a in arts],
+        truncation_mass=t.opts.truncation_mass,
+        max_levels=t.opts.max_truncation_levels,
+        workspace=t.ctx.classes[p].extraction)
+    for (task, q), quantum in zip(group, quanta):
+        raws[(id(task), q)] = quantum
 
 
 #: The driver's stacked stage set.

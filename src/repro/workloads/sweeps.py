@@ -19,8 +19,8 @@ See :mod:`repro.resilience.checkpoint`.
 Parallelism
 -----------
 Pass ``workers=N`` to solve grid points in ``N`` OS processes.  Each
-point is an independent model solve (its own artifact cache, its own
-warm starts), so a parallel sweep produces bit-identical points to a
+point is an independent model solve (its own workspaces, its own warm
+starts), so a parallel sweep produces bit-identical points to a
 serial one; journaling stays in the parent, appending points as they
 complete (in any order — resume is keyed by value, not position), so
 parallel sweeps compose with checkpointing unchanged.

@@ -47,13 +47,6 @@ class TestOptimisticBootstrap:
         faulted_means = faulted.history[-1].mean_jobs
         assert faulted_means == pytest.approx(clean_means, rel=1e-3)
 
-    def test_bootstrap_disabled_pins_instead(self, two_class_config):
-        opts = FixedPointOptions(allow_optimistic_bootstrap=False)
-        with faults.inject("fixed_point.class_solve",
-                           raises=UnstableSystemError, keys=(0,), times=1):
-            result = run_fixed_point(two_class_config, opts)
-        assert not result.used_bootstrap
-
 
 class TestSaturationPinning:
     def test_persistently_unstable_class_is_pinned(self, two_class_config):

@@ -175,19 +175,3 @@ class TestPolicies:
                                 empty_queue_policy="idle")
         idle = GangSchedulingModel(idle_cfg).solve(max_iterations=60)
         assert switch.mean_jobs() < idle.mean_jobs()
-
-
-class TestCacheStatsSurfaced:
-    def test_fixed_point_result_carries_cache_stats(self, two_class_config):
-        result = run_fixed_point(two_class_config, FixedPointOptions())
-        stats = result.cache_stats
-        assert set(stats) == {"hits", "misses", "evictions", "entries"}
-        assert stats["misses"] > 0  # first iteration always misses
-        # Warm iterations re-solve identical per-class subproblems.
-        assert stats["hits"] + stats["misses"] >= result.iterations
-
-    def test_solved_model_carries_cache_stats(self, two_class_config):
-        solved = GangSchedulingModel(two_class_config).solve()
-        assert solved.cache_stats["misses"] > 0
-        assert solved.cache_stats["entries"] >= 1
-        assert solved.cache_stats["evictions"] >= 0

@@ -6,7 +6,6 @@ from scipy import sparse as sp
 
 from repro.kernels import (
     Factorization,
-    block_bytes,
     density,
     diagonal,
     factorize,
@@ -60,26 +59,6 @@ class TestRepresentationHelpers:
                          np.array([0, 1])).shape == (0, 2)
         assert sub_dense(M, np.array([0]),
                          np.array([], dtype=np.intp)).shape == (1, 0)
-
-
-class TestBlockBytes:
-    def test_equal_blocks_equal_bytes(self):
-        M = random_block(9, seed=4)
-        assert block_bytes(M) == block_bytes(M.copy())
-        assert block_bytes(to_csr(M)) == block_bytes(to_csr(M.copy()))
-
-    def test_representations_keyed_apart(self):
-        # Sparse and dense solve paths are close but not bit-identical,
-        # so the cache must never serve one for the other.
-        M = random_block(9, seed=5)
-        assert block_bytes(M) != block_bytes(to_csr(M))
-
-    def test_different_values_differ(self):
-        M = random_block(9, seed=6)
-        N = M.copy()
-        N[0, 0] += 1.0
-        assert block_bytes(M) != block_bytes(N)
-        assert block_bytes(to_csr(M)) != block_bytes(to_csr(N))
 
 
 class TestFactorization:

@@ -180,7 +180,9 @@ class TestRender:
         assert "class0" in text and "class1" in text
         assert "rsolve" in text and "recombine" in text
         assert "spans:" in text and "fixed_point: count=2" in text
-        assert "cache:" in text and "cache.hits = 3" in text
+        # ``cache.*`` has no rollup: it prints under "other metrics".
+        assert "other metrics:" in text and "cache:" not in text
+        assert "cache.hits = 3" in text.split("other metrics:", 1)[1]
         assert "solver:" in text and "rsolve.solves{method=cr}" in text
 
     def test_empty_trace_renders(self, tmp_path):

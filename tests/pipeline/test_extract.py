@@ -6,7 +6,11 @@ import pytest
 from repro.core.generator import build_class_qbd
 from repro.core.vacation import effective_quantum
 from repro.phasetype import PhaseType, erlang, exponential
-from repro.pipeline.extract import ExtractionWorkspace, extract_effective_quantum
+from repro.pipeline.extract import (
+    ExtractionWorkspace,
+    extract_effective_quanta,
+    extract_effective_quantum,
+)
 from repro.qbd.stationary import solve_qbd
 
 ARRIVAL2 = PhaseType([0.6, 0.4], [[-1.0, 0.3], [0.1, -0.8]])
@@ -73,3 +77,28 @@ def test_workspace_plan_reused_across_solutions():
         np.testing.assert_allclose(fast.S, ref.S, atol=1e-10)
     # Same vacation order -> one cached plan serves both solves.
     assert len(ws._plans) == 1
+
+
+@pytest.mark.parametrize("policy", ["switch", "idle"])
+def test_stacked_call_equals_each_single_call(policy):
+    # One call over n >= 2 chains of one state space must give every
+    # chain exactly the quantum its own n = 1 call gives: this is what
+    # lets single solves and batched sweep chunks share the function.
+    # The chains spread over three truncation depths, and the first and
+    # third share one, so the call stacks within a depth subgroup too.
+    jobs = []
+    for lam, vac in ((0.4, erlang(3, 2.0)), (0.2, erlang(3, 1.4)),
+                     (0.4, erlang(3, 2.02)), (0.45, erlang(3, 1.0))):
+        space, proc, sol = _solved(2, exponential(lam), exponential(1.0),
+                                   erlang(2, 1.0), vac, policy)
+        jobs.append((proc, sol, vac))
+    ws = ExtractionWorkspace()
+    stacked = extract_effective_quanta(space, jobs, workspace=ws)
+    assert len(ws._plans) == 1  # one space for all four chains
+    orders = [q.order for q in stacked]
+    assert orders[0] == orders[2] and len(set(orders)) == 3
+    for (proc, sol, vac), got in zip(jobs, stacked):
+        alone = extract_effective_quantum(space, proc, sol, vac,
+                                          workspace=ws)
+        assert np.array_equal(got.alpha, alone.alpha)
+        assert np.array_equal(got.S, alone.S)

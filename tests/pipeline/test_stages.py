@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.fixed_point import FixedPointOptions, run_fixed_point
 from repro.core.model import GangSchedulingModel
-from repro.pipeline.cache import ArtifactCache
 from repro.workloads.presets import fig23_config
 from tests.legacy_route import legacy_route
 
@@ -56,32 +55,6 @@ class TestTimings:
         solved = GangSchedulingModel(config).solve()
         assert "measures" in solved.timings
         assert "rsolve" in solved.timings
-
-
-class TestArtifactCache:
-    def test_repeat_solve_hits_cache(self, config):
-        cache = ArtifactCache()
-        model = GangSchedulingModel(config, cache=cache)
-        first = model.solve()
-        assert cache.stats()["hits"] == 0 or cache.stats()["misses"] > 0
-        misses_after_first = cache.stats()["misses"]
-        second = model.solve()
-        # The second run replays identical chains end-to-end.
-        assert cache.stats()["misses"] == misses_after_first
-        assert cache.stats()["hits"] > 0
-        for a, b in zip(first.classes, second.classes):
-            assert math.isclose(a.mean_jobs, b.mean_jobs, rel_tol=0,
-                                abs_tol=0.0)
-
-    def test_cache_respects_solver_options(self, config):
-        cache = ArtifactCache()
-        GangSchedulingModel(config, cache=cache).solve()
-        hits_before = cache.stats()["hits"]
-        GangSchedulingModel(config, cache=cache,
-                            rmatrix_method="cr").solve()
-        # Different method => different keys => no replayed hits beyond
-        # the within-run warm restarts.
-        assert cache.stats()["misses"] > hits_before
 
 
 class TestSaturatedMeasures:
@@ -135,7 +108,9 @@ def test_warm_start_r_seed_survives_iterations(config):
                  for p in range(config.num_classes)]
     stages.solve_all(ctx, vacations)
     seeds = [art.R.copy() for art in ctx.classes]
-    stages.solve_all(ctx, vacations)  # identical blocks: cache replay
+    # Identical blocks: each class is re-solved from its own converged
+    # R, which passes the refinement's residual test at step 0 and
+    # comes back unchanged.
+    stages.solve_all(ctx, vacations)
     for art, seed in zip(ctx.classes, seeds):
         np.testing.assert_array_equal(art.R, seed)
-    assert ctx.cache.stats()["hits"] == config.num_classes

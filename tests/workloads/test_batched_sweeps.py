@@ -134,3 +134,31 @@ class TestKillAndResume:
                            checkpoint=path)
         assert spec.fired == 0
         assert second.resumed == len(self.GRID)
+
+
+class TestExtractionIsolation:
+    def test_failing_extraction_fails_only_its_point(self, monkeypatch):
+        """A space group whose stacked extraction raises is extracted
+        again one class at a time: only the point that cannot be
+        extracted fails, and the others keep their exact numbers."""
+        from repro.errors import ValidationError
+        from repro.workloads import batched
+
+        grid = (0.3, 0.45, 0.6)
+        clean = sweep("lambda", grid, tiny_config, batch=3)
+        real = batched.extract_effective_quanta
+
+        def poisoned(space, jobs, **kwargs):
+            # ``A0`` carries the arrival rate: refuse the 0.45 chain.
+            if any(job[0].A0.max() == 0.45 for job in jobs):
+                raise ValidationError("no probability flow into quantum "
+                                      "starts; the chain never serves")
+            return real(space, jobs, **kwargs)
+
+        monkeypatch.setattr(batched, "extract_effective_quanta", poisoned)
+        got = sweep("lambda", grid, tiny_config, batch=3)
+        assert [p.error is None for p in got.points] == [True, False, True]
+        assert "ValidationError" in got.points[1].error
+        for i in (0, 2):
+            assert got.points[i].mean_jobs == clean.points[i].mean_jobs
+            assert got.points[i].iterations == clean.points[i].iterations
