@@ -9,6 +9,12 @@ walls land in ``benchmarks/results/BENCH_tail.json`` —
 (means only) — which ``scripts/bench_compare.py`` gates against the
 committed baseline (CI runs it with ``--threshold 0.10``).
 
+The bench also bounds the ratio itself: asking for the two
+distribution selectors may cost at most 2.5x the means-only sweep.
+Each law evaluates its CDF from one cached uniformization sequence,
+so the 37 or so CDF probes of a ``p99`` bisection cost about one
+sequence build; what remains is building the laws and the sequences.
+
 The grid stays at moderate quanta: tagged-job constructions at
 overhead-dominated quanta (< 0.1) blow the state space up and would
 turn a smoke bench into a minutes-long soak.
@@ -66,12 +72,13 @@ def test_tail_metrics_overhead_and_parity(benchmark):
             assert 0.0 <= tail_at_5 <= 1.0
     assert worst_mean_diff < 1e-12
 
+    overhead_ratio = pipeline_seconds / seed_seconds
     payload = {
         "grid": GRID,
         "selectors": list(SELECTORS),
         "seed_seconds": round(seed_seconds, 4),
         "pipeline_seconds": round(pipeline_seconds, 4),
-        "overhead_ratio": round(pipeline_seconds / seed_seconds, 3),
+        "overhead_ratio": round(overhead_ratio, 3),
         "worst_mean_diff": worst_mean_diff,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -79,3 +86,4 @@ def test_tail_metrics_overhead_and_parity(benchmark):
         json.dumps(payload, indent=2) + "\n")
     print(f"\nmeans-only {seed_seconds:.3f}s, with distributions "
           f"{pipeline_seconds:.3f}s (x{payload['overhead_ratio']})")
+    assert overhead_ratio <= 2.5

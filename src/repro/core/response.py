@@ -40,10 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import ClassResult, SolvedModel
+from repro.core.statespace import ClassStateSpace
 from repro.errors import ValidationError
 from repro.phasetype import PhaseType
 
-__all__ = ["response_time_distribution", "waiting_time_distribution"]
+__all__ = ["response_time_distribution", "waiting_time_distribution",
+           "waiting_from_response"]
 
 
 def response_time_distribution(solved: SolvedModel, p: int,
@@ -181,20 +183,25 @@ def waiting_time_distribution(solved: SolvedModel, p: int,
     full = response_time_distribution(solved, p,
                                       truncation_mass=truncation_mass,
                                       max_levels=max_levels)
-    space = solved.classes[p].space
-    c = space.partitions
+    return waiting_from_response(full, solved.classes[p].space)
+
+
+def waiting_from_response(full: PhaseType,
+                          space: ClassStateSpace) -> PhaseType:
+    """The waiting-time law restricted out of a built response-time law.
+
+    ``full`` must be :func:`response_time_distribution`'s law for the
+    class whose state space is ``space``; the result is what
+    :func:`waiting_time_distribution` returns for that class, without
+    building the response law a second time.
+    """
     M = space.m_quantum
     nk = M + space.m_vacation
-    order = full.order
-    m_max = order // nk
-
-    def is_target(state: int) -> bool:
-        m = state // nk + 1
-        k = state % nk
-        return m <= c and k < M
-
-    keep = np.asarray([s for s in range(order) if not is_target(s)],
-                      dtype=np.intp)
+    # State s is (m, k) = (s // nk + 1, s % nk); the target set is
+    # {m <= c, k < M}.
+    states = np.arange(full.order)
+    target = (states // nk < space.partitions) & (states % nk < M)
+    keep = np.flatnonzero(~target)
     S_full = np.asarray(full.S)
     alpha_full = np.asarray(full.alpha)
     # Restrict to pre-service states.  Keeping the original diagonals

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.metrics.quantiles import check_level
@@ -50,6 +51,7 @@ from repro.phasetype.fitting import fit_moments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.model import SolvedModel
+    from repro.core.statespace import ClassStateSpace
     from repro.qbd.stationary import QBDStationaryDistribution
 
 __all__ = ["ClassDistributions", "class_distributions", "metric_values"]
@@ -69,10 +71,6 @@ class ClassDistributions:
         ``"unsupported"`` (see the module docstring).
     response:
         Response-time law ``T_p`` (``None`` for the marker kinds).
-    waiting:
-        Waiting-time law (``None`` unless ``kind == "exact"``); its
-        ``atom_at_zero`` is the probability of entering service
-        immediately.
     detail:
         Human-readable provenance (construction used, or the reason a
         marker kind applies).
@@ -83,12 +81,15 @@ class ClassDistributions:
 
     kind: str
     response: PhaseType | None = None
-    waiting: PhaseType | None = None
     detail: str = ""
     arrival_poisson: bool = False
     #: Stationary queue-length law backing :meth:`loss_probability`;
     #: excluded from equality so marker instances compare by kind.
     stationary: "QBDStationaryDistribution | None" = field(
+        default=None, repr=False, compare=False)
+    #: The class's state space, from which :attr:`waiting` restricts
+    #: ``response`` (``None`` unless ``kind == "exact"``).
+    space: "ClassStateSpace | None" = field(
         default=None, repr=False, compare=False)
 
     @classmethod
@@ -103,6 +104,19 @@ class ClassDistributions:
                     ) -> "ClassDistributions":
         """The marker for a class whose law cannot be constructed."""
         return cls(kind="unsupported", detail=reason, stationary=stationary)
+
+    @cached_property
+    def waiting(self) -> PhaseType | None:
+        """Waiting-time law (``None`` unless ``kind == "exact"``).
+
+        Built on first read by restricting :attr:`response` to the
+        pre-service states; its ``atom_at_zero`` is the probability of
+        entering service immediately.
+        """
+        if self.response is None or self.space is None:
+            return None
+        from repro.core.response import waiting_from_response
+        return waiting_from_response(self.response, self.space)
 
     @property
     def supported(self) -> bool:
@@ -183,10 +197,7 @@ def class_distributions(solved: "SolvedModel", p: int, *,
     Never raises on a saturated or unsupported class — the marker
     kinds degrade gracefully so sweeps keep their grid points.
     """
-    from repro.core.response import (
-        response_time_distribution,
-        waiting_time_distribution,
-    )
+    from repro.core.response import response_time_distribution
 
     cr = solved.classes[p]
     cls = solved.config.classes[p]
@@ -202,13 +213,10 @@ def class_distributions(solved: "SolvedModel", p: int, *,
         response = response_time_distribution(
             solved, p, truncation_mass=truncation_mass,
             max_levels=max_levels)
-        waiting = waiting_time_distribution(
-            solved, p, truncation_mass=truncation_mass,
-            max_levels=max_levels)
         return ClassDistributions(
-            kind="exact", response=response, waiting=waiting,
+            kind="exact", response=response,
             detail="tagged-job phase-type construction (exact)",
-            arrival_poisson=True, stationary=cr.stationary)
+            arrival_poisson=True, stationary=cr.stationary, space=cr.space)
 
     # Phase-type service: exact tagged-job analysis would need the
     # predecessors' service phases.  Fit a PH to the exact response
@@ -230,7 +238,7 @@ def class_distributions(solved: "SolvedModel", p: int, *,
         moments.append(m2)
     response = fit_moments(moments)
     return ClassDistributions(
-        kind="moment", response=response, waiting=None,
+        kind="moment", response=response,
         detail=f"{len(moments)}-moment phase-type fit via the "
                "distributional Little's law",
         arrival_poisson=True, stationary=cr.stationary)

@@ -8,7 +8,9 @@ response-time statistics to report with compact selector strings:
 * ``"p95"``, ``"p99"``, ``"p99.9"`` — quantiles of the response-time
   distribution at level ``NN / 100``, evaluated under the contract of
   :mod:`repro.metrics.quantiles`;
-* ``"tail@2.5"`` — the SLO violation probability ``P{T > 2.5}``.
+* ``"tail@2.5"`` — the SLO violation probability ``P{T > 2.5}``; the
+  threshold must be finite (``"tail@1e400"`` parses to infinity and is
+  rejected).
 
 :data:`DEFAULT_METRICS` is ``("mean",)`` — scenarios that never asked
 for distributions keep their schema bytes, hashes and solve cost
@@ -17,6 +19,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -65,8 +68,11 @@ def parse_metric(selector: str) -> MetricSelector:
         return MetricSelector(raw=text, kind="quantile", value=level)
     match = _TAIL_RE.match(text)
     if match:
-        return MetricSelector(raw=text, kind="tail",
-                              value=float(match.group(1)))
+        threshold = float(match.group(1))
+        if not math.isfinite(threshold):
+            raise ValidationError(
+                f"tail selector {text!r} needs a finite threshold")
+        return MetricSelector(raw=text, kind="tail", value=threshold)
     raise ValidationError(
         f"unknown metric selector {text!r}; expected 'mean', 'pNN' "
         "(e.g. 'p95', 'p99.9') or 'tail@t' (e.g. 'tail@2.5')")

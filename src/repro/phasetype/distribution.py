@@ -10,6 +10,24 @@ states ``{1, ..., m, m+1}`` with generator::
 where ``s0 = -S e >= 0`` is the exit-rate vector.  ``alpha`` is the
 initial distribution over transient phases; any deficit
 ``1 - alpha e`` is an atom at zero.
+
+Distribution functions use uniformization (Section 2.4 of the paper):
+with ``theta = max_i -S[i, i]`` and the substochastic jump matrix
+``P = I + S/theta``,
+
+    ``alpha exp(S x) = sum_k Pois(k; theta x) alpha P^k``.
+
+Every term is a sub-probability vector, so the series cannot cancel
+catastrophically (scipy's ``expm`` takes an exact-superdiagonal
+shortcut for triangular input that collapses when two diagonal
+entries differ by ~1 ulp, e.g. a hypoexponential with nearly equal
+rates).  The vectors ``alpha P^k`` do not depend on ``x``, so each law
+keeps only their scalar reductions ``c_k = alpha P^k e`` and
+``d_k = alpha P^k s0``, grown on demand: ``sf``/``cdf`` (from ``c``)
+and ``pdf`` (from ``d``) are then a Poisson-weighted sum over the
+``1 - 1e-14`` window, O(K) scalar work per probe once the sequence
+reaches the window.  A value depends only on the law and ``x``, never
+on which arguments were probed before.
 """
 
 from __future__ import annotations
@@ -27,6 +45,9 @@ from repro.utils.validation import (
 )
 
 __all__ = ["PhaseType"]
+
+#: Indices into ``PhaseType._power_sums``: survival mass and exit density.
+_MASS, _EXIT = 0, 1
 
 
 class PhaseType:
@@ -205,19 +226,20 @@ class PhaseType:
         At ``x = 0`` the limiting density ``alpha s0`` is returned; the
         atom at zero (if any) is not represented in the density.
         """
-        return self._eval(x, lambda E: float(E @ self.exit_rates),
+        return self._eval(x, lambda t: self._mix(t, _EXIT),
                           at_zero=float(self._alpha @ self.exit_rates),
-                          below=0.0)
+                          below=0.0, at_inf=0.0)
 
     def cdf(self, x) -> np.ndarray | float:
         """CDF ``F(x) = 1 - alpha exp(S x) e`` for ``x >= 0``."""
-        return self._eval(x, lambda E: 1.0 - float(E.sum()),
-                          at_zero=self.atom_at_zero, below=0.0)
+        return self._eval(x, lambda t: 1.0 - self._mix(t, _MASS),
+                          at_zero=self.atom_at_zero, below=0.0, at_inf=1.0)
 
     def sf(self, x) -> np.ndarray | float:
         """Survival function ``P(X > x) = alpha exp(S x) e``."""
-        return self._eval(x, lambda E: float(E.sum()),
-                          at_zero=1.0 - self.atom_at_zero, below=1.0)
+        return self._eval(x, lambda t: self._mix(t, _MASS),
+                          at_zero=1.0 - self.atom_at_zero, below=1.0,
+                          at_inf=0.0)
 
     @cached_property
     def _uniformized(self) -> tuple[np.ndarray, float]:
@@ -227,29 +249,51 @@ class PhaseType:
         np.clip(P, 0.0, None, out=P)
         return P, theta
 
-    def _front(self, x: float) -> np.ndarray:
-        """``alpha exp(S x)`` by uniformization (Poisson-weighted steps).
+    def _power_sums(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """At least ``n`` terms of the power sums ``(c, d)``.
 
-        scipy's ``expm`` takes an exact-superdiagonal shortcut for
-        triangular input that collapses to garbage when two diagonal
-        entries differ by ~1 ulp (a hypoexponential with nearly equal
-        rates); here every term is a sub-probability vector, so the
-        series is unconditionally stable.
+        ``c_k = alpha P^k e`` and ``d_k = alpha P^k s0``.  The sequences
+        are grown on demand and kept on the instance as one
+        ``(c, d, v)`` tuple, ``v = alpha P^K`` being the vector the next
+        term starts from.  An extension is built in local arrays and
+        published by a single assignment, so a concurrent reader sees
+        either the old or the new prefix, never a partial one.  Term
+        ``k`` always comes from the same recursion, whatever was asked
+        for before.
         """
-        P, theta = self._uniformized
+        sums = self.__dict__.get("_sums")
+        if sums is None:
+            sums = (np.empty(0), np.empty(0), self._alpha)
+        c, d, v = sums
+        have = c.size
+        if have >= n:
+            return c, d
+        P, _ = self._uniformized
+        s0 = self.exit_rates
+        c = np.concatenate((c, np.empty(n - have)))
+        d = np.concatenate((d, np.empty(n - have)))
+        for k in range(have, n):
+            c[k] = v.sum()
+            d[k] = v @ s0
+            v = v @ P
+        self._sums = (c, d, v)
+        return c, d
+
+    def _mix(self, x: float, which: int) -> float:
+        """``sum_k Pois(k; theta x) * seq_k`` over the ``1 - 1e-14`` window.
+
+        ``seq`` is ``c`` (``which=_MASS``, giving ``alpha exp(S x) e``)
+        or ``d`` (``which=_EXIT``, giving ``alpha exp(S x) s0``).
+        """
+        _, theta = self._uniformized
         lam = theta * x
         lo, hi = stats.poisson.interval(1.0 - 1e-14, lam)
         lo, hi = int(max(lo, 0)), int(hi) + 1
-        weights = stats.poisson.pmf(np.arange(hi + 1), lam)
-        out = np.zeros_like(self._alpha)
-        v = self._alpha.copy()
-        for k in range(hi + 1):
-            if k >= lo:
-                out += weights[k] * v
-            v = v @ P
-        return out
+        seq = self._power_sums(hi + 1)[which]
+        weights = stats.poisson.pmf(np.arange(lo, hi + 1), lam)
+        return float((weights * seq[lo:hi + 1]).sum())
 
-    def _eval(self, x, reduce, at_zero: float, below: float):
+    def _eval(self, x, mix, at_zero: float, below: float, at_inf: float):
         scalar = np.isscalar(x) or np.ndim(x) == 0
         x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
         out = np.empty(x_arr.size)
@@ -258,8 +302,12 @@ class PhaseType:
                 out[i] = below
             elif xi == 0.0:
                 out[i] = at_zero
+            elif xi == np.inf:
+                out[i] = at_inf
+            elif np.isnan(xi):
+                out[i] = np.nan
             else:
-                out[i] = reduce(self._front(float(xi)))
+                out[i] = mix(float(xi))
         if scalar:
             return float(out[0])
         return out.reshape(x_arr.shape)
@@ -274,7 +322,12 @@ class PhaseType:
     def quantile(self, q: float, *, tol: float = 1e-10, max_iter: int = 200) -> float:
         """Numerical quantile under the contract of
         :mod:`repro.metrics.quantiles` (left-continuous generalized
-        inverse, evaluated by bracketed bisection on the CDF)."""
+        inverse, evaluated by bracketed bisection on the CDF).
+
+        The bisection probes one law many times; after the first probe
+        that reaches the bracket's Poisson window, each further probe
+        reuses the law's cached power sums and costs O(K) scalar work.
+        """
         # Imported lazily: repro.metrics re-exports distribution types
         # built on PhaseType, so a module-level import would cycle.
         from repro.metrics.quantiles import cdf_quantile

@@ -7,8 +7,11 @@ Erlang *arrival* stream (``unsupported``), and an overloaded hot class
 every reporting surface shares.
 """
 
+import gc
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.core import GangSchedulingModel, SystemConfig
@@ -17,6 +20,7 @@ from repro.errors import UnstableSystemError, ValidationError
 from repro.metrics import (
     ClassDistributions,
     MetricSelector,
+    class_distributions,
     metric_values,
     parse_metric,
     parse_metrics,
@@ -109,6 +113,43 @@ class TestExact:
 
     def test_distributions_are_model_cached(self, exact_solved):
         assert exact_solved.distributions(0) is exact_solved.distributions(0)
+
+    def test_waiting_law_built_on_first_read(self, exact_solved,
+                                             monkeypatch):
+        import repro.core.response as response
+
+        expected = [response.waiting_time_distribution(exact_solved, p)
+                    for p in range(len(exact_solved.classes))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("class_distributions built the waiting "
+                                 "law through a second tagged-job build")
+
+        monkeypatch.setattr(response, "waiting_time_distribution", forbidden)
+        for p, want in enumerate(expected):
+            dist = class_distributions(exact_solved, p)
+            assert "waiting" not in vars(dist)
+            waiting = dist.waiting
+            assert dist.waiting is waiting
+            assert np.array_equal(waiting.alpha, want.alpha)
+            assert np.array_equal(waiting.S, want.S)
+
+    def test_read_laws_leave_no_reference_cycle(self):
+        """The model caches its ``ClassDistributions``; none of them may
+        point back at the model, or only the cyclic GC could free it."""
+        gc.collect()
+        gc.disable()
+        try:
+            solved = _solve(fig23_config(0.4, 2.0))
+            for p in range(len(solved.classes)):
+                dist = solved.distributions(p)
+                assert dist.waiting is not None
+                assert dist.quantile(0.5) > dist.waiting.quantile(0.5)
+            model = weakref.ref(solved)
+            del solved, dist
+            assert model() is None
+        finally:
+            gc.enable()
 
 
 class TestMoment:
@@ -208,3 +249,16 @@ class TestSelectorGrammar:
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
             parse_metrics(("mean", "p99", "mean"))
+
+    @pytest.mark.parametrize("bad", ["tail@1e400", "tail@9e999"])
+    def test_non_finite_tail_threshold_rejected(self, bad):
+        # float("1e400") is inf; evaluating P{T > inf} used to turn
+        # every grid point into a silent nan.
+        with pytest.raises(ValidationError, match="finite"):
+            parse_metric(bad)
+
+    def test_non_finite_tail_slo_rejected(self):
+        from repro.core.optimize import parse_slo_target
+
+        with pytest.raises(ValidationError, match="finite"):
+            parse_slo_target("tail@1e400<=0.05")

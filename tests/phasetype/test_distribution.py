@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.errors import NotAPhaseTypeError
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
@@ -203,3 +204,114 @@ class TestUtilities:
     def test_trimmed_noop_when_irreducible(self):
         d = erlang(2, mean=1.0)
         assert d.trimmed() is d
+
+
+def _series_oracle(d, x):
+    """``(cdf, sf, pdf)`` at ``x > 0`` from the from-zero vector series.
+
+    The evaluator before the cached power sums: re-run
+    ``v <- v P`` from ``alpha`` and accumulate the Poisson-weighted
+    vectors, then reduce once.  Kept as an independent oracle.
+    """
+    P, theta = d._uniformized
+    lam = theta * x
+    lo, hi = stats.poisson.interval(1.0 - 1e-14, lam)
+    lo, hi = int(max(lo, 0)), int(hi) + 1
+    weights = stats.poisson.pmf(np.arange(hi + 1), lam)
+    front = np.zeros(d.order)
+    v = np.array(d.alpha)
+    for k in range(hi + 1):
+        if k >= lo:
+            front += weights[k] * v
+        v = v @ P
+    return 1.0 - front.sum(), front.sum(), front @ d.exit_rates
+
+
+@pytest.fixture(scope="module")
+def response_law():
+    from repro.core import GangSchedulingModel
+    from repro.core.response import response_time_distribution
+    from repro.workloads import fig23_config
+
+    solved = GangSchedulingModel(fig23_config(0.4, 2.0)).solve()
+    return response_time_distribution(solved, 0)
+
+
+def _laws(response_law):
+    from repro.phasetype import hypoexponential
+
+    return {
+        "erlang": erlang(4, mean=2.0),
+        "hyperexponential": hyperexponential([0.3, 0.7], [0.2, 2.0]),
+        "ulp-close": hypoexponential([0.05, np.nextafter(0.05, 1.0)]),
+        "atom": PhaseType([0.4, 0.3], [[-1.0, 0.5], [0.0, -2.0]]),
+        "fig2-response": response_law,
+    }
+
+
+class TestCachedUniformization:
+    XS = [0.05, 0.7, 3.0, 12.0]
+
+    @pytest.mark.parametrize(
+        "name", ["erlang", "hyperexponential", "ulp-close", "atom",
+                 "fig2-response"])
+    def test_matches_from_zero_series(self, response_law, name):
+        d = _laws(response_law)[name]
+        fresh = PhaseType(d.alpha, d.S)
+        for x in self.XS:
+            want = _series_oracle(fresh, x)
+            got = (d.cdf(x), d.sf(x), d.pdf(x))
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["ulp-close", "fig2-response"])
+    def test_values_do_not_depend_on_probe_order(self, response_law, name):
+        d = _laws(response_law)[name]
+        shared = PhaseType(d.alpha, d.S)
+        # Largest first, then smaller, then beyond the first largest.
+        xs = [12.0, 0.7, 3.0, 0.05, 25.0, 6.0]
+        for fn in ("sf", "cdf", "pdf"):
+            for x in xs:
+                fresh = PhaseType(d.alpha, d.S)
+                assert getattr(shared, fn)(x) == getattr(fresh, fn)(x)
+
+    def test_limits_at_infinity_and_nan(self):
+        d = erlang(3, mean=1.0)
+        assert (d.cdf(np.inf), d.sf(np.inf), d.pdf(np.inf)) == (1.0, 0.0, 0.0)
+        for fn in (d.cdf, d.sf, d.pdf):
+            assert np.isnan(fn(np.nan))
+        assert "_sums" not in d.__dict__
+        got = d.sf(np.array([1.0, np.inf, np.nan]))
+        assert got[0] == d.sf(1.0) and got[1] == 0.0 and np.isnan(got[2])
+
+    def test_concurrent_probes_see_whole_sequences(self, response_law):
+        import sys
+        import threading
+
+        xs = [0.05, 0.7, 3.0, 6.0, 12.0, 25.0]
+        want = {x: PhaseType(response_law.alpha, response_law.S).sf(x)
+                for x in xs}
+        shared = PhaseType(response_law.alpha, response_law.S)
+        got, errors = [], []
+
+        def probe(seed):
+            order = np.random.default_rng(seed).permutation(xs)
+            try:
+                got.extend((x, shared.sf(x)) for x in order)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe, args=(seed,))
+                       for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(got) == 8 * len(xs)
+        assert all(value == want[x] for x, value in got)

@@ -281,6 +281,17 @@ class TestErrorHandling:
         assert err.startswith("repro-gang: ValidationError:")
         assert "not valid JSON" in err
 
+    def test_non_finite_tail_selector_exits_2(self, capsys):
+        # tail@1e400 parses to an infinite threshold; it used to exit 0
+        # with an all-nan table and nothing on stderr.
+        argv = ["run", "fig2", "--grid", "quick",
+                "--metrics-select", "mean,tail@1e400"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-gang: ValidationError:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_run_bad_file_traceback_flag_reraises(self, tmp_path):
         from repro.errors import ValidationError
         with pytest.raises(ValidationError):
