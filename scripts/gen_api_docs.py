@@ -17,7 +17,7 @@ PACKAGES = [
     ("repro.pipeline", "Staged solve pipeline: workspaces, warm starts, stacked extraction"),
     ("repro.policy", "Scheduling policies: cycle views, registry, variants"),
     ("repro.sim", "Discrete-event simulation"),
-    ("repro.resilience", "Fallback chains, budgets, checkpoints, fault injection"),
+    ("repro.resilience", "Fallback chains, budgets, fault injection"),
     ("repro.obs", "Observability: span tracing, metrics, run reports"),
     ("repro.workloads", "Presets, sweeps, traces"),
     ("repro.scenario", "Declarative scenarios: spec tree, presets, runner"),

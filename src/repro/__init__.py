@@ -39,8 +39,7 @@ Subpackages
     The paper's figure presets and generic parameter sweeps.
 ``repro.resilience``
     Production hardening: solver fallback chains with retry/budget
-    guards, crash-safe sweep checkpointing, deterministic fault
-    injection.
+    guards, deterministic fault injection.
 ``repro.analysis``
     Result tables, shape checks, model-vs-simulation comparison.
 """
@@ -52,7 +51,6 @@ from repro.core import (
     SystemConfig,
 )
 from repro.errors import (
-    CheckpointError,
     ConvergenceError,
     ReproError,
     SolverBudgetExceededError,
@@ -77,6 +75,5 @@ __all__ = [
     "UnstableSystemError",
     "ConvergenceError",
     "SolverBudgetExceededError",
-    "CheckpointError",
     "__version__",
 ]

@@ -70,11 +70,14 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
               "(default: auto picks per block by size and density)"}),
     ("workers", "--workers",
      {"type": int, "metavar": "N",
-      "help": "solve sweep grid points in N parallel processes"}),
+      "help": "solve sweep grid points in N supervised worker "
+              "processes"}),
     ("checkpoint", "--checkpoint",
-     {"metavar": "FILE",
-      "help": "journal completed sweep points to FILE (JSONL) and "
-              "resume from it if it exists"}),
+     {"metavar": "DIR",
+      "help": "persist completed sweep points to the result-store "
+              "directory DIR (the format of 'serve --store') and resume "
+              "from it; a daemon started on DIR later serves them, but "
+              "a DIR in use by a running daemon is refused"}),
     ("batch_points", "--batch",
      {"type": int, "metavar": "N",
       "help": "solve up to N adjacent sweep points at once through the "
@@ -193,13 +196,10 @@ def _parse_policy_arg(args):
 
 
 def _checkpoint_summary(path, result) -> None:
-    if not (result.resumed or result.stale):
-        return
-    line = (f"repro-gang: checkpoint {path}: "
-            f"{result.resumed}/{len(result.points)} point(s) resumed")
-    if result.stale:
-        line += f", {result.stale} stale point(s) ignored"
-    print(line, file=sys.stderr)
+    if result.resumed:
+        print(f"repro-gang: checkpoint {path}: "
+              f"{result.resumed}/{len(result.points)} point(s) resumed",
+              file=sys.stderr)
 
 
 def _print_comparison(result) -> None:
@@ -268,14 +268,11 @@ def _cmd_figure(args) -> int:
             table.add_row(pt.value, pt.mean_jobs)
     else:
         # Figure 5: one scenario per focus class; column p is N_p of the
-        # scenario that grants class p the swept cycle fraction.  A
-        # shared --checkpoint journals each curve to its own sibling.
-        if args.checkpoint:
-            scenarios = [s.with_engine(checkpoint=f"{args.checkpoint}.{s.name}")
-                         for s in scenarios]
+        # scenario that grants class p the swept cycle fraction.  One
+        # --checkpoint store holds all four curves.
         results = [run_scenario(s) for s in scenarios]
-        for s, r in zip(scenarios, results):
-            _checkpoint_summary(s.engine.checkpoint, r)
+        for r in results:
+            _checkpoint_summary(args.checkpoint, r)
         table = Table("fraction", [f"N[class{p}]" for p in range(4)])
         for i, f in enumerate(results[0].values()):
             table.add_row(f, [results[p].points[i].mean_jobs[p]
@@ -794,8 +791,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        # Solver failures (instability, non-convergence, bad
-        # checkpoints) are expected operational outcomes: report them
+        # Solver failures (instability, non-convergence, a bad
+        # checkpoint path) are expected operational outcomes: report them
         # readably and exit 2, reserving tracebacks for --traceback.
         if args.traceback:
             raise

@@ -313,8 +313,7 @@ class BatchGangSchedulingModel:
                      for p in range(L)]
         prev = None
         converged = False
-        state = None
-        for it in range(max_iterations):
+        for it in range(max(1, max_iterations)):  # as run_lockstep does
             state = [self._solve_class(p, vacations[p]) for p in range(L)]
             means = np.array([index.mean_level(sol)
                               for (_, _, index, sol) in state])

@@ -17,7 +17,6 @@ __all__ = [
     "UnstableSystemError",
     "ConvergenceError",
     "SolverBudgetExceededError",
-    "CheckpointError",
     "ReducibleChainError",
     "SimulationError",
 ]
@@ -102,16 +101,6 @@ class SolverBudgetExceededError(ConvergenceError):
         #: The budget that was exceeded (seconds or iterations,
         #: matching whichever constraint fired).
         self.budget = budget
-
-
-class CheckpointError(ReproError):
-    """A sweep checkpoint journal is unusable.
-
-    Raised when a journal's header does not match the sweep being
-    resumed (different parameter or class names) — resuming would mix
-    results from incompatible runs.  Truncated trailing records (the
-    crash case) are *not* an error; they are dropped on load.
-    """
 
 
 class ReducibleChainError(ReproError):

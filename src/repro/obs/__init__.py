@@ -12,7 +12,7 @@ Zero-dependency (stdlib-only) substrate shared by every solver layer:
     A registry of counters, gauges, and histograms fed by instrumented
     sites across the pipeline (R-solve iterations, backend decisions,
     fallback attempts, GMRES iterations, dense boundary fallbacks,
-    fault injections, checkpoint writes...).
+    fault injections, sweep points...).
 ``repro.obs.report``
     Trace-file summarization: the per-class/per-stage table, metric
     rollups, per-request timelines, and worker-profile hotspots behind

@@ -4,7 +4,7 @@ The solver stack is full of numbers that matter for understanding a
 run but never reach the caller — R-solver iteration counts on the
 *success* path, fallback attempts per method, backend decisions,
 GMRES iteration counts, dense-fallback boundary solves, injected
-faults, checkpoint writes.  Instrumented call sites feed
+faults, sweep points.  Instrumented call sites feed
 them here through the module-level helpers (:func:`inc`,
 :func:`observe`, :func:`set_gauge`), which are a single ``bool`` test
 when collection is disabled — cheap enough to instrument every site
@@ -23,14 +23,14 @@ Three instrument kinds:
 
 :func:`snapshot` returns a plain-JSON dict (what
 :func:`repro.obs.stop` embeds in the trace file as a ``"metrics"``
-record, and what sweep workers emit per completed point);
+record, and what pool workers emit per completed task);
 :func:`merge_snapshots` folds many such records into one rollup for
 the ``repro report`` subcommand.
 
 The registry is thread-safe (one lock around every mutation) and
-deliberately **not** shared across processes: parallel sweep workers
-each reset, collect, and emit their own snapshot into their worker
-trace file, and the report sums the records.
+deliberately **not** shared across processes: pool workers each
+reset, collect, and emit their own snapshot into their worker trace
+file, and the report sums the records.
 
 The canonical metric names live in the Observability section of
 ``docs/architecture.md``.

@@ -11,11 +11,11 @@ reduces the raw event stream written by :mod:`repro.obs.trace` to:
 * **span rollups** — count / total wall / total CPU per span name
   (``sweep.point``, ``fixed_point``...);
 * a **metrics rollup** — every ``"metrics"`` record in the file
-  (the close-time snapshot plus one per parallel-sweep worker point)
-  merged with :func:`repro.obs.metrics.merge_snapshots`: backend
-  decisions, fallback attempts, R-solve iterations, GMRES iterations,
-  dense boundary fallbacks, fault injections, checkpoint writes
-  (counters outside these rollups print under "other metrics");
+  (the close-time snapshot plus one per worker task) merged with
+  :func:`repro.obs.metrics.merge_snapshots`: backend decisions,
+  fallback attempts, R-solve iterations, GMRES iterations, dense
+  boundary fallbacks, fault injections, sweep points (counters
+  outside these rollups print under "other metrics");
 * a **per-request rollup** — spans tagged with a service request ID
   (``"req"``; see :func:`repro.obs.trace.request_scope`) grouped per
   request with span counts, wall time, and the set of pids that worked
@@ -313,11 +313,11 @@ def render_report(summary: TraceSummary) -> str:
         summary, "solver", ("rsolve.", "fallback.", "gmres.", "boundary.",
                             "fixed_point."))
     lines += _rollup_section(
-        summary, "resilience", ("faults.", "checkpoint.", "sweep."))
+        summary, "resilience", ("faults.", "sweep."))
     lines += _continuation_lines(summary)
     remaining_prefixes = ("backend.", "rsolve.", "fallback.", "gmres.",
                           "boundary.", "fixed_point.", "faults.",
-                          "checkpoint.", "sweep.")
+                          "sweep.")
     snap = summary.metrics
     leftovers = {
         "counters": {k: v for k, v in (snap.get("counters") or {}).items()

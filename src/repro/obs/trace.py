@@ -26,8 +26,8 @@ Trace file schema (one JSON object per line)
     ``thread_time`` seconds spent inside the span on this thread.
 ``{"kind": "metrics", ...}``
     A metrics-registry snapshot (see :mod:`repro.obs.metrics`),
-    written by :func:`repro.obs.stop` and by sweep workers after each
-    completed point.
+    written by :func:`repro.obs.stop` and by pool workers after each
+    completed task.
 
 Within one thread the events are balanced (every ``B`` has a matching
 ``E``, properly nested) and ``ts`` is non-decreasing; the property
@@ -46,8 +46,7 @@ path.
 
 Worker processes
 ----------------
-A parallel sweep's workers cannot share the parent's file handle (and
-a forked child must never write through it).  Workers instead append
+Pool workers cannot share the parent's file handle.  They append
 to a sibling file ``<trace>.w<pid>`` via :func:`ensure_worker_tracer`;
 after the pool joins, the parent folds every worker file into the main
 trace with :func:`merge_worker_traces` and deletes them.  A worker

@@ -1,4 +1,4 @@
-"""Resilience layer: fallback chains, retry budgets, checkpoints, faults.
+"""Resilience layer: fallback chains, retry budgets, fault injection.
 
 Production sweeps solve thousands of models; this package makes partial
 failure a first-class, *recoverable* outcome instead of a fatal one:
@@ -8,15 +8,11 @@ failure a first-class, *recoverable* outcome instead of a fatal one:
     (tightened tolerances, mild regularization), iteration and
     wall-clock budgets, and a structured :class:`SolveReport` of every
     attempt.
-:mod:`~repro.resilience.checkpoint`
-    Crash-safe JSONL journaling for parameter sweeps — completed points
-    survive a crash and are never re-solved on resume.
 :mod:`~repro.resilience.faults`
     Deterministic fault injection at named sites throughout the solver
     stack, so every recovery path is provable in tests.
 """
 
-from repro.resilience.checkpoint import SweepJournal
 from repro.resilience.fallback import (
     AttemptRecord,
     ResiliencePolicy,
@@ -39,7 +35,6 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
     "SolveReport",
-    "SweepJournal",
     "default_chain",
     "resilient_solve_R",
     "FaultSpec",

@@ -1,7 +1,7 @@
 """Deterministic fault injection at named sites in the solver stack.
 
 Every recovery path in the resilience layer (fallback chains, retry
-budgets, sweep checkpointing, saturation pinning) must be *provable* in
+budgets, store-backed sweep resume, saturation pinning) must be *provable* in
 tests.  Real convergence failures are hard to construct on demand, so
 instrumented call sites throughout the library consult this registry
 and, when a matching fault is armed, raise a configured exception or

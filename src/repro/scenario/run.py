@@ -2,13 +2,21 @@
 unified result.
 
 :func:`run` dispatches the scenario onto the existing machinery — the
-checkpointed/parallel sweep driver for the analytic engine
+sweep driver for the analytic engine
 (:func:`repro.workloads.sweeps.sweep_scenario`), the replication
 front-end for the simulator
 (:func:`repro.sim.runner.simulate_scenario_point`) — and folds the
 outputs into one :class:`RunResult`: per-point measures for whichever
-engines ran, cross-engine relative deltas when both did, and the
-sweep's resume/stale counters.
+engines ran and cross-engine relative deltas when both did.
+
+A swept scenario whose engine sets ``checkpoint`` or ``workers > 1``
+runs as a client of the scenario service instead: its points are
+looked up in, and persisted to, a
+:class:`~repro.service.store.ResultStore` (the ``checkpoint``
+directory, or a throw-away one) and solved on a
+:class:`~repro.service.supervisor.SupervisedPool`
+(:func:`repro.service.daemon.execute`).  A rerun resumes from the
+store, and ``RunResult.resumed`` counts the points it served.
 
 The scenario's name rides along as a span attribute and metric label
 (``scenario.run`` / ``scenario.runs``), so traces and metric snapshots
@@ -17,7 +25,9 @@ of multi-scenario services stay attributable.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import tempfile
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -27,7 +37,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import span
 from repro.scenario.spec import Scenario
 from repro.sim.runner import SimPointEstimate, simulate_scenario_point
-from repro.workloads.sweeps import SweepPoint, sweep_scenario
+from repro.workloads.sweeps import SweepPoint, solved_point, sweep_scenario
 
 __all__ = ["RunPoint", "RunResult", "run",
            "run_point_to_dict", "run_point_from_dict",
@@ -79,10 +89,8 @@ class RunResult:
     #: Metric selectors the points' ``metrics`` rows are aligned to
     #: (``None`` when the run carried only means).
     metric_names: tuple[str, ...] | None = None
-    #: Sweep points loaded from the checkpoint journal (analytic sweeps).
+    #: Sweep points served from the checkpoint store instead of solved.
     resumed: int = 0
-    #: Journaled points no longer on the grid (ignored, warned about).
-    stale: int = 0
     #: Full solution detail for an unswept analytic run.
     solved: SolvedModel | None = None
     #: Full simulation detail for an unswept sim run (a
@@ -263,7 +271,7 @@ def run_result_to_dict(result: RunResult) -> dict:
     This is the payload the scenario service stores and replays, so it
     carries only fields that depend on the scenario's result identity:
     the engine, grid metadata, and every point's measures.  Execution
-    artifacts — resume/stale counters, the full :class:`SolvedModel` /
+    artifacts — the resume counter, the full :class:`SolvedModel` /
     simulator detail — are deliberately excluded: two runs of the same
     scenario must serialize to identical bytes whether they were
     solved cold, resumed from a checkpoint, or assembled shard by
@@ -351,29 +359,6 @@ def _combine(value: float | None, apt: SweepPoint | None,
     )
 
 
-def _solved_point(solved: SolvedModel,
-                  selectors: tuple[str, ...] | None = None) -> SweepPoint:
-    point_metrics = dist_kinds = None
-    if selectors:
-        from repro.metrics import metric_values
-
-        num_classes = len(solved.classes)
-        point_metrics = tuple(metric_values(solved, p, selectors)
-                              for p in range(num_classes))
-        dist_kinds = tuple(solved.distributions(p).kind
-                           for p in range(num_classes))
-    return SweepPoint(
-        value=0.0,
-        mean_jobs=tuple(c.mean_jobs for c in solved.classes),
-        mean_response_time=tuple(c.mean_response_time
-                                 for c in solved.classes),
-        iterations=solved.iterations,
-        converged=solved.converged,
-        metrics=point_metrics,
-        dist_kinds=dist_kinds,
-    )
-
-
 def _metric_selectors(scenario: Scenario) -> tuple[str, ...] | None:
     """The scenario's selector tuple, or ``None`` for means-only runs."""
     out = getattr(scenario, "output", None)
@@ -382,8 +367,43 @@ def _metric_selectors(scenario: Scenario) -> tuple[str, ...] | None:
     return None
 
 
+def _run_on_store(scenario: Scenario) -> RunResult:
+    """Run a swept scenario on the service's result store and pool.
+
+    The store is ``engine.checkpoint`` (a directory, in the format of
+    ``serve --store``) or a throw-away temporary one; the pool has
+    ``engine.workers`` processes, or solves inline for
+    ``workers <= 1``.  Completed shards are persisted as they finish,
+    so an interrupted run resumes from the store.
+    """
+    from repro.service.daemon import execute
+    from repro.service.store import ResultStore
+    from repro.service.supervisor import SupervisedPool
+
+    eng = scenario.engine
+    workers = eng.workers or 0
+    tracer = obs_trace.current_tracer()
+    with contextlib.ExitStack() as stack:
+        root = eng.checkpoint or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-store-"))
+        store = stack.enter_context(ResultStore(root))
+        if tracer is not None:
+            # Runs after the pool closes: fold the workers' sidecar
+            # traces into this run's trace.
+            stack.callback(obs_trace.merge_worker_traces, tracer)
+        pool = stack.enter_context(SupervisedPool(
+            workers if workers > 1 else 0,
+            trace_base=str(tracer.path) if tracer is not None else None))
+        result, counts = execute(scenario, store, pool)
+    out = run_result_from_dict(result, scenario)
+    out.resumed = counts["store_points"]
+    return out
+
+
 def _run_sweep(scenario: Scenario) -> RunResult:
     eng = scenario.engine
+    if eng.checkpoint or (eng.workers or 0) > 1:
+        return _run_on_store(scenario)
     axis = scenario.system.axis
     selectors = _metric_selectors(scenario)
     sweep_res = sweep_scenario(scenario) if eng.analytic else None
@@ -405,8 +425,6 @@ def _run_sweep(scenario: Scenario) -> RunResult:
         scenario=scenario, engine=eng.engine, parameter=axis.parameter,
         class_names=names, points=points,
         metric_names=selectors,
-        resumed=sweep_res.resumed if sweep_res is not None else 0,
-        stale=sweep_res.stale if sweep_res is not None else 0,
     )
 
 
@@ -422,7 +440,7 @@ def _run_point(scenario: Scenario) -> RunResult:
             model_kwargs["policy"] = scenario.system.policy
         solved = GangSchedulingModel(
             config, **model_kwargs).solve(**eng.solve_kwargs())
-        apt = _solved_point(solved, selectors)
+        apt = solved_point(0.0, solved, selectors)
     sim_est = (simulate_scenario_point(scenario, config)
                if eng.simulated else None)
     return RunResult(
@@ -438,11 +456,18 @@ def run(scenario: Scenario) -> RunResult:
     """Evaluate one scenario end to end.
 
     Dispatches on the spec: swept systems go through the sweep driver
-    (inheriting checkpointing and worker pools), unswept ones are
-    solved/simulated directly; ``both`` runs both engines and reports
-    per-class deltas.  When the scenario's output spec names a trace
-    file or asks for metrics and no collector is armed yet, the run is
-    wrapped in its own observability session.
+    (or, with ``checkpoint`` or ``workers > 1``, through the service's
+    result store and worker pool), unswept ones are solved/simulated
+    directly; ``both`` runs both engines and reports per-class deltas.
+    When the scenario's output spec names a trace file or asks for
+    metrics and no collector is armed yet, the run is wrapped in its
+    own observability session.
+
+    Worker processes are forked only on Linux from a caller with no
+    other threads, and spawned otherwise.  A portable script that calls
+    ``run`` with ``workers > 1`` needs an ``if __name__ == "__main__":``
+    guard, and spawned workers cannot start from code piped in through
+    ``python -``.
     """
     out = scenario.output
     arm = ((out.trace is not None or out.collect_metrics)

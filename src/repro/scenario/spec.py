@@ -16,7 +16,7 @@ the simulator front-end, the figure benches) now speaks:
     ``sim`` (the discrete-event simulator), or ``both`` (cross-engine
     validation); plus every solver knob the layers below understand —
     fixed-point tolerances, kernel backend, sweep workers and
-    checkpoint journal, simulation horizon/seed/replications, and the
+    checkpoint store, simulation horizon/seed/replications, and the
     optimizer's evaluation budget.
 ``OutputSpec``
     What to report: which measures, an optional trace file, metrics.
@@ -171,8 +171,13 @@ class EngineSpec:
     #: resilience chain; the check fires mid-attempt).  ``None``
     #: disables the clock.
     solve_budget: float | None = None
-    # Sweep execution knobs.
+    # Sweep execution knobs (not hashed).  Either one makes
+    # :func:`repro.scenario.run` serve a swept scenario through the
+    # service's result store and supervised worker pool.
+    #: Spawned worker processes (``None``/``0``/``1``: solve inline).
     workers: int | None = None
+    #: Result-store directory (the ``serve --store`` format) that
+    #: persists completed points; a rerun resumes from it.
     checkpoint: str | None = None
     #: Batched sweep chunk width: solve up to this many adjacent grid
     #: points at once through :mod:`repro.workloads.batched` (stacked

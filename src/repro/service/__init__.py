@@ -14,10 +14,10 @@ worker pool.  Robustness is the organizing principle:
     encoding shared by the stdio and HTTP front ends.
 :mod:`repro.service.store`
     :class:`~repro.service.store.ResultStore` — append-only JSONL
-    segments with the flush-and-fsync discipline of
-    :class:`~repro.resilience.checkpoint.SweepJournal`; the index is
-    rebuilt on open, torn tails are truncated and mid-segment
-    corruption quarantined, never fatal.
+    segments, each record flushed and fsync-ed; the index is rebuilt
+    on open, torn tails are truncated and mid-segment corruption
+    quarantined, never fatal.  Checkpointed CLI sweeps
+    (``--checkpoint DIR``) write the same store format.
 :mod:`repro.service.supervisor`
     :class:`~repro.service.supervisor.SupervisedPool` — per-slot worker
     processes with restart-on-crash, exponential backoff, and a
@@ -25,7 +25,10 @@ worker pool.  Robustness is the organizing principle:
     requeued, bounded by a per-task kill limit.
 :mod:`repro.service.daemon`
     :class:`~repro.service.daemon.ScenarioService` — request handling
-    (hash, store lookup, shard, solve, assemble, persist), per-request
+    (hash, store lookup, then :func:`~repro.service.daemon.execute`:
+    shard, solve, assemble, persist — the same function
+    :func:`repro.scenario.run` calls for checkpointed and parallel
+    sweeps), per-request
     deadlines with graceful degradation (a timed-out sweep returns the
     completed prefix flagged ``degraded``), overload shedding with a
     structured busy reply, and the ``serve_stdio`` / ``serve_http``

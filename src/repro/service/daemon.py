@@ -15,6 +15,11 @@ A run request flows::
         -> result assembled in grid order
         -> full result persisted iff every point is clean -> reply
 
+Everything after the full-result lookup is the module-level
+:func:`execute`, which :func:`repro.scenario.run` also calls to run a
+checkpointed (``--checkpoint DIR``) or parallel (``--workers N``) sweep
+on a store and pool of its own.
+
 Robustness semantics:
 
 * **Graceful degradation** — when the per-request deadline expires
@@ -79,7 +84,7 @@ from repro.service.protocol import Request
 from repro.service.store import ResultStore
 from repro.service.supervisor import SupervisedPool
 
-__all__ = ["ServiceConfig", "ScenarioService"]
+__all__ = ["ServiceConfig", "ScenarioService", "execute"]
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,12 @@ class ScenarioService:
             self._armed_log = True
         self.started_mono = time.monotonic()
         self.started_wall = time.time()
-        self.store = ResultStore(cfg.store_dir,
-                                 segment_max_bytes=cfg.segment_max_bytes)
+        try:
+            self.store = ResultStore(cfg.store_dir,
+                                     segment_max_bytes=cfg.segment_max_bytes)
+        except BaseException:
+            self.close()                # disarm what open() armed
+            raise
         if cfg.compact_on_start:
             self.store.compact()
         tracer = obs_trace.current_tracer()
@@ -362,18 +371,7 @@ class ScenarioService:
             scenario = scenario_from_dict(request.scenario)
         if request.engine:
             scenario = scenario.with_engine(**request.engine)
-        # Execution is the service's business: drop the caller's
-        # worker/checkpoint knobs and any trace/solver-metrics output
-        # request (both are excluded from the content hash anyway).
-        # Metric *selectors* survive the strip — they are part of
-        # result identity (the stored points carry the percentile
-        # columns they name).
-        return dataclasses.replace(
-            scenario,
-            engine=dataclasses.replace(scenario.engine,
-                                       workers=None, checkpoint=None),
-            output=OutputSpec(measures=scenario.output.measures,
-                              metrics=scenario.output.metrics))
+        return scenario
 
     def _handle_run(self, request: Request) -> dict:
         t0 = time.monotonic()
@@ -394,171 +392,14 @@ class ScenarioService:
                     degraded=False, store_points=len(cached["points"]),
                     solved_points=0, error_points=0,
                     elapsed=time.monotonic() - t0)
-            response = self._solve_request(request, scenario, key, t0,
-                                           deadline)
+            result, counts = execute(scenario, self.store, self.pool,
+                                     deadline=deadline)
+            response = protocol.result_response(
+                request.id, key=key, result=result, cached=False,
+                elapsed=time.monotonic() - t0, **counts)
         self._count(response["status"])
         metrics.observe("service.request.elapsed", time.monotonic() - t0)
         return response
-
-    @staticmethod
-    def _derived_budget(scenario, deadline: float | None,
-                        cold_points: int) -> float | None:
-        """Per-point solve budget carved out of the request deadline.
-
-        When the request carries a deadline but the scenario sets no
-        ``solve_budget`` of its own, each cold point gets an equal
-        slice of the remaining time.  A single divergent solve then
-        aborts inside its slice (one explicit error point) instead of
-        silently eating the whole request's deadline and degrading
-        every point queued behind it.  Point cache keys are computed
-        from the *unbudgeted* scenario, so the derived budget never
-        changes result identity — a budget-limited solve either
-        finishes with the same numbers or fails and is not persisted.
-        """
-        if deadline is None or cold_points == 0:
-            return None
-        if scenario.engine.solve_budget is not None:
-            return None                 # the scenario's own budget wins
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None                 # the pool times the points out
-        return remaining / cold_points
-
-    @staticmethod
-    def _plan_shards(scenario, misses: list) -> list[list]:
-        """Group cold points into adjacency-preserving shards.
-
-        ``misses`` is ``(grid index, value, point key)`` tuples in grid
-        order.  Without batching every point is its own shard (the
-        historical behavior).  With ``engine.batch_points > 1``, runs
-        of *consecutive* grid indices are chunked up to that size — a
-        store-hit gap splits the run, because continuation across the
-        gap would seed from a neighbor the shard does not contain.
-        """
-        batch = int(getattr(scenario.engine, "batch_points", 0) or 0)
-        size = batch if (batch > 1 and scenario.axis is not None) else 1
-        chunks: list[list] = []
-        run: list = []
-        prev = None
-        for item in misses:
-            if run and (len(run) >= size or item[0] != prev + 1):
-                chunks.append(run)
-                run = []
-            run.append(item)
-            prev = item[0]
-        if run:
-            chunks.append(run)
-        return chunks
-
-    def _solve_request(self, request: Request, scenario, key: str,
-                       t0: float, deadline: float | None) -> dict:
-        values = (list(scenario.grid()) if scenario.axis is not None
-                  else [None])
-        shards: dict[int, tuple[str, object]] = {}
-        misses = []                     # (index, value, pk) in grid order
-        for i, v in enumerate(values):
-            pk = point_key(scenario, v)
-            hit = self.store.get_point(pk)
-            if hit is not None:
-                shards[i] = ("store", hit)
-                metrics.inc("service.shards", source="store")
-            else:
-                misses.append((i, v, pk))
-        if misses:
-            budget = self._derived_budget(scenario, deadline, len(misses))
-            chunks = self._plan_shards(scenario, misses)
-            tasks = []
-            chunk_by_task: dict[int, list] = {}
-            for chunk in chunks:
-                shard = (scenario.with_grid([v for _, v, _ in chunk])
-                         if scenario.axis is not None else scenario)
-                if budget is not None:
-                    shard = shard.with_engine(solve_budget=budget)
-                task_id = chunk[0][0]
-                # The 4th element carries the request ID into the spawn
-                # worker, where it scopes every span the shard emits.
-                tasks.append((task_id, scenario_to_dict(shard),
-                              chunk[0][1], obs_trace.current_request_id()))
-                chunk_by_task[task_id] = chunk
-
-            def persist(task_id, status, payload):
-                # Clean points hit the store the moment their shard
-                # completes, not after the whole sweep: a daemon
-                # SIGKILLed mid-sweep loses only its in-flight shards,
-                # and the replay resumes from the persisted prefix.
-                if status != "ok":
-                    return
-                for k, (_, _, pk) in enumerate(chunk_by_task[task_id]):
-                    pt = payload["points"][k]
-                    if pt.get("error") is None:
-                        self.store.put_point(
-                            pk, {**payload, "points": [pt]})
-
-            outcomes = self.pool.run_tasks(
-                tasks, deadline=deadline, on_result=persist)
-            for task_id, chunk in chunk_by_task.items():
-                status, payload = outcomes.get(
-                    task_id, ("timeout", "request deadline exceeded"))
-                for k, (i, _, _) in enumerate(chunk):
-                    if status == "ok":
-                        shards[i] = ("solve",
-                                     {**payload,
-                                      "points": [payload["points"][k]]})
-                    else:
-                        shards[i] = (status, payload)
-                    metrics.inc("service.shards", source=shards[i][0])
-        return self._assemble(request, scenario, key, values, shards, t0)
-
-    def _assemble(self, request: Request, scenario, key: str, values,
-                  shards, t0: float) -> dict:
-        meta = next((payload for kind, payload in shards.values()
-                     if kind in ("store", "solve")), None)
-        points = []
-        degraded = False
-        store_points = solved_points = 0
-        for i, v in enumerate(values):
-            kind, payload = shards[i]
-            if kind in ("store", "solve"):
-                points.append(payload["points"][0])
-                if kind == "store":
-                    store_points += 1
-                else:
-                    solved_points += 1
-                continue
-            if kind == "timeout":
-                degraded = True
-                error = f"DeadlineExceeded: {payload}"
-            else:
-                error = str(payload)
-            points.append(run_point_to_dict(
-                RunPoint(value=v, error=error, converged=False)))
-        result = {
-            "engine": (meta["engine"] if meta is not None
-                       else scenario.engine.engine),
-            "parameter": scenario.parameter,
-            "class_names": (list(meta["class_names"]) if meta is not None
-                            else list(self._class_names(scenario, values))),
-            "points": points,
-        }
-        metric_names = (meta.get("metric_names") if meta is not None
-                        else None)
-        if metric_names is None and getattr(
-                scenario.output, "wants_distributions", False):
-            metric_names = scenario.output.metrics
-        if metric_names:
-            result["metric_names"] = list(metric_names)
-        error_points = sum(1 for pt in points if pt.get("error"))
-        if not degraded and error_points == 0:
-            self.store.put_result(key, result)
-        return protocol.result_response(
-            request.id, key=key, result=result, cached=False,
-            degraded=degraded, store_points=store_points,
-            solved_points=solved_points, error_points=error_points,
-            elapsed=time.monotonic() - t0)
-
-    @staticmethod
-    def _class_names(scenario, values):
-        return scenario.system.config_for(values[0]).class_names
 
     # -- front ends --------------------------------------------------------
 
@@ -731,3 +572,175 @@ class ScenarioService:
                 pass                    # stay quiet; obs covers it
 
         return ThreadingHTTPServer((host, port), Handler)
+
+
+# -- the run path ----------------------------------------------------------
+#
+# Module-level so that :func:`repro.scenario.run` can drive a checkpointed
+# or parallel sweep through the same store and pool logic as the daemon.
+
+
+def _derived_budget(scenario, deadline: float | None,
+                    cold_points: int) -> float | None:
+    """Per-point solve budget carved out of the request deadline.
+
+    When the request carries a deadline but the scenario sets no
+    ``solve_budget`` of its own, each cold point gets an equal slice of
+    the remaining time.  A single divergent solve then aborts inside
+    its slice (one explicit error point) instead of silently eating the
+    whole request's deadline and degrading every point queued behind
+    it.  Point cache keys are computed from the *unbudgeted* scenario,
+    so the derived budget never changes result identity — a
+    budget-limited solve either finishes with the same numbers or
+    fails and is not persisted.
+    """
+    if deadline is None or cold_points == 0:
+        return None
+    if scenario.engine.solve_budget is not None:
+        return None                     # the scenario's own budget wins
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return None                     # the pool times the points out
+    return remaining / cold_points
+
+
+def _plan_shards(scenario, misses: list) -> list[list]:
+    """Group cold points into adjacency-preserving shards.
+
+    ``misses`` is ``(grid index, value, point key)`` tuples in grid
+    order.  Without batching every point is its own shard.  With
+    ``engine.batch_points > 1``, runs of *consecutive* grid indices are
+    chunked up to that size, each run from its first point — a
+    store-hit gap splits the run, because continuation across the gap
+    would seed from a neighbor the shard does not contain.
+    """
+    batch = int(getattr(scenario.engine, "batch_points", 0) or 0)
+    size = batch if (batch > 1 and scenario.axis is not None) else 1
+    chunks: list[list] = []
+    run: list = []
+    prev = None
+    for item in misses:
+        if run and (len(run) >= size or item[0] != prev + 1):
+            chunks.append(run)
+            run = []
+        run.append(item)
+        prev = item[0]
+    if run:
+        chunks.append(run)
+    return chunks
+
+
+def execute(scenario, store: ResultStore, pool: SupervisedPool, *,
+            deadline: float | None = None) -> tuple[dict, dict]:
+    """Serve ``scenario`` from ``store``, solving the misses on ``pool``.
+
+    Every grid value is looked up by :func:`point_key`; the misses are
+    cut into shards (:func:`_plan_shards`) and solved on ``pool``.  A
+    shard's clean points are persisted the moment it completes, so an
+    interrupted call (a deadline, a ``KeyboardInterrupt``, a killed
+    process) loses only the shards in flight.  Failed and timed-out
+    points are never persisted.  The full result is stored under
+    :func:`scenario_key` only when every point is clean.
+
+    Shards run with no ``workers``, ``checkpoint``, trace or
+    solver-metrics output, so a worker's :func:`repro.scenario.run`
+    solves in-process and never re-enters this function.
+
+    Returns ``(result, counts)``: the deterministic result dict (the
+    :func:`~repro.scenario.run.run_result_to_dict` form, points in grid
+    order) and the ``degraded`` flag plus ``store_points`` /
+    ``solved_points`` / ``error_points`` counts of the reply.
+    """
+    # Metric *selectors* survive the strip: they are part of result
+    # identity (the stored points carry the columns they name).
+    scenario = dataclasses.replace(
+        scenario,
+        engine=dataclasses.replace(scenario.engine,
+                                   workers=None, checkpoint=None),
+        output=OutputSpec(measures=scenario.output.measures,
+                          metrics=scenario.output.metrics))
+    values = (list(scenario.grid()) if scenario.axis is not None
+              else [None])
+    shards: dict[int, tuple[str, object]] = {}
+    misses = []                         # (index, value, pk) in grid order
+    for i, v in enumerate(values):
+        pk = point_key(scenario, v)
+        hit = store.get_point(pk)
+        if hit is not None:
+            shards[i] = ("store", hit)
+            metrics.inc("service.shards", source="store")
+        else:
+            misses.append((i, v, pk))
+    if misses:
+        budget = _derived_budget(scenario, deadline, len(misses))
+        tasks = []
+        chunk_by_task: dict[int, list] = {}
+        for chunk in _plan_shards(scenario, misses):
+            shard = (scenario.with_grid([v for _, v, _ in chunk])
+                     if scenario.axis is not None else scenario)
+            if budget is not None:
+                shard = shard.with_engine(solve_budget=budget)
+            task_id = chunk[0][0]
+            # The 4th element carries the request ID into the worker,
+            # where it scopes every span the shard emits.
+            tasks.append((task_id, scenario_to_dict(shard), chunk[0][1],
+                          obs_trace.current_request_id()))
+            chunk_by_task[task_id] = chunk
+
+        def persist(task_id, status, payload):
+            if status != "ok":
+                return
+            for k, (_, _, pk) in enumerate(chunk_by_task[task_id]):
+                pt = payload["points"][k]
+                if pt.get("error") is None:
+                    store.put_point(pk, {**payload, "points": [pt]})
+
+        outcomes = pool.run_tasks(tasks, deadline=deadline,
+                                  on_result=persist)
+        for task_id, chunk in chunk_by_task.items():
+            status, payload = outcomes.get(
+                task_id, ("timeout", "request deadline exceeded"))
+            for k, (i, _, _) in enumerate(chunk):
+                if status == "ok":
+                    shards[i] = ("solve", {**payload,
+                                           "points": [payload["points"][k]]})
+                else:
+                    shards[i] = (status, payload)
+                metrics.inc("service.shards", source=shards[i][0])
+
+    meta = next((payload for kind, payload in shards.values()
+                 if kind in ("store", "solve")), None)
+    points = []
+    counts = {"degraded": False, "store_points": 0, "solved_points": 0}
+    for i, v in enumerate(values):
+        kind, payload = shards[i]
+        if kind in ("store", "solve"):
+            points.append(payload["points"][0])
+            counts["store_points" if kind == "store" else "solved_points"] += 1
+            continue
+        if kind == "timeout":
+            counts["degraded"] = True
+            error = f"DeadlineExceeded: {payload}"
+        else:
+            error = str(payload)
+        points.append(run_point_to_dict(
+            RunPoint(value=v, error=error, converged=False)))
+    result = {
+        "engine": (meta["engine"] if meta is not None
+                   else scenario.engine.engine),
+        "parameter": scenario.parameter,
+        "class_names": (list(meta["class_names"]) if meta is not None
+                        else list(scenario.system.config_for(
+                            values[0]).class_names)),
+        "points": points,
+    }
+    metric_names = meta.get("metric_names") if meta is not None else None
+    if metric_names is None and getattr(
+            scenario.output, "wants_distributions", False):
+        metric_names = scenario.output.metrics
+    if metric_names:
+        result["metric_names"] = list(metric_names)
+    counts["error_points"] = sum(1 for pt in points if pt.get("error"))
+    if not counts["degraded"] and counts["error_points"] == 0:
+        store.put_result(scenario_key(scenario), result)
+    return result, counts

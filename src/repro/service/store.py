@@ -3,10 +3,10 @@
 A :class:`ResultStore` maps content hashes
 (:func:`~repro.scenario.hashing.scenario_key` /
 :func:`~repro.scenario.hashing.point_key`) to stored result payloads.
-Durability follows the :class:`~repro.resilience.checkpoint.SweepJournal`
-discipline — every record is written, flushed, and ``fsync``-ed before
-``put`` returns — and the same crash model applies: the only corruption
-an append-only writer can produce is a torn final line.
+It backs both the daemon (``serve --store DIR``) and checkpointed CLI
+sweeps (``--checkpoint DIR``), so the two share results.  Every record
+is written, flushed, and ``fsync``-ed before ``put`` returns, so the
+only corruption an append-only writer can produce is a torn final line.
 
 Layout: the store directory holds numbered segments
 (``seg-00000001.jsonl`` ...), each opening with a header record and
@@ -27,6 +27,9 @@ Corruption is never fatal:
 
 Writes are idempotent by key: re-putting an existing key is a no-op, so
 replaying a workload against a warm store does not grow it.
+
+One process at a time: an open store holds a lock on ``LOCK`` in its
+directory, and a second process opening it gets a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+
+try:
+    import fcntl
+except ImportError:                     # Windows: no POSIX record locks
+    fcntl = None
 
 from repro.errors import ValidationError
 from repro.obs import log as obs_log
@@ -59,7 +67,12 @@ class ResultStore:
     def __init__(self, root: str | os.PathLike, *,
                  segment_max_bytes: int = 4 << 20):
         self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ValidationError(
+                f"result store {str(self.root)!r} is not a directory; "
+                "result stores are directories of JSONL segments") from None
         if segment_max_bytes <= 0:
             raise ValidationError(
                 f"segment_max_bytes must be > 0, got {segment_max_bytes}")
@@ -70,9 +83,33 @@ class ResultStore:
         self.quarantined_segments = 0
         self.compactions = 0
         self._fh = None
+        self._lock_fh = None
         with span("service.store.open", root=str(self.root)):
+            self._lock()
             self._replay()
             self._open_active()
+
+    def _lock(self) -> None:
+        """Hold ``LOCK`` in the store directory until :meth:`close`.
+
+        Opening a store heals its segments in place, so a second
+        process opening a store in use (a CLI ``--checkpoint`` run
+        pointed at a live daemon's ``--store``) could rewrite a segment
+        the first is appending to.  It is rejected instead.  The lock is
+        a POSIX record lock: it dies with its process, and forked pool
+        workers do not inherit it.
+        """
+        if fcntl is None:
+            return
+        fh = open(self.root / "LOCK", "a")
+        try:
+            fcntl.lockf(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            fh.close()
+            raise ValidationError(
+                f"result store {str(self.root)!r} is in use by another "
+                "process (a running daemon or sweep)") from None
+        self._lock_fh = fh
 
     # -- open-time replay --------------------------------------------------
 
@@ -300,6 +337,9 @@ class ResultStore:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        if self._lock_fh is not None:
+            self._lock_fh.close()       # releases the lock
+            self._lock_fh = None
 
     def __enter__(self) -> "ResultStore":
         return self

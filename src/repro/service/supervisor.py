@@ -1,9 +1,8 @@
 """Supervised worker pool: restart, backoff, circuit breaker.
 
-The sweep driver's ``workers=N`` pool (:mod:`repro.workloads.sweeps`)
-assumes a cooperative process pool for one sweep; a long-running
-service cannot — workers die (OOM killers, segfaulting BLAS, operators)
-and the daemon must keep serving.  :class:`SupervisedPool` owns one
+The daemon and parallel CLI sweeps (``--workers N``) solve their
+shards here.  Workers die (OOM killers, segfaulting BLAS, operators)
+and the caller must keep going.  :class:`SupervisedPool` owns one
 process per slot, each with its own depth-one task queue so the
 supervisor always knows exactly which shard a dead worker was holding:
 
@@ -39,6 +38,8 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import signal
+import sys
+import threading
 import time
 from collections import deque
 
@@ -185,12 +186,19 @@ def _worker_main(task_queue, result_queue, trace_base=None,
     so the merged trace carries request-tagged worker spans (and, with
     ``profile``, cProfile hotspot records).
     """
+    from repro.resilience import faults
+
+    # A forked worker inherits its caller's armed faults and metrics
+    # registry (a daemon arms one); start where a spawned worker does.
+    faults.disarm()
     kill_cfg = chaos_from_env()
     tracer = None
     if trace_base is not None:
         tracer = ensure_worker_tracer(trace_base)
         metrics.reset()
         metrics.enable()
+    else:
+        metrics.disable()
     while True:
         item = task_queue.get()
         if item is None:
@@ -214,13 +222,33 @@ def _worker_main(task_queue, result_queue, trace_base=None,
             tracer.emit(record)
 
 
+def _start_context(default):
+    """The context a worker process starts from: fork where it is safe.
+
+    A forked worker starts with every module its caller imported; a
+    spawned one spends ~1.3 s re-importing ``repro`` and scipy before
+    it solves anything.  But a forked child inherits every lock in
+    whatever state the moment of fork caught it, so fork only from a
+    caller with no other threads (a CLI sweep).  A serving daemon has
+    live threads (the stdio reader, HTTP handlers) — e.g. the reader
+    thread blocks in readline() *holding* sys.stdin's buffer lock, and
+    a forked child's multiprocessing bootstrap then deadlocks closing
+    sys.stdin — so it spawns, as every caller does off Linux.  Native
+    threads are not counted: the OpenBLAS that numpy wheels ship shuts
+    its thread pool down around fork.
+    """
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return mp.get_context("fork")
+    return default
+
+
 class _Slot:
     """One supervised worker: process, queue, and failure bookkeeping."""
 
     def __init__(self, index: int, ctx):
         self.index = index
         self.ctx = ctx
-        self.task_queue = ctx.Queue()
+        self.task_queue = None
         self.proc = None
         self.inflight = None            # (task_id, shard, value) or None
         self.restarts: list[float] = [] # crash-restart times (breaker)
@@ -233,7 +261,12 @@ class _Slot:
         return self.proc is not None and self.proc.is_alive()
 
     def start(self, result_queue, trace_base=None, profile=False) -> None:
-        self.proc = self.ctx.Process(
+        # A fresh queue per process: nothing a dead worker left unread
+        # (or a lock it died holding) reaches its replacement.  A
+        # SimpleQueue's put writes inline, so dispatching starts no
+        # feeder thread that would turn the next start into a spawn.
+        self.task_queue = self.ctx.SimpleQueue()
+        self.proc = _start_context(self.ctx).Process(
             target=_worker_main,
             args=(self.task_queue, result_queue, trace_base, profile),
             daemon=True, name=f"repro-service-worker-{self.index}")
@@ -275,13 +308,8 @@ class SupervisedPool:
         self.breaker_window = breaker_window
         self.task_kill_limit = task_kill_limit
         self.total_restarts = 0
-        # Spawn, never fork: the daemon forks workers from a process
-        # with live threads (the stdio reader, HTTP handlers), and a
-        # forked child inherits every lock in whatever state the
-        # moment of fork caught it — e.g. the reader thread blocks in
-        # readline() *holding* sys.stdin's buffer lock, and the forked
-        # child's multiprocessing bootstrap then deadlocks closing
-        # sys.stdin.  Spawned workers start from a clean interpreter.
+        # Queues come from the spawn context, which both a forked and
+        # a spawned worker can use (see _start_context).
         self._ctx = mp.get_context("spawn")
         self._result_queue = self._ctx.Queue() if workers else None
         self._slots = [_Slot(i, self._ctx) for i in range(workers)]
@@ -338,13 +366,6 @@ class SupervisedPool:
             return slot.alive
         if now < slot.not_before:
             return False
-        # A dead process may leave its depth-1 queue holding the task
-        # it never read; drain so the replacement starts clean.
-        try:
-            while True:
-                slot.task_queue.get_nowait()
-        except queue_mod.Empty:
-            pass
         slot.start(self._result_queue, self.trace_base, self.profile)
         metrics.inc("service.worker.starts", worker=slot.index)
         obs_log.debug("worker.start", worker=slot.index,

@@ -32,13 +32,12 @@ value) solves cold and its converged per-class ``R`` matrices seed the
 not move the fixed point's ``1e-5`` stopping test, so batched results
 match cold per-point solves to well under ``1e-8``; vacation-level
 continuation would shift the stopping iterate and is deliberately not
-done.  Head seeds are journaled (``cont`` field on the head's point
-record), so a killed-and-resumed batched sweep reseeds pending points
-with the exact numbers the interrupted run used — chunk anchoring plus
-composition-independent kernels make the resume byte-identical.  The
-chunk-local lineage (a chunk never seeds from outside itself) is what
-lets the service daemon shard a batched sweep by chunk without
-changing any point's bytes.
+done.  The chunk-local lineage (a chunk never seeds from outside
+itself) is what lets the service's result store shard a batched sweep
+by chunk without changing any point's bytes: a store persists a
+shard's points only when the whole shard returns, so after a kill the
+misses are whole chunks, and the resumed run solves them again from
+the same cold heads.
 """
 
 from __future__ import annotations
@@ -399,39 +398,19 @@ def _final_rs(t: _Task) -> list:
     return out
 
 
-def _cont_payload(rs: list) -> list:
-    return [None if R is None else R.tolist() for R in rs]
-
-
-def _cont_from_record(rec: dict | None) -> list | None:
-    if not rec:
-        return None
-    cont = rec.get("cont")
-    if not cont:
-        return None
-    try:
-        return [None if R is None else np.asarray(R, dtype=np.float64)
-                for R in cont]
-    except Exception:  # noqa: BLE001 - journal written by another engine
-        return None
-
-
 def run_batched_pending(*, grid, pending, batch: int,
                         heavy_traffic_only: bool,
                         model_kwargs: dict | None,
                         solve_kwargs: dict | None,
                         skip_errors: bool,
-                        finish, done_records: dict) -> None:
+                        finish) -> None:
     """Solve a sweep's pending points through the batched engine.
 
     Parameters mirror the serial loop of
-    :func:`repro.workloads.sweeps.sweep`; ``finish(slot, point, extra)``
-    journals a completed point (``extra`` carries the continuation
-    seeds on chunk-head records) and ``done_records`` maps
-    already-journaled values to their raw records (the source of seeds
-    on resume).
+    :func:`repro.workloads.sweeps.sweep`; ``finish(slot, point)``
+    records a completed point.
     """
-    from repro.workloads.sweeps import SweepPoint, _error_point
+    from repro.workloads.sweeps import _error_point, solved_point
 
     model_kwargs = dict(model_kwargs or {})
     solve_kwargs = dict(solve_kwargs or {})
@@ -447,7 +426,7 @@ def run_batched_pending(*, grid, pending, batch: int,
         opts = model._options(max_iterations, tol, heavy_traffic_only)
         return _Task(v, model, opts, seed)
 
-    def emit(t: _Task, extra: dict | None) -> BaseException | None:
+    def emit(t: _Task) -> BaseException | None:
         """Turn a finished task into points for all its slots."""
         slots = by_value[t.value]
         if t.error is not None:
@@ -457,29 +436,18 @@ def run_batched_pending(*, grid, pending, batch: int,
                 _error_point(t.value, t.config.class_names, t.error),
                 solve_seconds=t.elapsed, warm=t.warm)
         else:
-            solved = t.model._package(t.result)
-            point = SweepPoint(
-                value=t.value,
-                mean_jobs=tuple(c.mean_jobs for c in solved.classes),
-                mean_response_time=tuple(c.mean_response_time
-                                         for c in solved.classes),
-                iterations=solved.iterations,
-                converged=solved.converged,
-                solve_seconds=t.elapsed,
-                warm=t.warm,
-            )
+            point = solved_point(t.value, t.model._package(t.result),
+                                 solve_seconds=t.elapsed, warm=t.warm)
         metrics.inc("sweep.points", len(slots),
                     start="warm" if t.warm else "cold")
         metrics.observe("sweep.point.seconds", t.elapsed)
         for slot, _ in slots:
-            finish(slot, point, extra)
-            extra = None  # journal head payloads once, not per duplicate
+            finish(slot, point)
         return None
 
     abort: BaseException | None = None
     for ci, chunk in enumerate(plan_chunks(grid, batch)):
-        todo = [v for v in chunk if v in by_value
-                and done_records.get(v) is None]
+        todo = [v for v in chunk if v in by_value]
         if not todo:
             continue
 
@@ -494,31 +462,28 @@ def run_batched_pending(*, grid, pending, batch: int,
                     raise
                 point = _error_point(v, by_value[v][0][1].class_names, exc)
                 for slot, _ in by_value[v]:
-                    finish(slot, point, None)
+                    finish(slot, point)
                 continue
             solvable.append(v)
         if not solvable:
             continue
 
         head_v = chunk[0]
-        head_rs = _cont_from_record(done_records.get(head_v))
+        head_rs = None
         with span("sweep.chunk", index=ci, size=len(solvable)):
             if head_v in solvable:
                 head_task = make_task(head_v, None)
                 run_lockstep([head_task], STACKED)
-                extra = None
                 if head_task.error is None:
                     head_rs = _final_rs(head_task)
-                    if len(chunk) > 1:
-                        extra = {"cont": _cont_payload(head_rs)}
-                abort = emit(head_task, extra)
+                abort = emit(head_task)
                 if abort is not None:
                     break
             tail = [make_task(v, head_rs) for v in solvable if v != head_v]
             if tail:
                 run_lockstep(tail, STACKED)
                 for t in tail:
-                    abort = abort or emit(t, None)
+                    abort = abort or emit(t)
         if abort is not None:
             break
     if abort is not None:

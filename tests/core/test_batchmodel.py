@@ -105,6 +105,18 @@ class TestBatchEffects:
         assert solved.mean_jobs(0) > plain.mean_jobs(0)
 
 
+class TestIterationBudget:
+    def test_zero_iterations_runs_one_pass(self):
+        # A zero budget still runs one pass, as run_lockstep does,
+        # instead of failing on a never-assigned state.
+        model = BatchGangSchedulingModel(single_class(), [[0.5, 0.5]])
+        zero = model.solve(max_iterations=0)
+        one = model.solve(max_iterations=1)
+        assert zero.iterations == one.iterations == 1
+        assert not zero.converged
+        assert zero.mean_jobs(0) == one.mean_jobs(0)
+
+
 class TestPhaseService:
     def test_multinomial_entry_with_erlang_service(self):
         """Batch jobs drawing Erlang service phases: brute-force check."""

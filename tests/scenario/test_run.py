@@ -11,8 +11,10 @@ from repro.scenario import (
     Scenario,
     SweepAxis,
     SystemSpec,
+    canonical_bytes,
     get_scenario,
     run,
+    run_result_to_dict,
 )
 
 SMALL_SWEEP = SystemSpec(preset="fig23", args={"arrival_rate": 0.4},
@@ -60,12 +62,18 @@ class TestAnalyticSweep:
                 reference.points[i].mean_jobs, rel=1e-12)
 
     def test_checkpoint_resume_counted(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "store")
         scenario = Scenario(name="sw", system=SMALL_SWEEP,
                             engine=EngineSpec(checkpoint=path))
-        assert run(scenario).resumed == 0
+        first = run(scenario)
+        assert first.resumed == 0
         again = run(scenario)
         assert again.resumed == len(again.points)
+        assert again.points == first.points
+        # The store client returns what the in-process sweep returns.
+        plain = run(Scenario(name="sw", system=SMALL_SWEEP))
+        assert canonical_bytes(run_result_to_dict(first)) \
+            == canonical_bytes(run_result_to_dict(plain))
 
     def test_to_table_shapes(self):
         table = run(Scenario(name="sw", system=SMALL_SWEEP)).to_table()

@@ -18,7 +18,7 @@ from repro.scenario import (
     run_result_to_dict,
 )
 from repro.serialize import scenario_to_dict
-from repro.service import ScenarioService, ServiceConfig
+from repro.service import ScenarioService, ServiceConfig, daemon
 
 
 @pytest.fixture
@@ -289,19 +289,19 @@ class TestDerivedSolveBudget:
         import time
         scenario = normalized("fig2", "quick")
         deadline = time.monotonic() + 10.0
-        budget = service._derived_budget(scenario, deadline, 5)
+        budget = daemon._derived_budget(scenario, deadline, 5)
         assert budget == pytest.approx(2.0, rel=0.05)
 
     def test_no_deadline_or_explicit_budget_means_no_derivation(
             self, service):
         import time
         scenario = normalized("fig2", "quick")
-        assert service._derived_budget(scenario, None, 5) is None
+        assert daemon._derived_budget(scenario, None, 5) is None
         budgeted = scenario.with_engine(solve_budget=3.0)
-        assert service._derived_budget(
+        assert daemon._derived_budget(
             budgeted, time.monotonic() + 10.0, 5) is None
         # An expired deadline derives nothing; the pool times out.
-        assert service._derived_budget(
+        assert daemon._derived_budget(
             scenario, time.monotonic() - 1.0, 5) is None
 
     def test_divergent_point_degrades_alone_under_derived_budget(

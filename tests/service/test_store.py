@@ -1,11 +1,17 @@
 """Tests for the crash-safe result store: durability, repair, quarantine."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.service.store import STORE_SCHEMA, ResultStore
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def record_lines(path):
@@ -54,6 +60,42 @@ class TestBasics:
         store.close()
         with pytest.raises(ValidationError, match="closed"):
             store.put_result("k", {})
+
+    def test_file_path_rejected(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"kind": "sweep-header"}\n')
+        with pytest.raises(ValidationError, match="not a directory") as exc:
+            ResultStore(path)
+        assert str(path) in str(exc.value)
+        with pytest.raises(ValidationError, match="not a directory"):
+            ResultStore(path / "below")
+        assert path.read_text() == '{"kind": "sweep-header"}\n'
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX locks")
+    def test_store_in_use_by_another_process_rejected(self, tmp_path):
+        def open_elsewhere():
+            code = ("import sys\n"
+                    "from repro.errors import ValidationError\n"
+                    "from repro.service.store import ResultStore\n"
+                    "try:\n"
+                    "    ResultStore(sys.argv[1]).close()\n"
+                    "except ValidationError as exc:\n"
+                    "    sys.exit(str(exc))\n")
+            return subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path)],
+                env={**os.environ, "PYTHONPATH": SRC},
+                capture_output=True, text=True, timeout=120)
+
+        with ResultStore(tmp_path) as store:
+            store.put_point("p", {"v": 1})
+            other = open_elsewhere()
+            assert other.returncode == 1
+            assert "in use by another process" in other.stderr
+            assert str(tmp_path) in other.stderr
+            assert store.put_point("q", {"v": 2})   # the holder is unharmed
+        assert open_elsewhere().returncode == 0     # close released it
+        with ResultStore(tmp_path) as store:
+            assert store.stats()["points"] == 2
 
 
 class TestRotation:

@@ -1,11 +1,14 @@
 """Tests for the supervised worker pool: restarts, backoff, breaker.
 
-The pool tests spawn real worker processes and drive them with the
+The pool tests start real worker processes and drive them with the
 ``REPRO_SERVICE_CHAOS`` kill hook — a worker that SIGKILLs itself on a
 chosen grid value is indistinguishable from an OOM-killed one.
 """
 
 import json
+import multiprocessing as mp
+import sys
+import threading
 import time
 
 import pytest
@@ -13,7 +16,12 @@ import pytest
 from repro.errors import ValidationError
 from repro.scenario import get_scenario
 from repro.serialize import scenario_to_dict
-from repro.service.supervisor import CHAOS_ENV, SupervisedPool, solve_shard
+from repro.service.supervisor import (
+    CHAOS_ENV,
+    SupervisedPool,
+    _start_context,
+    solve_shard,
+)
 
 
 def shard_for(value):
@@ -57,6 +65,16 @@ class TestInline:
             SupervisedPool(-1)
 
 
+class TestStartMethod:
+    def test_forks_only_on_linux_without_other_threads(self, monkeypatch):
+        spawn = mp.get_context("spawn")
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert _start_context(spawn) is spawn     # a serving daemon
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        method = _start_context(spawn).get_start_method()
+        assert method == ("fork" if sys.platform == "linux" else "spawn")
+
+
 class TestPool:
     def test_pool_solve_matches_inline(self):
         shard = shard_for(0.5)
@@ -67,6 +85,19 @@ class TestPool:
         assert status == "ok"
         assert payload == solve_shard(shard)    # byte-identical shard
         assert stats["restarts"] == 0
+
+    def test_worker_ignores_faults_armed_in_caller(self):
+        """A forked worker starts where a spawned one does: a fault
+        armed in the calling process does not fire inside it."""
+        from repro.errors import ConvergenceError
+        from repro.resilience import faults
+
+        with faults.inject("sweeps.point", raises=ConvergenceError):
+            with SupervisedPool(1) as pool:
+                status, payload = pool.run_tasks(
+                    [(0, shard_for(0.5), 0.5)])[0]
+        assert status == "ok"
+        assert payload["points"][0].get("error") is None
 
     def test_sigkilled_worker_restarted_and_task_requeued(
             self, tmp_path, monkeypatch):

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import ENGINE_FLAGS, build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Every subcommand that evaluates a scenario shares the engine schema.
 EVALUATING_SUBCOMMANDS = ("run", "solve", "figure", "optimize", "simulate")
@@ -134,7 +141,7 @@ class TestEngineFlagParity:
     """
 
     SAMPLE = {
-        "--backend": "dense", "--workers": "2", "--checkpoint": "cp.jsonl",
+        "--backend": "dense", "--workers": "2", "--checkpoint": "cp",
         "--max-iterations": "50", "--fp-tol": "1e-7",
         "--heavy-traffic": None, "--solve-budget": "2.5", "--batch": "8",
         "--horizon": "500", "--seed": "7",
@@ -207,7 +214,7 @@ class TestRunSubcommand:
         assert "simulation" not in out
 
     def test_run_flag_overrides_apply(self, tmp_path, capsys):
-        path = str(tmp_path / "cp.jsonl")
+        path = str(tmp_path / "cp")
         assert main(["run", "fig4", "--checkpoint", path]) == 0
         capsys.readouterr()
         assert main(["run", "fig4", "--checkpoint", path]) == 0
@@ -246,10 +253,15 @@ class TestErrorHandling:
             main(["--traceback"] + self.UNSTABLE)
 
     def test_checkpoint_mismatch_reported_readably(self, tmp_path, capsys):
+        # A journal file from before checkpoints were store directories.
         path = tmp_path / "fig.jsonl"
         path.write_text('{"kind": "sweep-header", "parameter": "other"}\n')
-        assert main(["figure", "2", "--checkpoint", str(path)]) == 2
-        assert "CheckpointError" in capsys.readouterr().err
+        assert main(["figure", "4", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-gang: ValidationError:")
+        assert "not a directory" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_run_missing_scenario_file_exits_2(self, tmp_path, capsys):
         # Satellite regression: a bad path used to leak a raw
@@ -330,6 +342,18 @@ class TestServiceCLI:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["op"] == "ping"
 
+    def test_request_store_file_exits_2(self, tmp_path, capsys):
+        from repro.obs import metrics
+        path = tmp_path / "store.jsonl"
+        path.write_text("")
+        assert main(["request", "fig2", "--store", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-gang: ValidationError:")
+        assert "not a directory" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        # The service that failed to open disarmed what it had armed.
+        assert not metrics.enabled()
+
     def test_request_error_reply_exits_2(self, tmp_path, capsys):
         rc = main(["request", "no-such-preset",
                    "--store", str(tmp_path / "store")])
@@ -339,12 +363,44 @@ class TestServiceCLI:
 
 class TestFigureCheckpoint:
     def test_figure_resumes_from_checkpoint(self, tmp_path, capsys):
-        path = tmp_path / "fig4.jsonl"
+        path = tmp_path / "fig4"
         assert main(["figure", "4", "--checkpoint", str(path)]) == 0
         first = capsys.readouterr().out
-        assert path.exists()
+        assert path.is_dir()
         assert main(["figure", "4", "--checkpoint", str(path)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_figure_checkpoint_serves_daemon_request(self, tmp_path, capsys):
+        """A CLI checkpoint is a service store: the daemon answers the
+        same scenario from it without solving."""
+        path = str(tmp_path / "fig4")
+        assert main(["figure", "4", "--checkpoint", path]) == 0
+        capsys.readouterr()
+        assert main(["request", "fig4", "--store", path]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply["status"] == "ok" and reply["cached"] is True
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX locks")
+    def test_checkpoint_in_use_by_daemon_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "store")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store", path,
+             "--workers", "0"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True,
+            env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            ready, _, _ = select.select([daemon.stdout], [], [], 120)
+            assert ready, "the daemon printed no ready banner"
+            assert json.loads(daemon.stdout.readline())["status"] == "ready"
+            assert main(["figure", "4", "--checkpoint", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("repro-gang: ValidationError:")
+            assert "in use by another process" in captured.err
+        finally:
+            daemon.stdin.close()
+            daemon.wait(timeout=60)
 
 
 class TestObservabilityFlags:
@@ -375,12 +431,25 @@ class TestObservabilityFlags:
         assert "rsolve" in out
         assert "solver:" in out
 
+    def test_parallel_trace_keeps_worker_stage_rows(self, tmp_path, capsys):
+        """Workers trace into sidecars merged into the run's trace,
+        so the report still has per-stage rows."""
+        trace = tmp_path / "run.jsonl"
+        assert main(["figure", "2", "--workers", "2",
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert not list(tmp_path.glob("run.jsonl.w*"))  # sidecars merged
+        assert main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        table = out.split("per-class, per-stage wall seconds:")[1]
+        assert "rsolve" in table.split("\n\n")[0]
+
     def test_report_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err
 
     def test_checkpoint_resume_summary_line(self, tmp_path, capsys):
-        path = tmp_path / "fig4.jsonl"
+        path = tmp_path / "fig4"
         assert main(["figure", "4", "--checkpoint", str(path)]) == 0
         first = capsys.readouterr()
         assert "resumed" not in first.err

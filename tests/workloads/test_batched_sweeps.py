@@ -3,13 +3,11 @@
 The batched engine (:mod:`repro.workloads.batched`) must be an
 *implementation detail*: warm-started lockstep solves agree with cold
 per-point solves to 1e-8 on any grid shape — non-monotone, duplicated,
-or both — and a killed batched sweep resumed from its journal replays
-the exact bytes an uninterrupted run produces.
+or both — and a killed batched sweep resumed from its checkpoint store
+replays the exact bytes an uninterrupted run produces.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,17 @@ from hypothesis import strategies as st
 
 from repro.core import ClassConfig, SystemConfig
 from repro.resilience import faults
+from repro.scenario import (
+    EngineSpec,
+    Scenario,
+    SweepAxis,
+    SystemSpec,
+    canonical_bytes,
+    run,
+    run_result_to_dict,
+)
 from repro.workloads import sweep
+from tests.store_records import store_records
 
 #: A pool of stable loads for ``tiny_config``; sampling with
 #: replacement forces duplicate grid values, permutation strategies
@@ -88,50 +96,40 @@ class TestContinuationParity:
 
 
 class TestKillAndResume:
-    GRID = [0.3, 0.45, 0.6, 0.75, 0.9, 1.05]
+    GRID = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+
+    def scenario(self, checkpoint) -> Scenario:
+        return Scenario(
+            name="fig4-batched",
+            system=SystemSpec(preset="fig4",
+                              axis=SweepAxis("service_rate", self.GRID)),
+            engine=EngineSpec(batch_points=3, checkpoint=str(checkpoint)))
 
     def test_killed_batched_sweep_resumes_byte_identical(self, tmp_path):
-        clean_path = tmp_path / "clean.jsonl"
-        crash_path = tmp_path / "crash.jsonl"
-        clean = sweep("lambda", self.GRID, tiny_config, batch=3,
-                      checkpoint=clean_path)
+        clean = run(self.scenario(tmp_path / "clean"))
 
-        # Kill inside the second chunk: fault sites fire before the
-        # chunk solves, so the whole second chunk is lost and only the
-        # first chunk's three points survive in the journal.
+        # Kill inside the second shard: fault sites fire before a chunk
+        # solves, so the whole second shard is lost and only the first
+        # shard's three points survive in the store.
         with faults.inject("sweeps.point", raises=KeyboardInterrupt,
-                           keys=(0.9,)):
+                           keys=(self.GRID[4],)):
             with pytest.raises(KeyboardInterrupt):
-                sweep("lambda", self.GRID, tiny_config, batch=3,
-                      checkpoint=crash_path)
-        resumed = sweep("lambda", self.GRID, tiny_config, batch=3,
-                        checkpoint=crash_path)
+                run(self.scenario(tmp_path / "crash"))
+        resumed = run(self.scenario(tmp_path / "crash"))
 
         assert resumed.resumed == 3
+        # Byte-level: the lost shard re-solved from the same cold head,
+        # so its warm tail reproduces the uninterrupted numbers.
         assert resumed.points == clean.points
-        # Byte-level: every numeric field matches exactly — the
-        # resumed tail re-solved from the journaled continuation seed.
-        for rp, cp in zip(resumed.points, clean.points):
-            assert rp.mean_jobs == cp.mean_jobs
-            assert rp.mean_response_time == cp.mean_response_time
-            assert rp.iterations == cp.iterations
-        assert resumed.render() == clean.render()
-        assert crash_path.read_bytes() == clean_path.read_bytes()
+        assert canonical_bytes(run_result_to_dict(resumed)) \
+            == canonical_bytes(run_result_to_dict(clean))
+        assert store_records(tmp_path / "crash") \
+            == store_records(tmp_path / "clean")
 
     def test_resume_skips_all_solves(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        sweep("lambda", self.GRID, tiny_config, batch=3, checkpoint=path)
-        # Journals from older releases carry a ``probe`` timing object
-        # on chunk-head records; they must still load and resume.
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[1])
-        head["probe"] = {"backend": "dense",
-                         "stage_seconds": {"assemble": 0.01, "rsolve": 0.02}}
-        lines[1] = json.dumps(head)
-        path.write_text("\n".join(lines) + "\n")
+        run(self.scenario(tmp_path / "cp"))
         with faults.inject("sweeps.point", raises=RuntimeError) as spec:
-            second = sweep("lambda", self.GRID, tiny_config, batch=3,
-                           checkpoint=path)
+            second = run(self.scenario(tmp_path / "cp"))
         assert spec.fired == 0
         assert second.resumed == len(self.GRID)
 
