@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(SPAA '96 reproduction)")
     parser.add_argument("--traceback", action="store_true",
                         help="dump the full traceback on solver errors "
-                             "instead of a one-line message")
+                             "and interrupts instead of a one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run",
@@ -798,6 +798,13 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"repro-gang: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Ctrl-C (or `timeout -s INT`, which signals twice): one line and
+        # the shell's 128 + SIGINT, not a traceback per signal.
+        if args.traceback:
+            raise
+        print("repro-gang: interrupted", file=sys.stderr)
+        return 130
     finally:
         if collecting:
             from repro import obs

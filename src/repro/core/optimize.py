@@ -35,7 +35,6 @@ import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from repro.core.config import SystemConfig
 from repro.core.model import GangSchedulingModel, SolvedModel
@@ -413,6 +412,8 @@ def optimize_cycle_split(config_factory: Callable[[tuple[float, ...]], SystemCon
         fractions = unpack(z)
         return _evaluate(config_factory(fractions), objective, model_kwargs)
 
+    from scipy import optimize as sciopt  # slow to load; only needed here
+
     res = sciopt.minimize(f, x0, method="Nelder-Mead",
                           options={"maxfev": max_evaluations,
                                    "xatol": 1e-3, "fatol": 1e-4})
@@ -469,6 +470,8 @@ def optimize_weights(config: SystemConfig, *,
         evals += 1
         policy = WeightedQuantum(weights=unpack(z))
         return _evaluate(config, objective, model_kwargs, policy=policy)
+
+    from scipy import optimize as sciopt  # slow to load; only needed here
 
     res = sciopt.minimize(f, x0, method="Nelder-Mead",
                           options={"maxfev": max_evaluations,

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sp
-from scipy import stats
 
 from repro.errors import ValidationError
 from repro.kernels import diagonal, is_sparse, row_sums, to_csr
+from repro.utils.poisson import poisson_weights, poisson_window
 from repro.utils.validation import check_generator
 
 __all__ = ["uniformization_rate", "uniformize", "transient_distribution"]
@@ -99,9 +99,11 @@ def transient_distribution(Q, p0: np.ndarray, t: float,
     """Distribution at time ``t``: ``p0 expm(Q t)`` via Poisson-weighted steps.
 
     Truncates the Poisson(``q_max * t``) series at mass ``1 - tol``
-    (two-sided), guaranteeing an absolute error below ``tol`` in each
-    component.  ``Q`` may be dense or CSR; each series term is one
-    vector-matrix product either way.
+    (two-sided, :func:`~repro.utils.poisson.poisson_window`),
+    guaranteeing an absolute error below ``tol`` in each component.
+    ``Q`` may be dense or CSR; each series term is one vector-matrix
+    product either way.  A rate ``q_max * t`` whose window is not
+    finite raises :class:`~repro.errors.ValidationError`.
     """
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t}")
@@ -110,15 +112,18 @@ def transient_distribution(Q, p0: np.ndarray, t: float,
         return p0.copy()
     P, rate = uniformize(Q)
     lam = rate * t
-    # Two-sided truncation of the Poisson weights.
-    lo, hi = stats.poisson.interval(1.0 - tol, lam)
-    lo, hi = int(max(lo, 0)), int(hi) + 1
-    weights = stats.poisson.pmf(np.arange(0, hi + 1), lam)
+    window = poisson_window(lam, tol)
+    if window is None:
+        raise ValidationError(
+            f"the Poisson window of q_max * t = {lam!r} is not finite; "
+            f"the series cannot be truncated")
+    lo, hi = window
+    weights = poisson_weights(lam, lo, hi)
     out = np.zeros_like(p0)
     v = p0.copy()
     for k in range(0, hi + 1):
         if k >= lo:
-            out += weights[k] * v
+            out += weights[k - lo] * v
         v = np.asarray(v @ P)
     # Renormalize the truncated series.
     s = out.sum()

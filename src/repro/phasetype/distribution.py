@@ -25,19 +25,24 @@ rates).  The vectors ``alpha P^k`` do not depend on ``x``, so each law
 keeps only their scalar reductions ``c_k = alpha P^k e`` and
 ``d_k = alpha P^k s0``, grown on demand: ``sf``/``cdf`` (from ``c``)
 and ``pdf`` (from ``d``) are then a Poisson-weighted sum over the
-``1 - 1e-14`` window, O(K) scalar work per probe once the sequence
-reaches the window.  A value depends only on the law and ``x``, never
+``1 - 1e-14`` window (:mod:`repro.utils.poisson`), O(K) scalar work per
+probe once the sequence reaches the window.  ``c`` is non-increasing,
+so once it has decayed to ``1e-16`` at or before the window, every term
+in the window is negligible and the probe returns the ``x = inf``
+limit; a huge ``x`` is answered from the decayed prefix, not from
+``theta x`` terms.  A value depends only on the law and ``x``, never
 on which arguments were probed before.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import NotAPhaseTypeError
+from repro.utils.poisson import poisson_weights, poisson_window
 from repro.utils.validation import (
     as_float_array,
     check_subgenerator,
@@ -48,6 +53,9 @@ __all__ = ["PhaseType"]
 
 #: Indices into ``PhaseType._power_sums``: survival mass and exit density.
 _MASS, _EXIT = 0, 1
+#: Largest sequence term (``c_k``, or ``theta c_k`` bounding ``d_k``)
+#: that counts as zero: below the window's own ``1e-14`` truncation.
+_NEGLIGIBLE = 1e-16
 
 
 class PhaseType:
@@ -283,15 +291,37 @@ class PhaseType:
         """``sum_k Pois(k; theta x) * seq_k`` over the ``1 - 1e-14`` window.
 
         ``seq`` is ``c`` (``which=_MASS``, giving ``alpha exp(S x) e``)
-        or ``d`` (``which=_EXIT``, giving ``alpha exp(S x) s0``).
+        or ``d`` (``which=_EXIT``, giving ``alpha exp(S x) s0``).  Zero
+        once the sequence has decayed before the window starts; a window
+        past scipy's range (``theta x`` beyond ~2e11) starts at infinity.
         """
         _, theta = self._uniformized
         lam = theta * x
-        lo, hi = stats.poisson.interval(1.0 - 1e-14, lam)
-        lo, hi = int(max(lo, 0)), int(hi) + 1
+        window = poisson_window(lam, 1e-14)
+        # d_k <= theta c_k, as every exit rate is at most theta.
+        scale = theta if which == _EXIT else 1.0
+        if self._decayed_by(math.inf if window is None else window[0], scale):
+            return 0.0
+        lo, hi = window
         seq = self._power_sums(hi + 1)[which]
-        weights = stats.poisson.pmf(np.arange(lo, hi + 1), lam)
-        return float((weights * seq[lo:hi + 1]).sum())
+        return float((poisson_weights(lam, lo, hi) * seq[lo:hi + 1]).sum())
+
+    def _decayed_by(self, lo: float, scale: float) -> bool:
+        """Whether ``scale * c_K <= _NEGLIGIBLE`` for some ``K <= lo``.
+
+        Grows the sequence toward ``lo`` in doubling chunks and stops at
+        the first chunk whose last term has decayed, so an infinite
+        ``lo`` costs only the terms it takes ``c`` to decay.
+        """
+        n = 1
+        while True:
+            c = self._power_sums(n)[_MASS]
+            n = c.size
+            if scale * c[min(n - 1, lo)] <= _NEGLIGIBLE:
+                return True
+            if n > lo:
+                return False
+            n = min(2 * n, lo + 1)
 
     def _eval(self, x, mix, at_zero: float, below: float, at_inf: float):
         scalar = np.isscalar(x) or np.ndim(x) == 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ValidationError
 from repro.phasetype.builders import coxian, erlang, exponential, hyperexponential
@@ -125,6 +124,8 @@ def match_three_moments(m1: float, m2: float, m3: float,
         a = 1.0 / (1.0 + math.exp(-a_logit))
         c1, c2, c3 = _coxian2_moments(abs(l1), abs(l2), a)
         return [(c1 - m1) / m1, (c2 - m2) / m2, (c3 - m3) / m3]
+
+    from scipy import optimize  # slow to load; only needed here
 
     # Seed from the two-moment fit's mean split.
     x0 = np.array([2.0 / m1, 1.0 / m1, 0.0])

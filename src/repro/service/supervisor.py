@@ -188,6 +188,9 @@ def _worker_main(task_queue, result_queue, trace_base=None,
     """
     from repro.resilience import faults
 
+    # Ctrl-C signals the whole process group; the caller handles it and
+    # stops its workers with SIGTERM in close().
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # A forked worker inherits its caller's armed faults and metrics
     # registry (a daemon arms one); start where a spawned worker does.
     faults.disarm()
@@ -226,7 +229,7 @@ def _start_context(default):
     """The context a worker process starts from: fork where it is safe.
 
     A forked worker starts with every module its caller imported; a
-    spawned one spends ~1.3 s re-importing ``repro`` and scipy before
+    spawned one spends ~1 s re-importing ``repro`` and scipy before
     it solves anything.  But a forked child inherits every lock in
     whatever state the moment of fork caught it, so fork only from a
     caller with no other threads (a CLI sweep).  A serving daemon has

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
+from scipy import special
 
 from repro.obs.trace import span
 
@@ -123,7 +123,8 @@ def run_replications(factory, *, replications: int = 10, horizon: float,
 def _summarize(samples: dict[str, list[tuple[float, ...]]],
                confidence: float) -> dict[str, ReplicationSummary]:
     replications = len(next(iter(samples.values())))
-    tcrit = float(spstats.t.ppf(0.5 + confidence / 2.0, replications - 1))
+    # Student-t quantile: what scipy.stats.t.ppf(q, df) evaluates.
+    tcrit = float(special.stdtrit(replications - 1, 0.5 + confidence / 2.0))
     out: dict[str, ReplicationSummary] = {}
     for name, rows in samples.items():
         arr = np.asarray(rows)          # (R, L)

@@ -13,6 +13,10 @@ Submodules
     service-phase state space.
 ``rng``
     Seed-sequence helpers for reproducible parallel streams.
+``poisson``
+    The Poisson window and weights of a uniformization series, shared by
+    :class:`~repro.phasetype.PhaseType` and
+    :func:`~repro.markov.uniformization.transient_distribution`.
 """
 
 from repro.utils.combinatorics import (

@@ -87,3 +87,10 @@ class TestTransient:
         p0 = np.array([0.0, 0.0, 1.0])
         got = transient_distribution(Q, p0, 500.0)
         assert got == pytest.approx(solve_stationary_gth(Q), abs=1e-9)
+
+    def test_window_past_scipy_range_names_the_rate(self, Q):
+        # q_max * t = 4e12: scipy's Poisson quantile is nan there, so the
+        # series has no finite truncation (it used to fail with a bare
+        # "cannot convert float NaN to integer").
+        with pytest.raises(ValidationError, match=r"4000000000000\.0"):
+            transient_distribution(Q, np.array([1.0, 0.0, 0.0]), 1e12)

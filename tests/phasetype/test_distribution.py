@@ -274,6 +274,19 @@ class TestCachedUniformization:
                 fresh = PhaseType(d.alpha, d.S)
                 assert getattr(shared, fn)(x) == getattr(fresh, fn)(x)
 
+    @pytest.mark.parametrize("x", [1e6, 1e20])
+    @pytest.mark.parametrize(
+        "name", ["erlang", "hyperexponential", "atom", "fig2-response"])
+    def test_huge_threshold_gives_the_limits_at_infinity(
+            self, response_law, name, x):
+        # theta * x = 1e22 is past scipy's Poisson quantile (nan), and
+        # 1e6 would need ~theta * 1e6 series terms: both are answered
+        # once c_k has decayed below 1e-16, from a short prefix.
+        d = _laws(response_law)[name]
+        fresh = PhaseType(d.alpha, d.S)
+        assert (fresh.cdf(x), fresh.sf(x), fresh.pdf(x)) == (1.0, 0.0, 0.0)
+        assert fresh.__dict__["_sums"][0].size <= 2 ** 15
+
     def test_limits_at_infinity_and_nan(self):
         d = erlang(3, mean=1.0)
         assert (d.cdf(np.inf), d.sf(np.inf), d.pdf(np.inf)) == (1.0, 0.0, 0.0)

@@ -3,8 +3,10 @@
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -304,6 +306,22 @@ class TestErrorHandling:
         assert captured.err.startswith("repro-gang: ValidationError:")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_huge_finite_tail_threshold_answers_zero(self, tmp_path, capsys):
+        # theta * 1e20 is past scipy's Poisson quantile; every point used
+        # to come back nan (means included) with exit 0.
+        from repro.scenario import get_scenario
+        from repro.serialize import save_scenario
+        path = tmp_path / "point.json"
+        save_scenario(get_scenario("fig2").with_grid([1.0]), path)
+        assert main(["run", str(path),
+                     "--metrics-select", "mean,tail@1e20"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("# response-time metrics")[1].splitlines()
+        header, row = table[1], table[3].split()
+        assert header.count("tail@1e20[class") == 4
+        assert "nan" not in out
+        assert [float(v) for v in row[-4:]] == [0.0] * 4
+
     def test_run_bad_file_traceback_flag_reraises(self, tmp_path):
         from repro.errors import ValidationError
         with pytest.raises(ValidationError):
@@ -401,6 +419,48 @@ class TestFigureCheckpoint:
         finally:
             daemon.stdin.close()
             daemon.wait(timeout=60)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    def test_ctrl_c_prints_one_line_and_exits_130(self, tmp_path, capsys):
+        """SIGINT to the process group, as Ctrl-C sends it, mid-sweep:
+        one stderr line, exit 130, and the rerun resumes to the output
+        of a plain run."""
+        store = tmp_path / "fig4"
+        argv = ["figure", "4", "--workers", "2", "--checkpoint", str(store)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            # Substring, not JSON: the writer may be mid-line.
+            while (not any('"kind":"point"' in seg.read_text()
+                           for seg in store.glob("seg-*.jsonl"))
+                   and proc.poll() is None and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert proc.poll() is None, "the sweep ended before a point"
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["repro-gang: interrupted"]
+        assert main(["figure", "4"]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == plain
+        assert "point(s) resumed" in resumed.err
+
+    def test_ctrl_c_traceback_flag_reraises(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("repro.cli._cmd_solve", interrupted)
+        assert main(["solve"]) == 130
+        with pytest.raises(KeyboardInterrupt):
+            main(["--traceback", "solve"])
 
 
 class TestObservabilityFlags:
