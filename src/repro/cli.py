@@ -37,6 +37,16 @@ Every evaluating subcommand is a thin adapter that builds a
 :class:`~repro.scenario.spec.EngineSpec` schema (:data:`ENGINE_FLAGS`),
 so every knob is reachable from every subcommand by construction.
 
+Exit status
+-----------
+0 on success; 1 when a ``request`` reply is neither ok nor an error
+(``busy``); 2 on a usage error or an expected solver failure
+(:class:`~repro.errors.ReproError`, one ``repro-gang: ...`` line on
+stderr); 130 when interrupted (Ctrl-C); 141 when the reader of stdout
+has gone (``| head``, ``| grep -q``), with nothing on stderr.  The last
+two are the statuses a shell gives a process killed by SIGINT and
+SIGPIPE.  ``--traceback`` (before the subcommand) re-raises instead.
+
 Observability
 -------------
 The evaluating subcommands all accept ``--trace FILE`` (record a span
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from repro.core import ClassConfig, GangSchedulingModel, SystemConfig
@@ -437,7 +448,6 @@ def _load_scenario_arg(ref: str, grid: str = "default"):
     one-line :class:`~repro.errors.ReproError` message (exit 2)
     instead of a confusing unknown-preset listing or a raw traceback.
     """
-    import os
     import pathlib
 
     from repro.scenario import get_scenario
@@ -512,7 +522,6 @@ def _cmd_serve(args) -> int:
 
 def _request_payload(args) -> dict:
     """Build the request object a ``request`` invocation sends."""
-    import os
     import pathlib
 
     request: dict = {"id": args.id, "op": args.op}
@@ -789,7 +798,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro import obs
         obs.start(trace_path=trace_path)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush inside the try: small outputs are still buffered, and a
+        # gone reader would otherwise fail the interpreter's last flush.
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         # Solver failures (instability, non-convergence, a bad
         # checkpoint path) are expected operational outcomes: report them
@@ -805,6 +818,16 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print("repro-gang: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader of stdout has gone: stop quietly with the shell's
+        # 128 + SIGPIPE.  Whatever is still buffered goes to /dev/null,
+        # so the flush at interpreter exit cannot fail again.
+        if args.traceback:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if collecting:
             from repro import obs

@@ -3,31 +3,43 @@
 :func:`repro.core.vacation.effective_quantum` is the reference
 implementation and documents the construction; this module computes
 the same absorbing PH with the per-iteration overhead stripped out.
-It profiles as the fixed point's dominant stage, and almost all of its
-cost was index bookkeeping rather than arithmetic:
+It runs once per stable class in every fixed-point iteration, and
+almost all of its cost is bookkeeping rather than arithmetic, so:
 
-* the service/waiting index sets of every level are pure functions of
-  the :class:`~repro.core.statespace.ClassStateSpace` — an
-  :class:`ExtractionWorkspace` computes them once per space (states are
-  ordered ``(a, v, k)`` with ``k`` fastest, so they are arange
-  patterns, not state-enumeration loops);
+* everything that depends only on the
+  :class:`~repro.core.statespace.ClassStateSpace` is computed once per
+  space by an :class:`ExtractionWorkspace` — the service/waiting index
+  sets of every level (states are ordered ``(a, v, k)`` with ``k``
+  fastest, so they are arange patterns) and a gather plan that places
+  all boundary levels at once: flat indices into the concatenated
+  boundary blocks for the entries of ``T``, the absorbed row sums
+  grouped by length, and the boundary entry flows stacked by shape;
 * every level above the boundary shares the repeating blocks, so the
   retained/absorbing slices of ``A0``/``A1``/``A2`` are placed as
   strided diagonal bands in one copy each;
-* the truncation search walks ``pi_b R^n`` incrementally instead of
-  calling ``tail_probability`` (a fresh ``matrix_power``) per level,
-  and the powers it generates are the repeating levels' entry flows.
+* the truncation search writes ``pi_b R^j`` level by level into one
+  preallocated buffer and tests the tails over blocks that double in
+  length (16, 32, 64, ... levels); the powers it generates are the
+  repeating levels' entry flows.
 
 :func:`extract_effective_quanta` is the one implementation.  It takes
-n >= 1 solved chains sharing a state space and stacks their work; every
-stacked operation acts per slice, so a chain's quantum has the same
-bits whatever else shares the call.  A single solve calls it at n = 1
-through :func:`extract_effective_quantum`, on lookup, one class at a
-time; a batched sweep chunk calls it once per state-space group.
+n >= 1 solved chains sharing a state space and stacks their work.  A
+single solve calls it at n = 1 through
+:func:`extract_effective_quantum`, on lookup, one class at a time; a
+batched sweep chunk calls it once per state-space group.
 
-Results agree with the reference to floating-point noise (asserted by
-``tests/pipeline/test_extract.py``); they are not bit-identical
-because sums associate differently.
+The grouping never changes the arithmetic: each power, tail, row sum
+and entry flow is the same NumPy/BLAS operation on the same operands
+in the same order as a level-by-level placement, so the quanta are
+fixed to the bit (``tests/pipeline/test_extract_bits.py`` holds such a
+placement as its oracle).  Every stacked operation acts per slice, but
+NumPy's fancy indexing lays a stack out slice-innermost, and a product
+or long sum over such an operand runs a strided kernel instead of
+BLAS or pairwise summation: a chain extracted with others can differ
+from its own n = 1 call in the last bits.  Against the reference
+implementation the quanta agree to floating-point noise only
+(``tests/pipeline/test_extract.py``), because its sums associate
+differently.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import numpy as np
 
 from repro.core.statespace import ClassStateSpace
 from repro.errors import ValidationError
-from repro.kernels.sparse import row_sums, sub_dense
+from repro.kernels.sparse import row_sums
 from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
@@ -57,12 +69,64 @@ class _LevelIndices:
 
 
 @dataclass(frozen=True)
+class _SumGroup:
+    """Absorbed row sums of one length ``L``.
+
+    ``src`` is ``(rows, L)`` flat indices into the concatenated boundary
+    blocks; row ``r``'s sum is added to ``absorb[dst[r]]``.  The first
+    ``split`` rows sum a level's own waiting columns, the rest the
+    waiting columns of the level below, which are added second.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    split: int
+
+
+@dataclass(frozen=True)
+class _FlowGroup:
+    """Boundary entry flows ``pi_l[wait] @ B_ll[wait, svc]`` of one shape.
+
+    ``pi_src`` is ``(levels, 1, nw)`` into the concatenated boundary
+    ``pi``, ``w_src`` is ``(levels, nw, nr)`` into the concatenated
+    blocks, and the ``levels * nr`` products land at ``xi[dst]``.
+    """
+
+    pi_src: np.ndarray
+    w_src: np.ndarray
+    dst: np.ndarray
+
+
+@dataclass(frozen=True)
 class _ExtractionPlan:
-    """Space-dependent (but solution-independent) extraction layout."""
+    """Space-dependent (but solution-independent) extraction layout.
+
+    The PH lists the service states of boundary levels
+    ``lvl_start..c`` first (``nb`` of them); repeating level ``c + i``
+    follows at ``nb + (i - 1) * nrep``.
+    """
 
     lvl_start: int
-    boundary: tuple[_LevelIndices, ...]  # levels lvl_start..c
+    nb: int
+    #: ``(i, j)`` of the boundary blocks, concatenated in this order and
+    #: followed by one 0.0.
+    blocks: tuple[tuple[int, int], ...]
+    #: ``T[:nb, :nb + nrep]``, the boundary rows up to level c+1's
+    #: columns, as flat indices into the concatenation (the trailing
+    #: 0.0 where no block reaches).
+    window: np.ndarray
+    sums: tuple[_SumGroup, ...]
+    flows: tuple[_FlowGroup, ...]
+    #: Switch policy: the service rows of level 1 (the first ``T``
+    #: rows), whose down block lands in level-0 waiting states and is
+    #: absorbed whole.
+    down_svc: np.ndarray | None
     repeating: _LevelIndices             # levels > c
+    #: ``np.ix_`` tuples into the repeating blocks: service x service,
+    #: service x waiting, waiting x service.
+    rep_ss: tuple
+    rep_sw: tuple
+    rep_ws: tuple
 
 
 class ExtractionWorkspace:
@@ -97,15 +161,160 @@ class ExtractionWorkspace:
     def _build(self, space: ClassStateSpace) -> _ExtractionPlan:
         c = space.boundary_levels
         lvl_start = 0 if space.policy == "idle" else 1
-        boundary = tuple(self._indices(space, lvl)
-                         for lvl in range(lvl_start, c + 1))
-        return _ExtractionPlan(lvl_start=lvl_start, boundary=boundary,
-                               repeating=self._indices(space, c + 1))
+        idx = {lvl: self._indices(space, lvl)
+               for lvl in range(lvl_start, c + 2)}
+        rep = idx[c + 1]
+        nrep = len(rep.svc)
+        base = {}                       # first T row of each level
+        nb = 0
+        for lvl in range(lvl_start, c + 2):
+            base[lvl] = nb
+            nb += len(idx[lvl].svc) if lvl <= c else 0
+        if nb == 0 and nrep == 0:
+            raise ValidationError(
+                "no service states found; is m_quantum zero?")
+        if c < lvl_start or len(idx[c].svc) != nrep:
+            # The down band of level c+1 must land exactly on level c's
+            # block: level c shares the repeating phase layout.
+            raise ValidationError(
+                "repeating levels do not share level c's phase layout")
+
+        dim = {lvl: space.level_dim(lvl) for lvl in range(c + 2)}
+        blocks: list[tuple[int, int]] = []
+        start: dict[tuple[int, int], int] = {}
+        size = 0
+        for lvl in range(lvl_start, c + 1):
+            for j in (lvl - 1, lvl, lvl + 1):
+                if j >= lvl_start:
+                    blocks.append((lvl, j))
+                    start[lvl, j] = size
+                    size += dim[lvl] * dim[j]
+
+        def flat(i, j, rows, cols):
+            return start[i, j] + rows[:, None] * dim[j] + cols[None, :]
+
+        window = np.full((nb, nb + nrep), size, dtype=np.intp)
+        # Absorbed row sums by length: a level's own waiting columns,
+        # and (above lvl_start) the waiting columns of the level below.
+        own: dict[int, tuple[list, list]] = {}      # length: (src, dst)
+        below: dict[int, tuple[list, list]] = {}
+        flows: dict[tuple[int, int], tuple[list, list, list]] = {}
+        pi_start = np.cumsum([0] + [dim[lvl] for lvl in range(c + 1)])
+        for lvl in range(lvl_start, c + 1):
+            rows = idx[lvl].svc
+            nr = len(rows)
+            at = base[lvl] + np.arange(nr, dtype=np.intp)
+            for j in (lvl - 1, lvl, lvl + 1):
+                if j >= lvl_start:
+                    cols = idx[j].svc
+                    window[base[lvl]:base[lvl] + nr,
+                           base[j]:base[j] + len(cols)] = \
+                        flat(lvl, j, rows, cols)
+            for table, j in ((own, lvl), (below, lvl - 1)):
+                if j >= lvl_start and idx[j].wait.size:
+                    wait = idx[j].wait
+                    src, dst = table.setdefault(wait.size, ([], []))
+                    src.append(flat(lvl, j, rows, wait))
+                    dst.append(at)
+            wait = idx[lvl].wait
+            if wait.size:
+                group = flows.setdefault((wait.size, nr), ([], [], []))
+                group[0].append(pi_start[lvl] + wait[None, :])
+                group[1].append(flat(lvl, lvl, wait, rows))
+                group[2].append(at)
+
+        sums = []
+        for length in sorted(own.keys() | below.keys()):
+            own_src, own_dst = own.get(length, ([], []))
+            below_src, below_dst = below.get(length, ([], []))
+            sums.append(_SumGroup(src=np.concatenate(own_src + below_src),
+                                  dst=np.concatenate(own_dst + below_dst),
+                                  split=sum(len(a) for a in own_dst)))
+        return _ExtractionPlan(
+            lvl_start=lvl_start, nb=nb, blocks=tuple(blocks),
+            window=window, sums=tuple(sums),
+            flows=tuple(
+                _FlowGroup(pi_src=np.stack(pis), w_src=np.stack(ws),
+                           dst=np.concatenate(ats))
+                for pis, ws, ats in flows.values()),
+            down_svc=idx[1].svc if lvl_start == 1 else None,
+            repeating=rep,
+            rep_ss=np.ix_(rep.svc, rep.svc),
+            rep_sw=np.ix_(rep.svc, rep.wait),
+            rep_ws=np.ix_(rep.wait, rep.svc))
 
 
-#: Speculative tail-walk steps per block, and their offsets 1..8.
-_BLOCK = 8
-_STEPS = np.arange(1, _BLOCK + 1)
+def _entries(block) -> np.ndarray:
+    """A boundary block's entries in row-major order (CSR densified)."""
+    return (block if isinstance(block, np.ndarray)
+            else block.toarray()).ravel()
+
+
+#: The 0.0 after the concatenated boundary blocks.
+_ZERO = np.zeros(1)
+
+
+#: Levels in the first speculative tail-walk block; each next block
+#: doubles.
+_FIRST_BLOCK = 16
+
+
+def _truncation_walk(sols, c: int, truncation_mass: float,
+                     max_levels: int):
+    """Truncation levels ``K`` and the powers ``P[:, j] = pi_b R^(j+1)``.
+
+    Every slice follows the rule tail(K) = pi_b R^{K-c+1} (I - R)^{-1} e
+    and stops at the first level ``K >= c + 1`` whose tail is within
+    ``truncation_mass`` or that reaches ``max_levels``.  The powers are
+    sequential products written into one buffer; the tails of a block
+    of levels are evaluated in one stacked einsum, and powers past a
+    slice's stopping level are computed but never read.
+    """
+    n = len(sols)
+    Rs = np.stack([np.asarray(s.R, dtype=np.float64) for s in sols])
+    d = Rs.shape[1]
+    pib = np.stack([np.asarray(s.boundary_pi[s.boundary_levels],
+                               dtype=np.float64) for s in sols])
+    w = np.linalg.solve(np.eye(d)[None] - Rs, np.ones((n, d, 1)))[..., 0]
+    # Tail(K) reads P[:, K - c], and K never passes max(max_levels, c+1).
+    P = np.empty((n, max(max_levels - c, 1) + 1, d))
+    if n == 1:
+        # A 2-D product on the one chain: the same BLAS call as the
+        # stacked matmul, without the gufunc overhead.
+        R = Rs[0]
+
+        def extend(lo, hi):
+            prev = P[0, lo - 1]
+            for row in P[0, lo:hi]:
+                np.dot(prev, R, out=row)
+                prev = row
+
+        np.dot(pib[0], R, out=P[0, 0])
+    else:
+        def extend(lo, hi):
+            for j in range(lo, hi):
+                np.matmul(P[:, j - 1:j], Rs, out=P[:, j:j + 1])
+
+        np.matmul(pib[:, None, :], Rs, out=P[:, :1])
+    extend(1, 2)
+    # Slices still walking sit at K = c + lo - 1: column s of the next
+    # block is level K + 1 + s, and a block that ends at the buffer's
+    # last row ends at level max_levels, the cap.
+    K = np.full(n, c + 1, dtype=np.intp)
+    live = ((c + 1 < max_levels)
+            & (np.einsum("nd,nd->n", P[:, 1], w) > truncation_mass))
+    lo, block = 2, _FIRST_BLOCK
+    while live.any():
+        hi = min(lo + block, P.shape[1])
+        extend(lo, hi)
+        go = np.einsum("nbd,nd->nb", P[:, lo:hi], w) > truncation_mass
+        if hi == P.shape[1]:
+            go[:, -1] = False
+        on = go.all(axis=1)
+        K[live] += np.where(on, hi - lo, go.argmin(axis=1) + 1)[live]
+        live &= on
+        lo, block = hi, 2 * block
+    return K, P
 
 
 def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
@@ -119,7 +328,7 @@ def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
 
     Same construction, same truncation rule, same entry vector; see the
     reference implementation for the semantics.  ``workspace`` carries
-    the per-space index plans across fixed-point iterations.  This is
+    the per-space gather plans across fixed-point iterations.  This is
     :func:`extract_effective_quanta` for one chain.
     """
     return extract_effective_quanta(
@@ -155,156 +364,58 @@ def extract_effective_quanta(space: ClassStateSpace,
     c = space.boundary_levels
     lvl_start = plan.lvl_start
     rep = plan.repeating
-    rs = rep.svc
-    nrep = len(rs)
+    nrep = len(rep.svc)
     n = len(jobs)
+    procs = [pr for pr, _, _ in jobs]
     sols = [sol for _, sol, _ in jobs]
 
-    # ---- truncation level: lockstep tail walk ---------------------------
-    # Every slice follows the rule tail(K) = pi_b R^{K-c+1} (I - R)^{-1} e
-    # and freezes as its threshold is met.  The powers pi_b R^j generated
-    # along the way are exactly the entry-flow vectors the repeating
-    # levels need, so they are kept.
-    Rs = np.stack([np.asarray(s.R, dtype=np.float64) for s in sols])
-    d = Rs.shape[1]
-    pib = np.stack([np.asarray(s.boundary_pi[s.boundary_levels],
-                               dtype=np.float64) for s in sols])
-    w = np.linalg.solve(np.eye(d)[None] - Rs, np.ones((n, d, 1)))[..., 0]
-    cur = np.matmul(pib[:, None, :], Rs)
-    powers = [cur[:, 0, :]]                  # powers[j] = pi_b R^{j+1}
-    cur = np.matmul(cur, Rs)
-    powers.append(cur[:, 0, :])
-    K = np.full(n, c + 1, dtype=np.intp)
-    tail = np.einsum("nd,nd->n", powers[-1], w)
-    done = ~((K < max_levels) & (tail > truncation_mass))
-    while not done.all():
-        # Speculative block of steps: the powers are the same
-        # sequential matmuls (bitwise), the tails are evaluated in one
-        # stacked einsum, and each live slice stops at the first step
-        # whose level K + s reaches the cap or whose tail is within the
-        # threshold.  Powers past the stopping step are computed but
-        # never used (downstream slices by depth, not by count).
-        block = []
-        for _ in range(_BLOCK):
-            cur = np.matmul(cur, Rs)
-            block.append(cur[:, 0, :])
-        tails = np.einsum("nbd,nd->nb", np.stack(block, axis=1), w)
-        powers.extend(block)
-        stop = ~(((K[:, None] + _STEPS) < max_levels)
-                 & (tails > truncation_mass))
-        stopped = stop.any(axis=1)
-        live = ~done
-        K[live] += np.where(stopped, stop.argmax(axis=1) + 1, _BLOCK)[live]
-        done[live] = stopped[live]
-    P = np.stack(powers, axis=1) if rep.wait.size else None
+    K, P = _truncation_walk(sols, c, truncation_mass, max_levels)
+
+    # Boundary blocks (dense; CSR densified) and boundary pi, one
+    # concatenated row per job: the plan's flat indices gather from
+    # these.
+    cat = np.stack([np.concatenate([*(_entries(pr.block(i, j))
+                                      for i, j in plan.blocks), _ZERO])
+                    for pr in procs])
+    pis = np.stack([np.concatenate(sol.boundary_pi) for sol in sols])
+    if plan.down_svc is not None:
+        # Switch policy: the whole down block from level 1 lands in
+        # level-0 waiting states — pure absorption.
+        down = np.stack([row_sums(pr.block(1, 0))[plan.down_svc]
+                         for pr in procs])
 
     by_depth: dict[int, list[int]] = {}
     for i in range(n):
         by_depth.setdefault(int(K[i]), []).append(i)
 
-    def indices(lvl: int) -> _LevelIndices:
-        return rep if lvl > c else plan.boundary[lvl - lvl_start]
-
     out: list[PhaseType | None] = [None] * n
     for Kv, idxs in by_depth.items():
         ns = len(idxs)
-        offsets: dict[int, int] = {}
-        pos = 0
-        for lvl in range(lvl_start, Kv + 1):
-            offsets[lvl] = pos
-            pos += len(indices(lvl).svc)
-        order = pos
-        if order == 0:
-            raise ValidationError(
-                "no service states found; is m_quantum zero?")
+        sel = slice(None) if ns == n else idxs
         nlev = Kv - c                        # repeating levels, >= 1
-        if c < lvl_start or offsets[c + 1] - nrep != offsets[c]:
-            # The down band of level c+1 must land exactly on level c's
-            # block: level c shares the repeating phase layout.
-            raise ValidationError(
-                "repeating levels do not share level c's phase layout")
+        off0 = plan.nb
+        order = off0 + nlev * nrep
 
         T = np.zeros((ns, order, order))
         absorb = np.zeros((ns, order))
         xi = np.zeros((ns, order))
 
-        # ---- boundary levels: per-level slices --------------------------
-        # Each level's blocks are stacked across the subgroup so one
-        # fancy gather (pure element copies) replaces the per-job
-        # ``sub_dense`` calls.  A level whose blocks are not all dense
-        # gathers per job.  Local blocks keep their diagonal entries:
-        # they land on T's diagonal, which is rebuilt from the row sums
-        # below.
-        procs = [jobs[gi][0] for gi in idxs]
-        for lvl in range(lvl_start, c + 1):
-            idx = indices(lvl)
-            rows = idx.svc
-            nr = len(rows)
-            base = offsets[lvl]
-            blocks = [pr.block(lvl, lvl) for pr in procs]
-            dense = all(isinstance(b, np.ndarray) for b in blocks)
-            loc = np.stack(blocks) if dense else None
-            if dense:
-                T[:, base:base + nr, base:base + nr] += \
-                    loc[:, rows[:, None], rows[None, :]]
-                if idx.wait.size:
-                    absorb[:, base:base + nr] += \
-                        loc[:, rows[:, None], idx.wait[None, :]].sum(axis=2)
-            else:
-                for si, b in enumerate(blocks):
-                    T[si, base:base + nr, base:base + nr] += \
-                        sub_dense(b, rows, rows)
-                    if idx.wait.size:
-                        absorb[si, base:base + nr] += \
-                            sub_dense(b, rows, idx.wait).sum(axis=1)
-            up_rows = indices(lvl + 1).svc
-            o1 = offsets[lvl + 1]
-            ubs = [pr.block(lvl, lvl + 1) for pr in procs]
-            if all(isinstance(b, np.ndarray) for b in ubs):
-                T[:, base:base + nr, o1:o1 + len(up_rows)] += \
-                    np.stack(ubs)[:, rows[:, None], up_rows[None, :]]
-            else:
-                for si, b in enumerate(ubs):
-                    T[si, base:base + nr, o1:o1 + len(up_rows)] += \
-                        sub_dense(b, rows, up_rows)
-            if lvl > lvl_start:
-                dn = indices(lvl - 1)
-                o0 = offsets[lvl - 1]
-                dbs = [pr.block(lvl, lvl - 1) for pr in procs]
-                if all(isinstance(b, np.ndarray) for b in dbs):
-                    dstack = np.stack(dbs)
-                    T[:, base:base + nr, o0:o0 + len(dn.svc)] += \
-                        dstack[:, rows[:, None], dn.svc[None, :]]
-                    if dn.wait.size:
-                        absorb[:, base:base + nr] += \
-                            dstack[:, rows[:, None], dn.wait[None, :]].sum(axis=2)
-                else:
-                    for si, b in enumerate(dbs):
-                        T[si, base:base + nr, o0:o0 + len(dn.svc)] += \
-                            sub_dense(b, rows, dn.svc)
-                        if dn.wait.size:
-                            absorb[si, base:base + nr] += \
-                                sub_dense(b, rows, dn.wait).sum(axis=1)
-            elif lvl == 1 and lvl_start == 1:
-                # Switch policy: the whole down block from level 1 lands
-                # in level-0 waiting states — pure absorption.
-                dbs = [pr.block(1, 0) for pr in procs]
-                if all(isinstance(b, np.ndarray) for b in dbs):
-                    absorb[:, base:base + nr] += \
-                        np.stack(dbs).sum(axis=2)[:, rows]
-                else:
-                    for si, b in enumerate(dbs):
-                        absorb[si, base:base + nr] += row_sums(b)[rows]
-            if idx.wait.size:
-                # Entry flows of the boundary level: waiting -> service.
-                pis = np.stack([sols[gi].level(lvl) for gi in idxs])
-                if dense:
-                    wsub = loc[:, idx.wait[:, None], idx.svc[None, :]]
-                else:
-                    wsub = np.stack([sub_dense(b, idx.wait, idx.svc)
-                                     for b in blocks])
-                flow = np.matmul(pis[:, None, idx.wait], wsub)[:, 0, :]
-                xi[:, offsets[lvl]:offsets[lvl] + len(idx.svc)] += flow
+        # ---- boundary levels: the plan's gathers -----------------------
+        # Local blocks keep their diagonal entries: they land on T's
+        # diagonal, which is rebuilt from the row sums below.
+        csel = cat[sel]
+        T[:, :off0, :off0 + nrep] += csel[:, plan.window]
+        sums = [csel[:, g.src].sum(axis=2) for g in plan.sums]
+        for g, s in zip(plan.sums, sums):
+            absorb[:, g.dst[:g.split]] += s[:, :g.split]
+        for g, s in zip(plan.sums, sums):
+            absorb[:, g.dst[g.split:]] += s[:, g.split:]
+        if plan.down_svc is not None:
+            absorb[:, :len(plan.down_svc)] += down[sel]
+        psel = pis[sel]
+        for g in plan.flows:
+            flow = np.matmul(psel[:, g.pi_src], csel[:, g.w_src])
+            xi[:, g.dst] += flow.reshape(ns, -1)
 
         # ---- repeating levels: three strided band copies ----------------
         rep_local = np.empty((ns, nrep, nrep))
@@ -313,19 +424,19 @@ def extract_effective_quanta(space: ClassStateSpace,
         labs = np.zeros((ns, nrep))
         dabs = np.zeros((ns, nrep))
         Wm = np.empty((ns, rep.wait.size, nrep))
-        for si, pr in enumerate(procs):
+        for si, gi in enumerate(idxs):
+            pr = procs[gi]
             A0, A1, A2 = pr.A0, pr.A1, pr.A2
-            rep_local[si] = A1[np.ix_(rs, rs)]
-            rep_up[si] = A0[np.ix_(rs, rs)]
-            rep_down[si] = A2[np.ix_(rs, rs)]
+            rep_local[si] = A1[plan.rep_ss]
+            rep_up[si] = A0[plan.rep_ss]
+            rep_down[si] = A2[plan.rep_ss]
             if rep.wait.size:
-                labs[si] = A1[np.ix_(rs, rep.wait)].sum(axis=1)
-                dabs[si] = A2[np.ix_(rs, rep.wait)].sum(axis=1)
-                Wm[si] = A1[np.ix_(rep.wait, rs)]
+                labs[si] = A1[plan.rep_sw].sum(axis=1)
+                dabs[si] = A2[plan.rep_sw].sum(axis=1)
+                Wm[si] = A1[plan.rep_ws]
         # The three bands are diagonal block runs, so a strided view
         # places all K - c levels of every job with one block copy each
         # (every location is written exactly once onto zeros).
-        off0 = offsets[c + 1]
         s0, s1, s2 = T.strides
         lstep = (order + 1) * nrep * s2
         dview = np.lib.stride_tricks.as_strided(
@@ -353,8 +464,8 @@ def extract_effective_quanta(space: ClassStateSpace,
         if rep.wait.size:
             # Entry flows of the repeating levels: levels c+1..K need
             # pi_b R^1 .. R^{nlev} restricted to waiting phases — the
-            # collected powers, pushed through one stacked matmul.
-            flows = np.matmul(P[idxs][:, :nlev][:, :, rep.wait], Wm)
+            # walk's powers, pushed through one stacked matmul.
+            flows = np.matmul(P[idxs, :nlev][:, :, rep.wait], Wm)
             xi[:, off0:off0 + nlev * nrep] += flows.reshape(ns, nlev * nrep)
 
         for si, gi in enumerate(idxs):

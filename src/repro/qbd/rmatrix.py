@@ -258,7 +258,7 @@ def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
         maybe_fault("kernels.sparse", key="refine_R")
     scale = max(1.0, float(np.max(np.abs(A1))))
     target = max(tol, 1e-14) * scale
-    I = np.eye(d)
+    diag = np.arange(d)
     prev_resid = np.inf
     steps = 0
     for _ in range(max_steps):
@@ -278,8 +278,13 @@ def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
                 return None
             R = R + H
             continue
-        # vec-row-major: vec(A H B) = (A kron B^T) vec(H).
-        M = np.kron(I, (A1 + R @ A2).T) + np.kron(R, A2.T)
+        # vec-row-major: vec(A H B) = (A kron B^T) vec(H), so the
+        # matrix is kron(I, X^T) + kron(R, A2^T) with X = A1 + R A2.
+        # The first term only fills the d diagonal blocks: add X^T
+        # there instead of building it.
+        M = np.kron(R, A2.T)
+        blocks = M.reshape(d, d, d, d)      # blocks[i, :, j, :] = block (i, j)
+        blocks[diag, :, diag, :] += (A1 + R @ A2).T
         try:
             h = np.linalg.solve(M, -F.ravel())
         except np.linalg.LinAlgError:

@@ -30,6 +30,7 @@ replaying a workload against a warm store does not grow it.
 
 One process at a time: an open store holds a lock on ``LOCK`` in its
 directory, and a second process opening it gets a ``ValidationError``.
+So does a second open inside the process that holds it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
+import weakref
 
 try:
     import fcntl
@@ -54,6 +57,17 @@ STORE_SCHEMA = "repro-result-store"
 STORE_VERSION = 1
 
 _KINDS = ("result", "point")
+
+#: The stores open in this process, keyed by ``(pid, st_dev, st_ino)``
+#: of their ``LOCK`` file.  A POSIX record lock belongs to the process:
+#: a second store on the same directory would be granted it again, and
+#: closing either store would drop it for both.  The pid keeps a forked
+#: child, which inherits this table but not the lock, from being
+#: refused.  A store dropped without ``close()`` leaves the table along
+#: with its lock file handle.
+_OPEN_STORES: "weakref.WeakValueDictionary[tuple, ResultStore]" = \
+    weakref.WeakValueDictionary()
+_OPEN_STORES_GUARD = threading.Lock()
 
 
 def _header_line() -> str:
@@ -84,6 +98,7 @@ class ResultStore:
         self.compactions = 0
         self._fh = None
         self._lock_fh = None
+        self._lock_key = None
         with span("service.store.open", root=str(self.root)):
             self._lock()
             self._replay()
@@ -97,19 +112,36 @@ class ResultStore:
         pointed at a live daemon's ``--store``) could rewrite a segment
         the first is appending to.  It is rejected instead.  The lock is
         a POSIX record lock: it dies with its process, and forked pool
-        workers do not inherit it.
+        workers do not inherit it.  Record locks cannot see a second
+        open inside the holding process, so :data:`_OPEN_STORES` does;
+        that check must not open ``LOCK``, since closing any descriptor
+        of the file releases the process's lock on it.
         """
         if fcntl is None:
             return
-        fh = open(self.root / "LOCK", "a")
-        try:
-            fcntl.lockf(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            fh.close()
-            raise ValidationError(
-                f"result store {str(self.root)!r} is in use by another "
-                "process (a running daemon or sweep)") from None
-        self._lock_fh = fh
+        path = self.root / "LOCK"
+        with _OPEN_STORES_GUARD:
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                pass
+            else:
+                if (os.getpid(), st.st_dev, st.st_ino) in _OPEN_STORES:
+                    raise ValidationError(
+                        f"result store {str(self.root)!r} is in use: it "
+                        "is already open in this process")
+            fh = open(path, "a")
+            try:
+                fcntl.lockf(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                fh.close()
+                raise ValidationError(
+                    f"result store {str(self.root)!r} is in use by another "
+                    "process (a running daemon or sweep)") from None
+            st = os.fstat(fh.fileno())
+            self._lock_key = (os.getpid(), st.st_dev, st.st_ino)
+            _OPEN_STORES[self._lock_key] = self
+            self._lock_fh = fh
 
     # -- open-time replay --------------------------------------------------
 
@@ -338,8 +370,10 @@ class ResultStore:
             self._fh.close()
             self._fh = None
         if self._lock_fh is not None:
-            self._lock_fh.close()       # releases the lock
-            self._lock_fh = None
+            with _OPEN_STORES_GUARD:
+                self._lock_fh.close()       # releases the lock
+                self._lock_fh = None
+                _OPEN_STORES.pop(self._lock_key, None)
 
     def __enter__(self) -> "ResultStore":
         return self

@@ -61,7 +61,10 @@ def _gth_core(T: np.ndarray) -> np.ndarray:
     A = np.array(T, dtype=np.float64, copy=True)
     np.fill_diagonal(A, 0.0)
 
-    # Forward elimination: fold state k into states 0..k-1.
+    # Forward elimination: fold state k into states 0..k-1.  The rank-1
+    # updates also land on the diagonal, but no step reads a diagonal
+    # entry (the scales, the updates and the back substitution all take
+    # off-diagonal ones), so it is left as it falls.
     for k in range(n - 1, 0, -1):
         scale = A[k, :k].sum()
         if scale <= 0.0:
@@ -72,7 +75,6 @@ def _gth_core(T: np.ndarray) -> np.ndarray:
         A[:k, k] /= scale
         # Rank-1 update: rate i->j gains (rate i->k) * P(k->j | leave k).
         A[:k, :k] += np.outer(A[:k, k], A[k, :k])
-        np.fill_diagonal(A[:k, :k], 0.0)
 
     # Back substitution.
     pi = np.zeros(n)

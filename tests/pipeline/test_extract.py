@@ -81,11 +81,13 @@ def test_workspace_plan_reused_across_solutions():
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])
 def test_stacked_call_equals_each_single_call(policy):
-    # One call over n >= 2 chains of one state space must give every
-    # chain exactly the quantum its own n = 1 call gives: this is what
-    # lets single solves and batched sweep chunks share the function.
-    # The chains spread over three truncation depths, and the first and
-    # third share one, so the call stacks within a depth subgroup too.
+    # One call over n >= 2 chains of one state space gives every chain
+    # the quantum its own n = 1 call gives.  Exactly so here, where each
+    # entry flow and absorbed sum has one term; with several terms a
+    # stacked operand can take a different NumPy kernel (see the module
+    # docstring).  The chains spread over three truncation depths, and
+    # the first and third share one, so the call stacks within a depth
+    # subgroup too.
     jobs = []
     for lam, vac in ((0.4, erlang(3, 2.0)), (0.2, erlang(3, 1.4)),
                      (0.4, erlang(3, 2.02)), (0.45, erlang(3, 1.0))):

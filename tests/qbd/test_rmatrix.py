@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.generator import build_class_qbd
 from repro.errors import ValidationError
+from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
 from repro.qbd.rmatrix import (
     METHODS,
     RSolveDiagnostics,
     r_from_g,
+    refine_R,
     solve_G,
     solve_R,
 )
@@ -155,3 +158,47 @@ class TestReturnInfo:
         G, iterations = solve_G(A0, A1, A2, return_info=True)
         assert iterations >= 1
         assert np.allclose(G.sum(axis=1), 1.0, atol=1e-8)
+
+
+def _refine_kron_sum(A0, A1, A2, R, *, tol=1e-12, max_steps=8):
+    """Dense Newton refinement with the matrix built as the textbook
+    ``kron(I, X^T) + kron(R, A2^T)``: the expression ``refine_R``
+    shortcuts by adding ``X^T`` to the diagonal blocks only."""
+    d = A1.shape[0]
+    target = max(tol, 1e-14) * max(1.0, float(np.max(np.abs(A1))))
+    prev, steps = np.inf, 0
+    for _ in range(max_steps):
+        F = A0 + R @ A1 + R @ R @ A2
+        resid = float(np.max(np.abs(F)))
+        if resid <= target or resid >= prev:
+            break
+        prev, steps = resid, steps + 1
+        M = np.kron(np.eye(d), (A1 + R @ A2).T) + np.kron(R, A2.T)
+        R = R + np.linalg.solve(M, -F.ravel()).reshape(d, d)
+    return R, steps
+
+
+class TestRefineNewtonMatrix:
+    @pytest.mark.parametrize("partitions, vacation", [
+        (1, erlang(3, 2.0)),
+        (2, hyperexponential([0.3, 0.7], [2.7, 11.3])),
+        (4, PhaseType([0.5, 0.3, 0.2], [[-3.1, 1.2, 0.4],
+                                        [0.3, -2.2, 0.9],
+                                        [0.0, 0.7, -4.3]])),
+    ])
+    def test_same_bits_as_kron_sum(self, partitions, vacation):
+        proc, _ = build_class_qbd(partitions, exponential(0.35 * partitions),
+                                  exponential(1.0),
+                                  hyperexponential([0.45, 0.55],
+                                                   [0.61, 1.37]),
+                                  vacation, policy="switch")
+        A0, A1, A2 = proc.A0, proc.A1, proc.A2
+        R = solve_R(A0, A1, A2)
+        # A warm seed a few Newton steps out, as a neighbouring grid
+        # point or the previous fixed-point iterate hands over.
+        seed = R * (1.0 + 0.02 * np.cos(np.arange(R.size))).reshape(R.shape)
+        got, steps = refine_R(A0, A1, A2, seed, backend="dense",
+                              return_info=True)
+        want, want_steps = _refine_kron_sum(A0, A1, A2, seed)
+        assert steps == want_steps >= 2
+        assert np.array_equal(got, want)

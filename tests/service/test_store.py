@@ -1,6 +1,7 @@
 """Tests for the crash-safe result store: durability, repair, quarantine."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -73,29 +74,70 @@ class TestBasics:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="POSIX locks")
     def test_store_in_use_by_another_process_rejected(self, tmp_path):
-        def open_elsewhere():
-            code = ("import sys\n"
-                    "from repro.errors import ValidationError\n"
-                    "from repro.service.store import ResultStore\n"
-                    "try:\n"
-                    "    ResultStore(sys.argv[1]).close()\n"
-                    "except ValidationError as exc:\n"
-                    "    sys.exit(str(exc))\n")
-            return subprocess.run(
-                [sys.executable, "-c", code, str(tmp_path)],
-                env={**os.environ, "PYTHONPATH": SRC},
-                capture_output=True, text=True, timeout=120)
-
         with ResultStore(tmp_path) as store:
             store.put_point("p", {"v": 1})
-            other = open_elsewhere()
+            other = self.open_elsewhere(tmp_path)
             assert other.returncode == 1
             assert "in use by another process" in other.stderr
             assert str(tmp_path) in other.stderr
             assert store.put_point("q", {"v": 2})   # the holder is unharmed
-        assert open_elsewhere().returncode == 0     # close released it
+        # close() released it
+        assert self.open_elsewhere(tmp_path).returncode == 0
         with ResultStore(tmp_path) as store:
             assert store.stats()["points"] == 2
+
+    @staticmethod
+    def open_elsewhere(path):
+        code = ("import sys\n"
+                "from repro.errors import ValidationError\n"
+                "from repro.service.store import ResultStore\n"
+                "try:\n"
+                "    ResultStore(sys.argv[1]).close()\n"
+                "except ValidationError as exc:\n"
+                "    sys.exit(str(exc))\n")
+        return subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX locks")
+    def test_second_open_in_process_rejected_and_lock_kept(self, tmp_path):
+        # Record locks belong to the process, so the lock alone would
+        # grant a second open, and closing it would free the directory
+        # for another process while the first store still writes.
+        with ResultStore(tmp_path) as store:
+            with pytest.raises(ValidationError,
+                               match="already open in this process"):
+                ResultStore(tmp_path)
+            other = self.open_elsewhere(tmp_path)
+            assert other.returncode == 1
+            assert "in use by another process" in other.stderr
+            assert store.put_point("p", {"v": 1})
+        with ResultStore(tmp_path) as store:        # close() cleared it
+            assert store.get_point("p") == {"v": 1}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_forked_child_not_refused_by_parents_entry(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        parent_closed = ctx.Event()
+        store = ResultStore(tmp_path)
+        child = ctx.Process(target=_open_when_set,
+                            args=(tmp_path, parent_closed))
+        child.start()
+        store.close()
+        parent_closed.set()
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+
+
+def _open_when_set(path, event):
+    """Forked child: open the store once the parent has closed it (the
+    child's copy of the open-store table still lists the parent's)."""
+    if not event.wait(60):
+        sys.exit(2)
+    ResultStore(path).close()
 
 
 class TestRotation:

@@ -463,6 +463,38 @@ class TestFigureCheckpoint:
             main(["--traceback", "solve"])
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes")
+class TestStdoutReaderGone:
+    """A reader that closes stdout early (``| head``, ``| grep -q``)
+    ends every subcommand quietly with 128 + SIGPIPE."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scenarios"],
+        ["solve", "--heavy-traffic"],
+        ["request", "fig2", "--store", "{store}"],
+    ])
+    def test_closed_pipe_exits_141_without_traceback(self, tmp_path, argv):
+        argv = [a.format(store=tmp_path / "store") for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)          # the reader is gone before any write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": SRC})
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 141
+
+    def test_traceback_flag_reraises(self, monkeypatch):
+        def reader_gone(args):
+            raise BrokenPipeError
+        monkeypatch.setattr("repro.cli._cmd_solve", reader_gone)
+        with pytest.raises(BrokenPipeError):
+            main(["--traceback", "solve"])
+
+
 class TestObservabilityFlags:
     def test_trace_flag_writes_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

@@ -15,6 +15,22 @@ from repro.utils.linalg import (
 )
 
 
+def gth_zeroing_diagonal(T):
+    """GTH that re-zeroes the diagonal after every elimination step."""
+    n = T.shape[0]
+    A = np.array(T, dtype=np.float64, copy=True)
+    np.fill_diagonal(A, 0.0)
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+        np.fill_diagonal(A[:k, :k], 0.0)
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
+
+
 def random_generator(rng, n):
     """Random irreducible generator (dense positive off-diagonals)."""
     Q = rng.uniform(0.1, 2.0, size=(n, n))
@@ -156,3 +172,18 @@ class TestGeometricTailSum:
     def test_bad_weight(self, R):
         with pytest.raises(ValidationError):
             geometric_tail_sum(R, weight=3)
+
+
+class TestGTHDiagonal:
+    @pytest.mark.parametrize("n", [2, 3, 8, 23, 40])
+    def test_unread_diagonal_leaves_bits_unchanged(self, rng, n):
+        # The elimination never reads a diagonal entry, so leaving the
+        # rank-1 updates' diagonal in place gives the same bits.
+        Q = random_generator(rng, n)
+        Q[rng.random((n, n)) < 0.5] = 0.0       # sparse-ish, still
+        Q += np.diag(np.ones(n - 1), 1)         # irreducible via a
+        Q[-1, 0] += 1.0                         # Hamiltonian cycle
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        assert np.array_equal(solve_stationary_gth(Q),
+                              gth_zeroing_diagonal(Q))
