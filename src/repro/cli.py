@@ -92,8 +92,8 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
     ("batch_points", "--batch",
      {"type": int, "metavar": "N",
       "help": "solve up to N adjacent sweep points at once through the "
-              "batched lockstep engine (stacked BLAS, continuation "
-              "warm-starts); 0 or 1 keeps the per-point path"}),
+              "batched lockstep engine (stacked BLAS, the same numbers "
+              "as the per-point path); 0 or 1 keeps the per-point path"}),
     ("max_iterations", "--max-iterations",
      {"type": int, "metavar": "N",
       "help": "fixed-point iteration budget (default 200)"}),

@@ -11,14 +11,15 @@ One iteration:
 
 This module is the only home of that loop.  :func:`run_lockstep`
 advances n >= 1 points through it in lockstep, each point carrying
-one :class:`~repro.pipeline.context.SolveContext` (reusable
-assembly/extraction workspaces, the previous iteration's ``R``
-matrices as warm starts, per-stage wall-clock timings).  The per-class
-work of steps 1-2 comes from a :class:`StageSet`: a single solve
+one :class:`~repro.pipeline.context.SolveContext` (a reusable
+assembly workspace, the previous iteration's ``R`` matrices as warm
+starts, per-stage wall-clock timings).  The per-class work of steps
+1-2 comes from a :class:`StageSet`: a single solve
 (:func:`run_fixed_point`, the n = 1 case) runs the per-point stages of
 :mod:`repro.pipeline.stages`; a batched sweep chunk runs the stacked
-kernels of :mod:`repro.workloads.batched`.  Both extract through the
-one stacked :func:`repro.pipeline.extract.extract_effective_quanta`.
+kernels of :mod:`repro.workloads.batched`.  Both finish each class
+with the per-point boundary solve and extract through the one stacked
+:func:`repro.pipeline.extract.extract_effective_quanta`.
 Everything else — initialization, bootstrap, saturation, the
 convergence test, Aitken, order reduction, recombination and
 per-point failure isolation — is shared.

@@ -31,7 +31,6 @@ from repro.kernels.backend import (
     select_backend,
 )
 from repro.kernels.batched import (
-    batched_boundary_solve,
     batched_drift,
     batched_gth,
     batched_r_from_g,
@@ -72,7 +71,6 @@ __all__ = [
     "batched_r_from_g",
     "batched_refine_R",
     "batched_solve_R",
-    "batched_boundary_solve",
     "solve_boundary_blocktridiag",
     "KronSumOperator",
     "kron2",

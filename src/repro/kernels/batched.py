@@ -10,13 +10,13 @@ run the *same recurrences* on ``(npoints, m, m)`` stacks — one
 per-slice convergence masks so points converge and drop out of the
 batch individually, exactly where their serial solve would stop.
 
-Design rules (all load-bearing for the parity and resume guarantees of
-:mod:`repro.workloads.batched`):
+Design rules (all load-bearing for the bit identity of
+:mod:`repro.workloads.batched` with the per-point engine):
 
 * **Same recurrence, same stopping rule.**  Each kernel mirrors its
   serial counterpart step for step (``solve_G`` logreduction,
-  ``refine_R`` Newton, GTH elimination, the dense boundary solve), so
-  a batched slice follows the trajectory its serial solve would.
+  ``refine_R`` Newton, GTH elimination), so a batched slice follows
+  the trajectory its serial solve would.
 * **Composition independence.**  Stacked ``matmul``/``solve``/``inv``
   dispatch to LAPACK/BLAS per slice, so a slice's result does not
   depend on which other points share the batch — a resumed sweep
@@ -45,7 +45,6 @@ __all__ = [
     "batched_r_from_g",
     "batched_refine_R",
     "batched_solve_R",
-    "batched_boundary_solve",
 ]
 
 #: Memory cap (float64 elements) for the materialized Kronecker
@@ -353,63 +352,3 @@ def batched_solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         R[cold[g_ok]] = Rc[g_ok]
         ok[cold[g_ok]] = True
     return R, refined, ok
-
-
-# ---------------------------------------------------------------------------
-# Dense boundary solve
-
-
-def batched_boundary_solve(M: np.ndarray, A2: np.ndarray, R: np.ndarray,
-                           offsets: np.ndarray, b: int,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched mirror of the dense reference boundary solve.
-
-    ``M`` is the stack of pre-assembled balance systems *without* the
-    repeating-tail fold (the caller loops the per-point boundary blocks
-    once; everything afterwards — the ``R A2`` fold, normalization,
-    column drop, equilibration, solve, residual check — runs batched
-    here, following :func:`repro.qbd.boundary.solve_boundary` step for
-    step).  Returns ``(x, ok)`` with the stacked boundary vectors;
-    failed slices (singular system, residual too large, negative
-    entries, non-positive mass) have ``ok=False`` and fall back to the
-    serial path, which also owns the lstsq rescue.
-    """
-    n, N, _ = M.shape
-    d = R.shape[1]
-    lb = slice(int(offsets[b]), int(offsets[b + 1]))
-    M = M.copy()
-    M[:, lb, lb] += R @ A2
-    ok = np.ones(n, dtype=bool)
-
-    norm = np.ones((n, N))
-    tail_ok = ok.copy()
-    tail = _masked_solve(np.eye(d) - R, np.ones((n, d, 1)), tail_ok)[..., 0]
-    ok &= tail_ok & ~(tail < 0).any(axis=1)
-    norm[:, lb] = tail
-
-    col_norms = np.linalg.norm(M, axis=1)
-    ok &= (col_norms > 0.0).any(axis=1)
-    drop = col_norms.argmax(axis=1)
-    rows = np.arange(n)
-    A = M.copy()
-    A[rows, :, drop] = norm
-    # Pin dead (all-zero) balance columns to pi_k = 0.
-    dead_i, dead_k = np.nonzero((col_norms == 0.0)
-                                & (np.arange(N)[None, :] != drop[:, None]))
-    A[dead_i, dead_k, dead_k] = 1.0
-    rhs = np.zeros((n, N))
-    rhs[rows, drop] = 1.0
-    scales = np.linalg.norm(A, axis=1)
-    scales[scales == 0.0] = 1.0
-    solve_ok = ok.copy()
-    x = _masked_solve(np.transpose(A / scales[:, None, :], (0, 2, 1)),
-                      (rhs / scales)[..., None], solve_ok)[..., 0]
-    ok &= solve_ok
-    residual = np.abs(np.einsum("nk,nkj->nj", x, M)).max(axis=1)
-    limit = 1e-6 * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-    ok &= np.isfinite(residual) & (residual <= limit)
-    ok &= ~(x < -1e-8).any(axis=1)
-    x = np.clip(x, 0.0, None)
-    mass = np.einsum("nk,nk->n", x, norm)
-    ok &= mass > 0
-    return x / np.where(mass > 0, mass, 1.0)[:, None], ok

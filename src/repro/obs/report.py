@@ -201,24 +201,6 @@ def _rollup_section(summary: TraceSummary, title: str,
     return [f"{title}:", render_snapshot(sub, indent="  "), ""]
 
 
-def _continuation_lines(summary: TraceSummary) -> list[str]:
-    """Derived continuation hit rate of batched sweeps.
-
-    The batched sweep engine counts every solved point as
-    ``sweep.points{start=warm}`` (continuation-seeded from a sweep
-    neighbor) or ``{start=cold}``; the hit rate is the fraction of
-    points the continuation actually reached.
-    """
-    counters = summary.metrics.get("counters") or {}
-    warm = float(counters.get("sweep.points{start=warm}", 0.0))
-    cold = float(counters.get("sweep.points{start=cold}", 0.0))
-    total = warm + cold
-    if total <= 0:
-        return []
-    return [f"continuation: warm={warm:g} cold={cold:g} "
-            f"hit rate {100.0 * warm / total:.1f}%", ""]
-
-
 def render_requests(summary: TraceSummary) -> str:
     """Per-request table of ``repro report --requests``.
 
@@ -314,7 +296,6 @@ def render_report(summary: TraceSummary) -> str:
                             "fixed_point."))
     lines += _rollup_section(
         summary, "resilience", ("faults.", "sweep."))
-    lines += _continuation_lines(summary)
     remaining_prefixes = ("backend.", "rsolve.", "fallback.", "gmres.",
                           "boundary.", "fixed_point.", "faults.",
                           "sweep.")

@@ -7,9 +7,9 @@ value.  This package makes the repeated work explicit and reusable:
 * :mod:`repro.pipeline.assembly` — Kronecker-product generator
   assembly with a per-class workspace of vacation-independent factors;
 * :mod:`repro.pipeline.extract` — effective-quantum extraction
-  stacked over n >= 1 chains of one state space, with cached per-space
-  index plans; single solves call it at n = 1, batched sweep chunks
-  once per space group;
+  stacked over n >= 1 chains of one state space, with one cached
+  gather plan per space; single solves call it at n = 1, batched sweep
+  chunks once per space group;
 * :mod:`repro.pipeline.context` — the per-run
   :class:`~repro.pipeline.context.SolveContext` carrying class
   artifacts (including warm-start ``R`` seeds) and stage timings;
@@ -26,7 +26,6 @@ versions.
 from repro.pipeline.assembly import AssemblyWorkspace, build_class_qbd_fast
 from repro.pipeline.context import ClassArtifacts, SolveContext, StageTimings
 from repro.pipeline.extract import (
-    ExtractionWorkspace,
     extract_effective_quanta,
     extract_effective_quantum,
 )
@@ -40,7 +39,6 @@ from repro.pipeline.stages import (
 __all__ = [
     "AssemblyWorkspace",
     "ClassArtifacts",
-    "ExtractionWorkspace",
     "SolveContext",
     "StageTimings",
     "assemble_class",

@@ -2,7 +2,7 @@
 
 The pipeline keeps one :class:`ClassArtifacts` per job class — the
 QBD, its solution, the last ``R`` matrix (the warm-start seed for the
-next iteration) and the reusable assembly/extraction workspaces — plus
+next iteration) and the reusable assembly workspace — plus
 the policy's cycle views and per-stage wall-clock accounting, all
 bundled in a :class:`SolveContext` created once per point of a
 fixed-point run.
@@ -19,7 +19,6 @@ from repro.core.statespace import ClassStateSpace
 from repro.obs.trace import StageTimings
 from repro.phasetype import PhaseType
 from repro.pipeline.assembly import AssemblyWorkspace
-from repro.pipeline.extract import ExtractionWorkspace
 from repro.policy import ClassCycleView, resolve_policy
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
@@ -36,13 +35,12 @@ class ClassArtifacts:
 
     ``R`` survives saturation episodes and vacation updates — the
     previous iterate is a good Newton seed even after the blocks move —
-    and the workspaces survive everything except a change in the
-    distributions they were built from.
+    and the assembly workspace survives everything except a change in
+    the distributions it was built from.
     """
 
     index: int
     assembly: AssemblyWorkspace | None = None
-    extraction: ExtractionWorkspace = field(default_factory=ExtractionWorkspace)
     space: ClassStateSpace | None = None
     process: QBDProcess | None = None
     vacation: PhaseType | None = None

@@ -8,12 +8,13 @@ almost all of its cost is bookkeeping rather than arithmetic, so:
 
 * everything that depends only on the
   :class:`~repro.core.statespace.ClassStateSpace` is computed once per
-  space by an :class:`ExtractionWorkspace` — the service/waiting index
-  sets of every level (states are ordered ``(a, v, k)`` with ``k``
-  fastest, so they are arange patterns) and a gather plan that places
-  all boundary levels at once: flat indices into the concatenated
-  boundary blocks for the entries of ``T``, the absorbed row sums
-  grouped by length, and the boundary entry flows stacked by shape;
+  space and process (a bounded LRU cache keyed by the space) — the
+  service/waiting index sets of every level (states are ordered
+  ``(a, v, k)`` with ``k`` fastest, so they are arange patterns) and a
+  gather plan that places all boundary levels at once: flat indices
+  into the concatenated boundary blocks for the entries of ``T``, the
+  absorbed row sums grouped by length, and the boundary entry flows
+  stacked by shape;
 * every level above the boundary shares the repeating blocks, so the
   retained/absorbing slices of ``A0``/``A1``/``A2`` are placed as
   strided diagonal bands in one copy each;
@@ -32,18 +33,21 @@ The grouping never changes the arithmetic: each power, tail, row sum
 and entry flow is the same NumPy/BLAS operation on the same operands
 in the same order as a level-by-level placement, so the quanta are
 fixed to the bit (``tests/pipeline/test_extract_bits.py`` holds such a
-placement as its oracle).  Every stacked operation acts per slice, but
-NumPy's fancy indexing lays a stack out slice-innermost, and a product
-or long sum over such an operand runs a strided kernel instead of
-BLAS or pairwise summation: a chain extracted with others can differ
-from its own n = 1 call in the last bits.  Against the reference
-implementation the quanta agree to floating-point noise only
-(``tests/pipeline/test_extract.py``), because its sums associate
-differently.
+placement as its oracle).  Stacking does not change them either: every
+stacked operation acts per slice, and the gathered operands of the
+absorbed sums and entry flows are copied contiguous first, because
+NumPy's fancy indexing lays a stack out slice-innermost and a product
+or long sum over such an operand runs a strided kernel instead of BLAS
+or pairwise summation.  A chain extracted with others gets the bits of
+its own n = 1 call, so a batched sweep matches a per-point one.
+Against the reference implementation the quanta agree to
+floating-point noise only (``tests/pipeline/test_extract.py``),
+because its sums associate differently.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,8 +60,7 @@ from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
 
-__all__ = ["ExtractionWorkspace", "extract_effective_quanta",
-           "extract_effective_quantum"]
+__all__ = ["extract_effective_quanta", "extract_effective_quantum"]
 
 
 @dataclass(frozen=True)
@@ -129,119 +132,108 @@ class _ExtractionPlan:
     rep_ws: tuple
 
 
-class ExtractionWorkspace:
-    """Caches one :class:`_ExtractionPlan` per state space.
+def _indices(space: ClassStateSpace, level: int) -> _LevelIndices:
+    """The service/waiting state indices of ``level``."""
+    phases = space.cycle_phases_at(level)
+    nk = len(phases)
+    n_quantum = sum(1 for k in phases if space.is_quantum_phase(k))
+    blocks = space.level_dim(level) // nk
+    base = np.arange(blocks, dtype=np.intp)[:, None] * nk
+    svc = (base + np.arange(n_quantum, dtype=np.intp)).ravel()
+    wait = (base + np.arange(n_quantum, nk, dtype=np.intp)).ravel()
+    return _LevelIndices(svc=svc, wait=wait)
 
-    Spaces are value-hashable frozen dataclasses, so the cache survives
-    the per-iteration re-creation of equal spaces; it only repopulates
-    when the vacation *order* changes.
+
+@functools.lru_cache(maxsize=64)
+def _plan(space: ClassStateSpace) -> _ExtractionPlan:
+    """The gather plan of ``space``, built once per process.
+
+    Spaces are value-hashable frozen dataclasses, so every equal space
+    a fixed-point iteration re-creates finds its plan here; a new plan
+    is built only when the vacation *order* changes.  Every caller
+    shares the returned plan and must only read its arrays.
     """
+    c = space.boundary_levels
+    lvl_start = 0 if space.policy == "idle" else 1
+    idx = {lvl: _indices(space, lvl) for lvl in range(lvl_start, c + 2)}
+    rep = idx[c + 1]
+    nrep = len(rep.svc)
+    base = {}                       # first T row of each level
+    nb = 0
+    for lvl in range(lvl_start, c + 2):
+        base[lvl] = nb
+        nb += len(idx[lvl].svc) if lvl <= c else 0
+    if nb == 0 and nrep == 0:
+        raise ValidationError("no service states found; is m_quantum zero?")
+    if c < lvl_start or len(idx[c].svc) != nrep:
+        # The down band of level c+1 must land exactly on level c's
+        # block: level c shares the repeating phase layout.
+        raise ValidationError(
+            "repeating levels do not share level c's phase layout")
 
-    def __init__(self):
-        self._plans: dict[ClassStateSpace, _ExtractionPlan] = {}
+    dim = {lvl: space.level_dim(lvl) for lvl in range(c + 2)}
+    blocks: list[tuple[int, int]] = []
+    start: dict[tuple[int, int], int] = {}
+    size = 0
+    for lvl in range(lvl_start, c + 1):
+        for j in (lvl - 1, lvl, lvl + 1):
+            if j >= lvl_start:
+                blocks.append((lvl, j))
+                start[lvl, j] = size
+                size += dim[lvl] * dim[j]
 
-    def plan(self, space: ClassStateSpace) -> _ExtractionPlan:
-        plan = self._plans.get(space)
-        if plan is None:
-            plan = self._build(space)
-            self._plans[space] = plan
-        return plan
+    def flat(i, j, rows, cols):
+        return start[i, j] + rows[:, None] * dim[j] + cols[None, :]
 
-    @staticmethod
-    def _indices(space: ClassStateSpace, level: int) -> _LevelIndices:
-        phases = space.cycle_phases_at(level)
-        nk = len(phases)
-        n_quantum = sum(1 for k in phases if space.is_quantum_phase(k))
-        blocks = space.level_dim(level) // nk
-        base = np.arange(blocks, dtype=np.intp)[:, None] * nk
-        svc = (base + np.arange(n_quantum, dtype=np.intp)).ravel()
-        wait = (base + np.arange(n_quantum, nk, dtype=np.intp)).ravel()
-        return _LevelIndices(svc=svc, wait=wait)
+    window = np.full((nb, nb + nrep), size, dtype=np.intp)
+    # Absorbed row sums by length: a level's own waiting columns,
+    # and (above lvl_start) the waiting columns of the level below.
+    own: dict[int, tuple[list, list]] = {}      # length: (src, dst)
+    below: dict[int, tuple[list, list]] = {}
+    flows: dict[tuple[int, int], tuple[list, list, list]] = {}
+    pi_start = np.cumsum([0] + [dim[lvl] for lvl in range(c + 1)])
+    for lvl in range(lvl_start, c + 1):
+        rows = idx[lvl].svc
+        nr = len(rows)
+        at = base[lvl] + np.arange(nr, dtype=np.intp)
+        for j in (lvl - 1, lvl, lvl + 1):
+            if j >= lvl_start:
+                cols = idx[j].svc
+                window[base[lvl]:base[lvl] + nr,
+                       base[j]:base[j] + len(cols)] = \
+                    flat(lvl, j, rows, cols)
+        for table, j in ((own, lvl), (below, lvl - 1)):
+            if j >= lvl_start and idx[j].wait.size:
+                wait = idx[j].wait
+                src, dst = table.setdefault(wait.size, ([], []))
+                src.append(flat(lvl, j, rows, wait))
+                dst.append(at)
+        wait = idx[lvl].wait
+        if wait.size:
+            group = flows.setdefault((wait.size, nr), ([], [], []))
+            group[0].append(pi_start[lvl] + wait[None, :])
+            group[1].append(flat(lvl, lvl, wait, rows))
+            group[2].append(at)
 
-    def _build(self, space: ClassStateSpace) -> _ExtractionPlan:
-        c = space.boundary_levels
-        lvl_start = 0 if space.policy == "idle" else 1
-        idx = {lvl: self._indices(space, lvl)
-               for lvl in range(lvl_start, c + 2)}
-        rep = idx[c + 1]
-        nrep = len(rep.svc)
-        base = {}                       # first T row of each level
-        nb = 0
-        for lvl in range(lvl_start, c + 2):
-            base[lvl] = nb
-            nb += len(idx[lvl].svc) if lvl <= c else 0
-        if nb == 0 and nrep == 0:
-            raise ValidationError(
-                "no service states found; is m_quantum zero?")
-        if c < lvl_start or len(idx[c].svc) != nrep:
-            # The down band of level c+1 must land exactly on level c's
-            # block: level c shares the repeating phase layout.
-            raise ValidationError(
-                "repeating levels do not share level c's phase layout")
-
-        dim = {lvl: space.level_dim(lvl) for lvl in range(c + 2)}
-        blocks: list[tuple[int, int]] = []
-        start: dict[tuple[int, int], int] = {}
-        size = 0
-        for lvl in range(lvl_start, c + 1):
-            for j in (lvl - 1, lvl, lvl + 1):
-                if j >= lvl_start:
-                    blocks.append((lvl, j))
-                    start[lvl, j] = size
-                    size += dim[lvl] * dim[j]
-
-        def flat(i, j, rows, cols):
-            return start[i, j] + rows[:, None] * dim[j] + cols[None, :]
-
-        window = np.full((nb, nb + nrep), size, dtype=np.intp)
-        # Absorbed row sums by length: a level's own waiting columns,
-        # and (above lvl_start) the waiting columns of the level below.
-        own: dict[int, tuple[list, list]] = {}      # length: (src, dst)
-        below: dict[int, tuple[list, list]] = {}
-        flows: dict[tuple[int, int], tuple[list, list, list]] = {}
-        pi_start = np.cumsum([0] + [dim[lvl] for lvl in range(c + 1)])
-        for lvl in range(lvl_start, c + 1):
-            rows = idx[lvl].svc
-            nr = len(rows)
-            at = base[lvl] + np.arange(nr, dtype=np.intp)
-            for j in (lvl - 1, lvl, lvl + 1):
-                if j >= lvl_start:
-                    cols = idx[j].svc
-                    window[base[lvl]:base[lvl] + nr,
-                           base[j]:base[j] + len(cols)] = \
-                        flat(lvl, j, rows, cols)
-            for table, j in ((own, lvl), (below, lvl - 1)):
-                if j >= lvl_start and idx[j].wait.size:
-                    wait = idx[j].wait
-                    src, dst = table.setdefault(wait.size, ([], []))
-                    src.append(flat(lvl, j, rows, wait))
-                    dst.append(at)
-            wait = idx[lvl].wait
-            if wait.size:
-                group = flows.setdefault((wait.size, nr), ([], [], []))
-                group[0].append(pi_start[lvl] + wait[None, :])
-                group[1].append(flat(lvl, lvl, wait, rows))
-                group[2].append(at)
-
-        sums = []
-        for length in sorted(own.keys() | below.keys()):
-            own_src, own_dst = own.get(length, ([], []))
-            below_src, below_dst = below.get(length, ([], []))
-            sums.append(_SumGroup(src=np.concatenate(own_src + below_src),
-                                  dst=np.concatenate(own_dst + below_dst),
-                                  split=sum(len(a) for a in own_dst)))
-        return _ExtractionPlan(
-            lvl_start=lvl_start, nb=nb, blocks=tuple(blocks),
-            window=window, sums=tuple(sums),
-            flows=tuple(
-                _FlowGroup(pi_src=np.stack(pis), w_src=np.stack(ws),
-                           dst=np.concatenate(ats))
-                for pis, ws, ats in flows.values()),
-            down_svc=idx[1].svc if lvl_start == 1 else None,
-            repeating=rep,
-            rep_ss=np.ix_(rep.svc, rep.svc),
-            rep_sw=np.ix_(rep.svc, rep.wait),
-            rep_ws=np.ix_(rep.wait, rep.svc))
+    sums = []
+    for length in sorted(own.keys() | below.keys()):
+        own_src, own_dst = own.get(length, ([], []))
+        below_src, below_dst = below.get(length, ([], []))
+        sums.append(_SumGroup(src=np.concatenate(own_src + below_src),
+                              dst=np.concatenate(own_dst + below_dst),
+                              split=sum(len(a) for a in own_dst)))
+    return _ExtractionPlan(
+        lvl_start=lvl_start, nb=nb, blocks=tuple(blocks),
+        window=window, sums=tuple(sums),
+        flows=tuple(
+            _FlowGroup(pi_src=np.stack(pis), w_src=np.stack(ws),
+                       dst=np.concatenate(ats))
+            for pis, ws, ats in flows.values()),
+        down_svc=idx[1].svc if lvl_start == 1 else None,
+        repeating=rep,
+        rep_ss=np.ix_(rep.svc, rep.svc),
+        rep_sw=np.ix_(rep.svc, rep.wait),
+        rep_ws=np.ix_(rep.wait, rep.svc))
 
 
 def _entries(block) -> np.ndarray:
@@ -321,20 +313,16 @@ def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
                               solution: QBDStationaryDistribution,
                               vacation: PhaseType,
                               *, truncation_mass: float = 1e-9,
-                              max_levels: int = 400,
-                              workspace: ExtractionWorkspace | None = None,
-                              ) -> PhaseType:
+                              max_levels: int = 400) -> PhaseType:
     """Fast equivalent of :func:`repro.core.vacation.effective_quantum`.
 
     Same construction, same truncation rule, same entry vector; see the
-    reference implementation for the semantics.  ``workspace`` carries
-    the per-space gather plans across fixed-point iterations.  This is
+    reference implementation for the semantics.  This is
     :func:`extract_effective_quanta` for one chain.
     """
     return extract_effective_quanta(
         space, [(process, solution, vacation)],
-        truncation_mass=truncation_mass, max_levels=max_levels,
-        workspace=workspace)[0]
+        truncation_mass=truncation_mass, max_levels=max_levels)[0]
 
 
 def extract_effective_quanta(space: ClassStateSpace,
@@ -342,9 +330,7 @@ def extract_effective_quanta(space: ClassStateSpace,
                                                   QBDStationaryDistribution,
                                                   PhaseType]],
                              *, truncation_mass: float = 1e-9,
-                             max_levels: int = 400,
-                             workspace: ExtractionWorkspace | None = None,
-                             ) -> list[PhaseType]:
+                             max_levels: int = 400) -> list[PhaseType]:
     """Raw effective quanta of n >= 1 solved chains sharing ``space``.
 
     ``jobs`` are ``(process, solution, vacation)`` triples; the result
@@ -358,9 +344,7 @@ def extract_effective_quanta(space: ClassStateSpace,
         On the first job that cannot be extracted (no service states, or
         no probability flow into quantum starts).
     """
-    if workspace is None:
-        workspace = ExtractionWorkspace()
-    plan = workspace.plan(space)
+    plan = _plan(space)
     c = space.boundary_levels
     lvl_start = plan.lvl_start
     rep = plan.repeating
@@ -405,7 +389,10 @@ def extract_effective_quanta(space: ClassStateSpace,
         # diagonal, which is rebuilt from the row sums below.
         csel = cat[sel]
         T[:, :off0, :off0 + nrep] += csel[:, plan.window]
-        sums = [csel[:, g.src].sum(axis=2) for g in plan.sums]
+        # Contiguous copies keep every stacked slice on the kernels an
+        # n = 1 call takes (a gather lays a stack slice-innermost).
+        sums = [np.ascontiguousarray(csel[:, g.src]).sum(axis=2)
+                for g in plan.sums]
         for g, s in zip(plan.sums, sums):
             absorb[:, g.dst[:g.split]] += s[:, :g.split]
         for g, s in zip(plan.sums, sums):
@@ -414,7 +401,8 @@ def extract_effective_quanta(space: ClassStateSpace,
             absorb[:, :len(plan.down_svc)] += down[sel]
         psel = pis[sel]
         for g in plan.flows:
-            flow = np.matmul(psel[:, g.pi_src], csel[:, g.w_src])
+            flow = np.matmul(np.ascontiguousarray(psel[:, g.pi_src]),
+                             np.ascontiguousarray(csel[:, g.w_src]))
             xi[:, g.dst] += flow.reshape(ns, -1)
 
         # ---- repeating levels: three strided band copies ----------------

@@ -16,7 +16,8 @@ The stages fold in the pipeline's two per-iteration wins:
 
 Extraction runs :func:`repro.pipeline.extract.extract_effective_quantum`
 (the n = 1 case of the stacked extraction the batched engine shares)
-on lookup, one class at a time.
+on lookup, one class at a time.  The batched engine shares the
+boundary stage too: it finishes every class with :func:`finish_class`.
 
 Every stage runs under an observability span (``stage.assemble``,
 ``stage.stability``, ``stage.rsolve``, ``stage.boundary``,
@@ -43,8 +44,8 @@ from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.fallback import resilient_solve_R
 from repro.resilience.faults import maybe_fault
 
-__all__ = ["assemble_class", "solve_class", "solve_rmatrix", "extract_class",
-           "solve_all", "solve_points", "extract_points"]
+__all__ = ["assemble_class", "solve_class", "finish_class", "solve_rmatrix",
+           "extract_class", "solve_all", "solve_points", "extract_points"]
 
 #: Tolerance of the per-class ``R`` solves (the ``solve_qbd`` default).
 _R_TOL = 1e-12
@@ -94,9 +95,22 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
     with span("stage.rsolve", timings=ctx.timings, stage="rsolve",
               klass=p):
         R, solve_report = solve_rmatrix(process, opts, art.R)
+    return finish_class(ctx, p, report, R, solve_report)
+
+
+def finish_class(ctx: SolveContext, p: int, report, R,
+                 solve_report) -> QBDStationaryDistribution:
+    """Boundary solve of class ``p`` given its drift ``report`` and ``R``.
+
+    Stores the class's solution and ``R`` (the next iteration's warm
+    seed).  :func:`solve_class` ends here, and so does every class of
+    a batched sweep chunk, whose drift and ``R`` come from stacked
+    kernels (``solve_report=None``).
+    """
+    art = ctx.classes[p]
     with span("stage.boundary", timings=ctx.timings, stage="boundary",
               klass=p):
-        pi = solve_boundary(process, R, backend=opts.backend)
+        pi = solve_boundary(art.process, R, backend=ctx.opts.backend)
     sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
                                     drift_report=report,
                                     solve_report=solve_report)
@@ -135,7 +149,6 @@ def extract_class(ctx: SolveContext, p: int) -> PhaseType:
             art.space, art.process, art.solution, art.vacation,
             truncation_mass=opts.truncation_mass,
             max_levels=opts.max_truncation_levels,
-            workspace=art.extraction,
         )
 
 

@@ -38,29 +38,7 @@ from repro.kernels import (
 from repro.obs import metrics
 from repro.qbd.structure import QBDProcess
 
-__all__ = ["balance_matrix", "solve_boundary"]
-
-
-def balance_matrix(process: QBDProcess, offsets: np.ndarray) -> np.ndarray:
-    """Dense boundary balance matrix ``M`` of ``x M = 0``.
-
-    ``x = [pi_0 ... pi_b]``, and level ``i`` occupies rows and columns
-    ``offsets[i]:offsets[i + 1]``.  The repeating tail (``R A2`` in the
-    level-``b`` column) is not folded in.
-    """
-    b = process.boundary_levels
-    n = int(offsets[-1])
-    M = np.zeros((n, n))
-    for j in range(b + 1):
-        cols = slice(offsets[j], offsets[j + 1])
-        for i in (j - 1, j, j + 1):
-            if i < 0 or i > b:
-                continue
-            blk = process.boundary[i][j]
-            if blk is None:
-                continue
-            M[offsets[i]:offsets[i + 1], cols] += to_dense(blk)
-    return M
+__all__ = ["solve_boundary"]
 
 
 def solve_boundary(process: QBDProcess, R: np.ndarray, *,
@@ -106,7 +84,17 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
 
     metrics.inc("boundary.solves", path="dense")
 
-    M = balance_matrix(process, offsets)
+    # Column-block assembly of x M = 0 where x = [pi_0 ... pi_b].
+    M = np.zeros((n, n))
+    for j in range(b + 1):
+        cols = slice(offsets[j], offsets[j + 1])
+        for i in (j - 1, j, j + 1):
+            if i < 0 or i > b:
+                continue
+            blk = process.boundary[i][j]
+            if blk is None:
+                continue
+            M[offsets[i]:offsets[i + 1], cols] += to_dense(blk)
     # Fold the repeating tail into the level-b column:
     # pi_{b+1} A2 = pi_b R A2.
     M[offsets[b]:offsets[b + 1], offsets[b]:offsets[b + 1]] += \

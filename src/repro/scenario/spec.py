@@ -181,10 +181,11 @@ class EngineSpec:
     checkpoint: str | None = None
     #: Batched sweep chunk width: solve up to this many adjacent grid
     #: points at once through :mod:`repro.workloads.batched` (stacked
-    #: BLAS, continuation warm-starts).
+    #: BLAS, the per-point path's exact numbers).
     #: ``0`` (default) and ``1`` keep the per-point path.  Unlike
     #: ``workers``, this knob participates in the scenario's semantic
-    #: hash: continuation changes which warm starts each point sees.
+    #: hash: both engines give the same numbers, but taking it out
+    #: would change every existing store key.
     batch_points: int = 0
     # Simulation knobs.
     horizon: float = 20_000.0

@@ -39,13 +39,11 @@ Robustness semantics:
 * **Adjacency-preserving shards** — when the scenario engages the
   batched sweep engine (``engine.batch_points > 1``), cold points are
   grouped into shards of up to ``batch_points`` *consecutive* grid
-  values (a store-hit gap splits the run), so continuation warm-starts
-  survive sharding: every point in a shard seeds from its real sweep
-  neighbor.  ``batch_points`` is part of result identity
-  (:func:`~repro.scenario.hashing.point_key`), so batched and
-  per-point store entries never alias; within a batched request,
-  point-level entries carry the warm-started values, identical to the
-  per-point path within the engine's 1e-8 parity budget.
+  values (a store-hit gap splits the run), so each shard's points
+  share one stack.  A batched point equals its per-point solve bit for
+  bit whatever shard it lands in.  ``batch_points`` is still part of
+  result identity (:func:`~repro.scenario.hashing.point_key`), so
+  batched and per-point store entries are keyed apart.
 
 Every stage is observable: ``service.requests{status=...}``,
 ``service.shards{source=store|solve|error|timeout}``,
@@ -610,9 +608,9 @@ def _plan_shards(scenario, misses: list) -> list[list]:
     ``misses`` is ``(grid index, value, point key)`` tuples in grid
     order.  Without batching every point is its own shard.  With
     ``engine.batch_points > 1``, runs of *consecutive* grid indices are
-    chunked up to that size, each run from its first point — a
-    store-hit gap splits the run, because continuation across the gap
-    would seed from a neighbor the shard does not contain.
+    chunked up to that size, each run from its first point, and a
+    store-hit gap splits the run.  Each shard is one batched stack; the
+    grouping never changes a point's numbers.
     """
     batch = int(getattr(scenario.engine, "batch_points", 0) or 0)
     size = batch if (batch > 1 and scenario.axis is not None) else 1

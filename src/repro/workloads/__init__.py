@@ -4,7 +4,7 @@
 paper's Section 5 experiments (Figures 2-5);
 :mod:`~repro.workloads.sweeps` provides the generic one-parameter sweep
 driver used by the benchmark harness;
-:mod:`~repro.workloads.batched` is the batched continuation engine the
+:mod:`~repro.workloads.batched` is the batched lockstep engine the
 driver dispatches to when ``batch > 1``.
 """
 

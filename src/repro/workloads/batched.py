@@ -11,33 +11,23 @@ sweep chunk through the same fixed-point iteration simultaneously*:
   saturation, Aitken windows, identical convergence tests), so a
   batched point's trajectory is the serial trajectory.
 * This module supplies the driver's stacked :data:`STACKED` stage
-  set: the per-class linear algebra of one lockstep iteration — drift
-  tests, warm Newton refinements, logarithmic reductions, dense
-  boundary solves — is gathered across points, grouped by matrix
-  shape, and dispatched as ``(njobs, m, m)`` stacked kernels
-  (:mod:`repro.kernels.batched`).  Effective-quantum extraction runs
-  :func:`repro.pipeline.extract.extract_effective_quanta`, the same
-  stacked function a single solve calls at n = 1, once per state-space
-  group.  Points converge and drop out of the batch individually; any
-  per-slice failure falls back to the serial resilience chain for just
-  that point.
+  set: the drift tests, warm Newton refinements and logarithmic
+  reductions of one lockstep iteration are gathered across points,
+  grouped by matrix shape, and dispatched as ``(njobs, m, m)`` stacked
+  kernels (:mod:`repro.kernels.batched`).  Each class then finishes
+  through the per-point boundary stage,
+  :func:`repro.pipeline.stages.finish_class`, and effective-quantum
+  extraction runs :func:`repro.pipeline.extract.extract_effective_quanta`,
+  the same stacked function a single solve calls at n = 1, once per
+  state-space group.  Points converge and drop out of the batch
+  individually; any per-slice failure falls back to the serial
+  resilience chain for just that point.
 
-Continuation
-------------
-Chunks are anchored to the *sorted unique grid*: chunk ``k`` covers
-sorted values ``[k*batch, (k+1)*batch)``.  The chunk head (its lowest
-value) solves cold and its converged per-class ``R`` matrices seed the
-``R0`` warm starts of every other point in the chunk via the existing
-``solve_R(..., R0=)`` hook.  Seeding ``R`` (solved to ``1e-12``) does
-not move the fixed point's ``1e-5`` stopping test, so batched results
-match cold per-point solves to well under ``1e-8``; vacation-level
-continuation would shift the stopping iterate and is deliberately not
-done.  The chunk-local lineage (a chunk never seeds from outside
-itself) is what lets the service's result store shard a batched sweep
-by chunk without changing any point's bytes: a store persists a
-shard's points only when the whole shard returns, so after a kill the
-misses are whole chunks, and the resumed run solves them again from
-the same cold heads.
+Every stacked stage gives a slice the bits of its per-point twin, so a
+batched point equals its per-point solve exactly.  Chunks
+(:func:`plan_chunks`) only decide which points share a stack; every
+point starts cold, so a resumed or sharded sweep reproduces an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -58,21 +48,18 @@ from repro.obs.trace import span
 from repro.phasetype import PhaseType
 from repro.pipeline import stages
 from repro.pipeline.extract import extract_effective_quanta
-from repro.qbd.boundary import balance_matrix, solve_boundary
 from repro.qbd.stability import DriftReport, drift
-from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.faults import maybe_fault
 
 __all__ = ["plan_chunks", "run_batched_pending"]
 
 
 def plan_chunks(values, batch: int) -> list[list[float]]:
-    """Anchored continuation chunks of a grid.
+    """The chunks of a grid: which points share a stack.
 
     Chunks partition the *sorted unique* values into runs of ``batch``
     adjacent points.  The anchoring is positional, so the chunk layout
-    of a grid never depends on which points are already solved — the
-    invariant behind byte-identical resume and service sharding.
+    of a grid never depends on which points are already solved.
     """
     order = sorted({float(v) for v in values})
     batch = max(1, int(batch))
@@ -80,18 +67,12 @@ def plan_chunks(values, batch: int) -> list[list[float]]:
 
 
 class _Task(PointState):
-    """A sweep grid point in the lockstep driver, maybe warm-seeded."""
+    """A sweep grid point in the lockstep driver."""
 
-    def __init__(self, value: float, model: GangSchedulingModel, opts,
-                 seed: list | None):
+    def __init__(self, value: float, model: GangSchedulingModel, opts):
         super().__init__(model.config, opts)
         self.value = value
         self.model = model
-        self.warm = False
-        for p, R in enumerate(seed or ()):
-            if R is not None and p < len(self.ctx.classes):
-                self.ctx.classes[p].R = np.asarray(R, dtype=np.float64)
-                self.warm = True
 
 
 class _Job:
@@ -111,8 +92,9 @@ class _Job:
 def _solve_all_batched(tasks: list[_Task]) -> None:
     """Stacked twin of :func:`repro.pipeline.stages.solve_points`.
 
-    Assembles every (task, class) QBD, then runs drift, ``R`` and
-    boundary solves grouped by shape as stacked kernels.  Per-class
+    Assembles every (task, class) QBD, runs the drift tests and ``R``
+    solves grouped by shape as stacked kernels, then finishes each
+    class with the per-point boundary solve.  Per-class
     ``UnstableSystemError`` marks the class saturated (exactly the
     serial guard); any other per-task exception fails that task only.
     """
@@ -147,7 +129,7 @@ def _solve_all_batched(tasks: list[_Task]) -> None:
     jobs = [j for j in jobs if not j.task.finished and not j.done]
     _stage_rsolve(tasks, jobs)
     jobs = [j for j in jobs if not j.task.finished and not j.done]
-    _stage_boundary(tasks, jobs)
+    _stage_boundary(jobs)
 
     for t in tasks:
         if not t.finished:
@@ -275,62 +257,19 @@ def _stage_rsolve(tasks: list[_Task], jobs: list[_Job]) -> None:
     _charge(tasks, "rsolve", time.perf_counter() - t0)
 
 
-def _stage_boundary(tasks: list[_Task], jobs: list[_Job]) -> None:
-    t0 = time.perf_counter()
-    groups: dict[tuple, list[_Job]] = {}
-    serial: list[_Job] = []
+def _stage_boundary(jobs: list[_Job]) -> None:
+    """Finish each class through the per-point boundary stage."""
     for j in jobs:
-        if j.task.finished or j.done:
+        if j.task.finished:
             continue
-        process = j.art.process
-        dims = tuple(process.boundary_dims())
-        n = int(sum(dims))
-        if process.boundary_levels >= 1 and select_backend(
-                j.task.opts.backend, n, site="boundary") == "sparse":
-            serial.append(j)  # block-tridiagonal kernel, per point
-        else:
-            groups.setdefault((dims, process.phase_dim), []).append(j)
-    for (dims, d), group in groups.items():
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        N = int(offsets[-1])
-        b = len(dims) - 1
-        M = np.empty((len(group), N, N))
-        A2 = np.empty((len(group), d, d))
-        R = np.empty((len(group), d, d))
-        for i, j in enumerate(group):
-            M[i] = balance_matrix(j.art.process, offsets)
-            A2[i] = to_dense(j.art.process.A2)
-            R[i] = j.R
-        x, ok = bk.batched_boundary_solve(M, A2, R, offsets, b)
-        n_ok = int(ok.sum())
-        if n_ok:
-            metrics.inc("boundary.solves", n_ok, path="batched-dense")
-        for i, j in enumerate(group):
-            if ok[i]:
-                pi = [x[i, offsets[k]:offsets[k + 1]].copy()
-                      for k in range(b + 1)]
-                _finish_boundary(j, pi)
-            else:
-                serial.append(j)
-    for j in serial:
         try:
-            pi = solve_boundary(j.art.process, j.R,
-                                backend=j.task.opts.backend)
-            _finish_boundary(j, pi)
+            stages.finish_class(j.task.ctx, j.p, j.report, j.R, None)
         except UnstableSystemError:
             _saturate(j)
         except Exception as exc:  # noqa: BLE001 - per-task isolation
             j.task.fail(exc)
-    _charge(tasks, "boundary", time.perf_counter() - t0)
-
-
-def _finish_boundary(j: _Job, pi) -> None:
-    j.done = True
-    j.art.saturated = False
-    j.art.solution = QBDStationaryDistribution(
-        boundary_pi=tuple(pi), R=j.R, drift_report=j.report,
-        solve_report=None)
-    j.art.R = j.R
+        else:
+            j.art.saturated = False
 
 
 def _batched_extract(tasks: list[_Task]):
@@ -372,30 +311,20 @@ def _extract(space, group: list, raws: dict) -> None:
     """One extraction call over ``group``'s ``(task, p)`` classes.
 
     The tasks of a sweep chunk share their options, so the first task's
-    truncation settings and workspace serve the whole group.
+    truncation settings serve the whole group.
     """
-    t, p = group[0]
+    opts = group[0][0].opts
     arts = [task.ctx.classes[q] for task, q in group]
     quanta = extract_effective_quanta(
         space, [(a.process, a.solution, a.vacation) for a in arts],
-        truncation_mass=t.opts.truncation_mass,
-        max_levels=t.opts.max_truncation_levels,
-        workspace=t.ctx.classes[p].extraction)
+        truncation_mass=opts.truncation_mass,
+        max_levels=opts.max_truncation_levels)
     for (task, q), quantum in zip(group, quanta):
         raws[(id(task), q)] = quantum
 
 
 #: The driver's stacked stage set.
 STACKED = StageSet(_solve_all_batched, _batched_extract)
-
-
-def _final_rs(t: _Task) -> list:
-    """The converged per-class ``R`` matrices (continuation seeds)."""
-    out = []
-    for p in range(t.L):
-        R = t.ctx.classes[p].R
-        out.append(None if R is None else np.asarray(R, dtype=np.float64))
-    return out
 
 
 def run_batched_pending(*, grid, pending, batch: int,
@@ -421,31 +350,27 @@ def run_batched_pending(*, grid, pending, batch: int,
     for slot, v, config in pending:
         by_value.setdefault(float(v), []).append((slot, config))
 
-    def make_task(v: float, seed) -> _Task:
+    def make_task(v: float) -> _Task:
         model = GangSchedulingModel(by_value[v][0][1], **model_kwargs)
         opts = model._options(max_iterations, tol, heavy_traffic_only)
-        return _Task(v, model, opts, seed)
+        return _Task(v, model, opts)
 
     def emit(t: _Task) -> BaseException | None:
         """Turn a finished task into points for all its slots."""
-        slots = by_value[t.value]
         if t.error is not None:
             if not skip_errors:
                 return t.error
             point = dataclasses.replace(
                 _error_point(t.value, t.config.class_names, t.error),
-                solve_seconds=t.elapsed, warm=t.warm)
+                solve_seconds=t.elapsed, warm=False)
         else:
             point = solved_point(t.value, t.model._package(t.result),
-                                 solve_seconds=t.elapsed, warm=t.warm)
-        metrics.inc("sweep.points", len(slots),
-                    start="warm" if t.warm else "cold")
+                                 solve_seconds=t.elapsed, warm=False)
         metrics.observe("sweep.point.seconds", t.elapsed)
-        for slot, _ in slots:
+        for slot, _ in by_value[t.value]:
             finish(slot, point)
         return None
 
-    abort: BaseException | None = None
     for ci, chunk in enumerate(plan_chunks(grid, batch)):
         todo = [v for v in chunk if v in by_value]
         if not todo:
@@ -468,23 +393,10 @@ def run_batched_pending(*, grid, pending, batch: int,
         if not solvable:
             continue
 
-        head_v = chunk[0]
-        head_rs = None
         with span("sweep.chunk", index=ci, size=len(solvable)):
-            if head_v in solvable:
-                head_task = make_task(head_v, None)
-                run_lockstep([head_task], STACKED)
-                if head_task.error is None:
-                    head_rs = _final_rs(head_task)
-                abort = emit(head_task)
-                if abort is not None:
-                    break
-            tail = [make_task(v, head_rs) for v in solvable if v != head_v]
-            if tail:
-                run_lockstep(tail, STACKED)
-                for t in tail:
-                    abort = abort or emit(t)
-        if abort is not None:
-            break
-    if abort is not None:
-        raise abort
+            tasks = [make_task(v) for v in solvable]
+            run_lockstep(tasks, STACKED)
+        for t in tasks:
+            abort = emit(t)
+            if abort is not None:
+                raise abort

@@ -52,10 +52,10 @@ class SweepPoint:
     #: part of equality: two runs of the same sweep produce equal
     #: points even though their timings differ.
     solve_seconds: float | None = field(default=None, compare=False)
-    #: Whether the solve was continuation-seeded (``True``), cold
-    #: (``False``) or solved by an engine that does not track warm
-    #: starts (``None``).  Not part of equality either: a warm solve
-    #: and a cold solve of the same point agree to solver tolerance.
+    #: ``False`` on points of the batched engine, whose points all
+    #: start cold, and ``None`` on per-point ones.  Not part of
+    #: equality.  Kept because ``bench/ledger.py::_count_warm_points``
+    #: reads it.
     warm: bool | None = field(default=None, compare=False)
 
 
@@ -182,18 +182,17 @@ def sweep(parameter: str, values: Sequence[float],
         message) instead of aborting the sweep.
     batch:
         Solve up to this many adjacent grid points at once through the
-        batched lockstep engine (:mod:`repro.workloads.batched`):
-        stacked BLAS across points and continuation warm-starts within
-        each chunk.  ``None``/``0``/``1`` keeps the per-point path.
+        batched lockstep engine (:mod:`repro.workloads.batched`), which
+        stacks their linear algebra and returns the per-point path's
+        exact numbers.  ``None``/``0``/``1`` keeps the per-point path.
     metrics:
         Metric selectors (see :mod:`repro.metrics.selectors`) to
         evaluate per class at every point, populating
         :attr:`SweepPoint.metrics` / :attr:`SweepPoint.dist_kinds`
         from the solved model's response-time distributions.
         Saturated points degrade to the ``saturated`` marker instead
-        of erroring.  Selectors force the per-point engine (the
-        batched engine keeps only the R-iterates, not the full
-        stationary laws the distributions need).
+        of erroring.  Selectors force the per-point engine: they run
+        point by point.
 
     Checkpointing and worker processes are scenario-level: see
     :func:`repro.scenario.run`.

@@ -26,10 +26,6 @@ def _reference_assembly(*args, workspace=None, backend=None, **kwargs):
     return process, space, workspace
 
 
-def _reference_extraction(*args, workspace=None, **kwargs):
-    return effective_quantum(*args, **kwargs)
-
-
 def _cold(solve):
     def cold_solve(*args, R0=None, **kwargs):
         return solve(*args, R0=None, **kwargs)
@@ -41,7 +37,7 @@ def legacy_route():
     """Route every single solve through the reference stages."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stages, "build_class_qbd_fast", _reference_assembly)
-        mp.setattr(stages, "extract_effective_quantum", _reference_extraction)
+        mp.setattr(stages, "extract_effective_quantum", effective_quantum)
         mp.setattr(stages, "solve_R", _cold(stages.solve_R))
         mp.setattr(stages, "resilient_solve_R", _cold(stages.resilient_solve_R))
         yield

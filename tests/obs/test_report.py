@@ -200,20 +200,6 @@ class TestRender:
         assert "other metrics:" in text
         assert "weird.counter" in text
 
-    def test_continuation_hit_rate_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with obs.session(trace_path=path):
-            metrics.inc("sweep.points", 3, start="warm")
-            metrics.inc("sweep.points", 1, start="cold")
-        text = render_report(summarize_trace(path))
-        assert "continuation: warm=3 cold=1 hit rate 75.0%" in text
-
-    def test_no_continuation_line_without_batched_points(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        make_trace(path)
-        text = render_report(summarize_trace(path))
-        assert "continuation:" not in text
-
 
 class TestTimingsAgreement:
     def test_report_stage_totals_match_result_timings(self, tmp_path,

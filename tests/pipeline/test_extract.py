@@ -6,8 +6,8 @@ import pytest
 from repro.core.generator import build_class_qbd
 from repro.core.vacation import effective_quantum
 from repro.phasetype import PhaseType, erlang, exponential
+from repro.pipeline import extract
 from repro.pipeline.extract import (
-    ExtractionWorkspace,
     extract_effective_quanta,
     extract_effective_quantum,
 )
@@ -67,40 +67,36 @@ def test_truncation_parameters_respected():
 
 
 def test_workspace_plan_reused_across_solutions():
-    ws = ExtractionWorkspace()
+    # The per-process plan cache builds one plan per state space.
+    extract._plan.cache_clear()
     for vac in (erlang(3, 2.0), erlang(3, 0.9)):
         space, proc, sol = _solved(2, exponential(0.4), exponential(1.0),
                                    erlang(2, 1.0), vac, "switch")
         ref = effective_quantum(space, proc, sol, vac)
-        fast = extract_effective_quantum(space, proc, sol, vac, workspace=ws)
+        fast = extract_effective_quantum(space, proc, sol, vac)
         np.testing.assert_allclose(fast.alpha, ref.alpha, atol=1e-10)
         np.testing.assert_allclose(fast.S, ref.S, atol=1e-10)
-    # Same vacation order -> one cached plan serves both solves.
-    assert len(ws._plans) == 1
+    # Same vacation order -> an equal space, so one plan serves both.
+    info = extract._plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])
 def test_stacked_call_equals_each_single_call(policy):
     # One call over n >= 2 chains of one state space gives every chain
-    # the quantum its own n = 1 call gives.  Exactly so here, where each
-    # entry flow and absorbed sum has one term; with several terms a
-    # stacked operand can take a different NumPy kernel (see the module
-    # docstring).  The chains spread over three truncation depths, and
-    # the first and third share one, so the call stacks within a depth
-    # subgroup too.
+    # the bits its own n = 1 call gives.  The chains spread over three
+    # truncation depths, and the first and third share one, so the call
+    # stacks within a depth subgroup too.
     jobs = []
     for lam, vac in ((0.4, erlang(3, 2.0)), (0.2, erlang(3, 1.4)),
                      (0.4, erlang(3, 2.02)), (0.45, erlang(3, 1.0))):
         space, proc, sol = _solved(2, exponential(lam), exponential(1.0),
                                    erlang(2, 1.0), vac, policy)
         jobs.append((proc, sol, vac))
-    ws = ExtractionWorkspace()
-    stacked = extract_effective_quanta(space, jobs, workspace=ws)
-    assert len(ws._plans) == 1  # one space for all four chains
+    stacked = extract_effective_quanta(space, jobs)
     orders = [q.order for q in stacked]
     assert orders[0] == orders[2] and len(set(orders)) == 3
     for (proc, sol, vac), got in zip(jobs, stacked):
-        alone = extract_effective_quantum(space, proc, sol, vac,
-                                          workspace=ws)
+        alone = extract_effective_quantum(space, proc, sol, vac)
         assert np.array_equal(got.alpha, alone.alpha)
         assert np.array_equal(got.S, alone.S)

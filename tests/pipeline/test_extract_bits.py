@@ -19,9 +19,9 @@ from repro.core.statespace import ClassStateSpace
 from repro.errors import ValidationError
 from repro.kernels import is_sparse
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
+from repro.pipeline import extract
 from repro.pipeline.assembly import build_class_qbd_fast
 from repro.pipeline.extract import (
-    ExtractionWorkspace,
     extract_effective_quanta,
     extract_effective_quantum,
 )
@@ -37,6 +37,9 @@ QUANTUM2 = hyperexponential([0.45, 0.55], [0.61, 1.37])
 VACATION3 = PhaseType([0.5, 0.3, 0.2], [[-3.1, 1.2, 0.4],
                                         [0.3, -2.2, 0.9],
                                         [0.0, 0.7, -4.3]])
+VACATION10 = hyperexponential(
+    np.array([0.13, 0.07, 0.11, 0.05, 0.17, 0.09, 0.12, 0.08, 0.1, 0.08]),
+    [3.7, 1.9, 5.3, 2.3, 7.1, 1.3, 4.1, 2.9, 6.7, 1.7])
 
 
 def _chain(partitions, arrival, service, quantum, vacation, policy):
@@ -79,24 +82,42 @@ def test_single_markovian_chain(policy, partitions):
 def test_phase_type_service_wide_repeating_levels(policy, partitions):
     space, job = _chain(partitions, ARRIVAL2, SERVICE2, QUANTUM2,
                         VACATION3, policy)
-    assert len(ExtractionWorkspace().plan(space).repeating.svc) > 1
+    assert len(extract._plan(space).repeating.svc) > 1
     _check(space, [job])
+
+
+def _stacked_vs_single_calls(policy, vacation):
+    """Four chains of one space extracted in one call.
+
+    Each stacked quantum must carry the bits of the chain's own n = 1
+    call, the production one and the oracle's alike.
+    """
+    jobs = []
+    mean = vacation.mean
+    for lam, vac in ((0.4, vacation), (0.2, vacation.rescaled(0.7 * mean)),
+                     (0.4, vacation.rescaled(1.01 * mean)),
+                     (0.55, vacation)):
+        space, job = _chain(2, exponential(lam), exponential(1.0),
+                            QUANTUM2, vac, policy)
+        jobs.append(job)
+    got = extract_effective_quanta(space, jobs)
+    for job, stacked in zip(jobs, got):
+        _assert_same_bits([stacked], _check(space, [job]))
+    return got
 
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])
 def test_stacked_chains_over_several_depths(policy):
-    jobs = []
-    mean = VACATION3.mean
-    for lam, vac in ((0.4, VACATION3), (0.2, VACATION3.rescaled(0.7 * mean)),
-                     (0.4, VACATION3.rescaled(1.01 * mean)),
-                     (0.55, VACATION3)):
-        space, job = _chain(2, exponential(lam), exponential(1.0),
-                            QUANTUM2, vac, policy)
-        jobs.append(job)
-    got = _check(space, jobs)
+    got = _stacked_vs_single_calls(policy, VACATION3)
     assert len({q.order for q in got}) == 3
-    for job in jobs:
-        _check(space, [job])
+
+
+@pytest.mark.parametrize("policy", ["switch", "idle"])
+def test_stacked_chains_with_long_absorbed_sums(policy):
+    # Every vacation phase is an entry phase, so each absorbed row sum
+    # has ten nonzero terms: NumPy sums a contiguous row of eight or
+    # more with eight partial sums, but a strided one term by term.
+    _stacked_vs_single_calls(policy, VACATION10)
 
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])

@@ -1,10 +1,11 @@
-"""Continuation correctness of the batched sweep engine.
+"""Bit identity of the batched sweep engine with the per-point one.
 
 The batched engine (:mod:`repro.workloads.batched`) must be an
-*implementation detail*: warm-started lockstep solves agree with cold
-per-point solves to 1e-8 on any grid shape — non-monotone, duplicated,
-or both — and a killed batched sweep resumed from its checkpoint store
-replays the exact bytes an uninterrupted run produces.
+*implementation detail*: its lockstep solves return the exact numbers
+of per-point solves on any grid shape — non-monotone, duplicated, or
+both — and on every figure preset, and a killed batched sweep resumed
+from its checkpoint store replays the exact bytes an uninterrupted run
+produces.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.scenario import (
     SweepAxis,
     SystemSpec,
     canonical_bytes,
+    figure_scenarios,
     run,
     run_result_to_dict,
 )
@@ -41,58 +43,68 @@ def tiny_config(lam):
     ))
 
 
-def _assert_points_close(batched, serial, tol=1e-8):
+def _assert_points_equal(batched, serial):
+    """The batched points carry the per-point engine's exact numbers."""
     assert len(batched.points) == len(serial.points)
     for bp, sp in zip(batched.points, serial.points):
-        assert bp.value == sp.value
         assert bp.error is None and sp.error is None
-        assert bp.iterations == sp.iterations
-        assert bp.converged == sp.converged
-        for b, s in zip(bp.mean_jobs + bp.mean_response_time,
-                        sp.mean_jobs + sp.mean_response_time):
-            assert b == pytest.approx(s, rel=tol, abs=tol)
+        for name in ("value", "mean_jobs", "mean_response_time",
+                     "iterations", "converged", "error"):
+            assert getattr(bp, name) == getattr(sp, name), name
 
 
 class TestContinuationParity:
     @given(grid=st.lists(st.sampled_from(LOAD_POOL),
-                         min_size=3, max_size=6))
+                         min_size=3, max_size=6),
+           batch=st.integers(2, 4))
     @settings(max_examples=10, deadline=None)
-    def test_matches_cold_per_point_on_any_grid(self, grid):
-        """Warm-started batched results track cold solves to 1e-8, with
-        the same iteration counts, on grids with duplicates and
-        arbitrary (non-monotone) order."""
-        batched = sweep("lambda", grid, tiny_config, batch=3)
+    def test_matches_cold_per_point_on_any_grid(self, grid, batch):
+        """Batched results equal per-point solves exactly, iteration
+        counts included, on grids with duplicates and arbitrary
+        (non-monotone) order."""
+        batched = sweep("lambda", grid, tiny_config, batch=batch)
         serial = sweep("lambda", grid, tiny_config)
-        _assert_points_close(batched, serial)
+        _assert_points_equal(batched, serial)
 
     def test_duplicate_values_solved_once_identical(self):
-        """Duplicated grid values yield byte-identical point metrics."""
-        res = sweep("lambda", [0.9, 0.3, 0.9, 0.3], tiny_config, batch=4)
+        """Duplicated grid values yield the per-point metrics, once per
+        slot."""
+        grid = [0.9, 0.3, 0.9, 0.3]
+        res = sweep("lambda", grid, tiny_config, batch=4)
         a, b, c, d = res.points
         assert a.mean_jobs == c.mean_jobs
         assert a.mean_response_time == c.mean_response_time
         assert b.mean_jobs == d.mean_jobs
+        _assert_points_equal(res, sweep("lambda", grid, tiny_config))
 
     def test_non_monotone_grid_keeps_input_order(self):
         grid = [0.9, 0.3, 0.6]
         res = sweep("lambda", grid, tiny_config, batch=3)
         assert res.values() == grid
         cold = sweep("lambda", grid, tiny_config)
-        _assert_points_close(res, cold)
+        _assert_points_equal(res, cold)
 
     def test_provenance_fields(self):
-        """Batched points carry wall time and warm/cold status; chunk
-        heads start cold, tails warm-start from the head."""
+        """Batched points carry their wall time and start cold;
+        per-point points leave ``warm`` unset."""
         grid = [0.3, 0.45, 0.6, 0.75]
         res = sweep("lambda", grid, tiny_config, batch=4)
         assert all(p.solve_seconds is not None and p.solve_seconds >= 0
                    for p in res.points)
-        warms = [p.warm for p in res.points]  # grid order == sorted here
-        assert warms[0] is False
-        assert all(w is True for w in warms[1:])
+        assert all(p.warm is False for p in res.points)
         serial = sweep("lambda", grid[:2], tiny_config)
         assert all(p.solve_seconds is not None for p in serial.points)
         assert all(p.warm is None for p in serial.points)
+
+
+class TestFigureParity:
+    @pytest.mark.parametrize("number", [2, 3, 4, 5])
+    def test_figure_presets_match_per_point(self, number):
+        """Every preset of the figure, at the default tier, batched four
+        points at a time, serializes to the per-point run's payload."""
+        for sc in figure_scenarios(number):
+            batched = run(sc.with_engine(batch_points=4))
+            assert run_result_to_dict(batched) == run_result_to_dict(run(sc))
 
 
 class TestKillAndResume:
@@ -118,8 +130,8 @@ class TestKillAndResume:
         resumed = run(self.scenario(tmp_path / "crash"))
 
         assert resumed.resumed == 3
-        # Byte-level: the lost shard re-solved from the same cold head,
-        # so its warm tail reproduces the uninterrupted numbers.
+        # Byte-level: the lost shard is solved again, every point cold,
+        # and reproduces the uninterrupted numbers.
         assert resumed.points == clean.points
         assert canonical_bytes(run_result_to_dict(resumed)) \
             == canonical_bytes(run_result_to_dict(clean))
