@@ -273,19 +273,26 @@ class PhaseType:
         if sums is None:
             sums = (np.empty(0), np.empty(0), self._alpha)
         c, d, v = sums
-        have = c.size
-        if have >= n:
+        if c.size >= n:
             return c, d
+        c_more, d_more, v = self._extend(v, n - c.size)
+        c = np.concatenate((c, c_more))
+        d = np.concatenate((d, d_more))
+        self._sums = (c, d, v)
+        return c, d
+
+    def _extend(self, v: np.ndarray, count: int):
+        """The next ``count`` terms of ``(c, d)`` from ``v``, and the
+        vector after them (the one the term after those starts from)."""
         P, _ = self._uniformized
         s0 = self.exit_rates
-        c = np.concatenate((c, np.empty(n - have)))
-        d = np.concatenate((d, np.empty(n - have)))
-        for k in range(have, n):
+        c = np.empty(count)
+        d = np.empty(count)
+        for k in range(count):
             c[k] = v.sum()
             d[k] = v @ s0
             v = v @ P
-        self._sums = (c, d, v)
-        return c, d
+        return c, d, v
 
     def _mix(self, x: float, which: int) -> float:
         """``sum_k Pois(k; theta x) * seq_k`` over the ``1 - 1e-14`` window.

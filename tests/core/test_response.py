@@ -1,5 +1,6 @@
 """Tests for the tagged-job response-time distribution."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,8 +13,11 @@ from repro.core import (
     response_time_distribution,
     waiting_time_distribution,
 )
-from repro.errors import ValidationError
-from repro.phasetype import erlang, exponential
+from repro.core.response import LevelPhaseType, waiting_from_response
+from repro.errors import NotAPhaseTypeError, ValidationError
+from repro.phasetype import PhaseType, erlang, exponential
+from repro.scenario import get_scenario
+from tests.core.response_oracle import dense_response_law, dense_waiting_law
 
 
 def single_class(lam=0.6, mu=1.0, c=2, q=2.0, oh=0.3):
@@ -189,3 +193,154 @@ class TestShape:
         svc = exponential(1.0)
         for x in (0.5, 1.0, 3.0):
             assert rt.sf(x) >= svc.sf(x) - 1e-9
+
+
+#: ``(lam, c, q, oh)`` of the single-class systems checked above.
+SINGLE_CLASS = [(0.6, 2, 2.0, 0.3), (0.3, 1, 1.0, 0.1), (1.5, 4, 3.0, 0.05)]
+PARITY_CASES = ([("fig2", p) for p in range(4)]
+                + [(f"single{i}", 0) for i in range(len(SINGLE_CLASS))])
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_solved(name):
+    if name == "fig2":
+        config = get_scenario("fig2").system.config_for(1.0)
+    else:
+        lam, c, q, oh = SINGLE_CLASS[int(name[len("single"):])]
+        config = single_class(lam=lam, c=c, q=q, oh=oh)
+    return GangSchedulingModel(config).solve()
+
+
+def _assert_same_law(law, dense):
+    """Survival function, p50/p99 and mean of the level law against the
+    dense oracle's."""
+    for t in (0.5, 1.0, 3.0, 5.0, 10.0):
+        assert law.sf(t) == pytest.approx(dense.sf(t), rel=1e-12, abs=0.0)
+    for q in (0.5, 0.99):
+        assert law.quantile(q) == pytest.approx(dense.quantile(q), rel=1e-10)
+    assert law.mean == pytest.approx(dense.mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,p", PARITY_CASES)
+class TestDenseOracleParity:
+    """The level law against the dense double loop it replaced
+    (``tests/core/response_oracle.py``)."""
+
+    def test_response_law(self, name, p):
+        solved = _parity_solved(name)
+        law = response_time_distribution(solved, p)
+        dense = dense_response_law(solved, p)
+        assert law.order == dense.order
+        assert np.array_equal(law.alpha, dense.alpha)
+        S, want = law.S, dense.S
+        off = ~np.eye(law.order, dtype=bool)
+        assert np.array_equal(S[off], want[off])
+        assert np.allclose(np.diag(S), np.diag(want), rtol=1e-13, atol=0.0)
+        assert law.condition == pytest.approx(np.linalg.cond(want, np.inf),
+                                              rel=1e-10)
+        _assert_same_law(law, dense)
+
+    def test_waiting_law(self, name, p):
+        solved = _parity_solved(name)
+        space = solved.classes[p].space
+        law = waiting_from_response(response_time_distribution(solved, p),
+                                    space)
+        dense = dense_waiting_law(dense_response_law(solved, p), space)
+        assert law.order == dense.order
+        assert law.atom_at_zero == pytest.approx(dense.atom_at_zero,
+                                                 rel=1e-12, abs=0.0)
+        _assert_same_law(law, dense)
+
+
+class TestHeavyLoad:
+    """Figure 3's heavy load (rho = 0.9): laws of order 4,284-5,712
+    answer a p99 from their level blocks, without a dense ``S``."""
+
+    def test_fig3_laws(self):
+        config = get_scenario("fig3").system.config_for(2.0)
+        solved = GangSchedulingModel(config).solve()
+        orders = []
+        for p, cls in enumerate(config.classes):
+            law = response_time_distribution(solved, p)
+            orders.append(law.order)
+            little = solved.classes[p].mean_jobs / cls.arrival_rate
+            # Little's law against the tagged chain, up to the 1e-10
+            # truncation of the starting position.
+            assert law.mean == pytest.approx(little, rel=1e-9)
+            assert law.mean < law.quantile(0.99) < math.inf
+            assert "_S" not in vars(law)
+        assert orders == [4284, 4942, 5502, 5712]
+
+
+def _chain(levels=4, vacation_exit=1.5):
+    """Blocks of a small tagged-job-like chain: one quantum phase and
+    two vacation phases; the second vacation phase returns to the
+    quantum at rate ``vacation_exit``."""
+    cycle = np.array([[0.0, 2.0, 0.0],
+                      [0.0, 0.0, 3.0],
+                      [vacation_exit, 0.5, 0.0]])
+    down = np.zeros((levels, 3))
+    down[1:, 0] = 1.0
+    absorb = np.zeros((levels, 3))
+    absorb[0, 0] = 1.0
+    alpha = np.zeros((levels, 3))
+    alpha[-1, 1] = 0.6
+    alpha[1, 0] = 0.4
+    return alpha, cycle, down, absorb
+
+
+def _dense_generator(cycle, down, absorb):
+    """The sub-generator of :func:`_chain`'s blocks, entry by entry."""
+    levels, nk = down.shape
+    S = np.zeros((levels * nk, levels * nk))
+    for m in range(levels):
+        for k in range(nk):
+            i = m * nk + k
+            for k2 in range(nk):
+                if k2 != k:
+                    S[i, m * nk + k2] = cycle[k, k2]
+            if m:
+                S[i, (m - 1) * nk + k] = down[m, k]
+            S[i, i] = -(cycle[k].sum() + down[m, k] + absorb[m, k])
+    return S
+
+
+class TestConditioningGate:
+    """Invertibility and conditioning come from the block substitution
+    ``t = (-S)^{-1} e``, not from an SVD of the dense matrix."""
+
+    def test_condition_number_is_exact(self):
+        alpha, cycle, down, absorb = _chain()
+        law = LevelPhaseType(alpha, cycle, down, absorb)
+        S = _dense_generator(cycle, down, absorb)
+        assert np.array_equal(law.S, S)
+        assert law.condition == pytest.approx(np.linalg.cond(S, np.inf),
+                                              rel=1e-10)
+        dense = PhaseType(alpha.ravel(), S)
+        assert law.mean == pytest.approx(dense.mean, rel=1e-12)
+        assert law.moment(2) == pytest.approx(dense.moment(2), rel=1e-12)
+
+    def test_recurrent_vacation_rejected(self):
+        # The vacation phases pass the job between each other forever.
+        alpha, cycle, down, absorb = _chain(vacation_exit=0.0)
+        with pytest.raises(NotAPhaseTypeError, match="singular"):
+            LevelPhaseType(alpha, cycle, down, absorb)
+
+    def test_near_singular_chain_rejected(self):
+        alpha, cycle, down, absorb = _chain(vacation_exit=1e-16)
+        with pytest.raises(NotAPhaseTypeError, match="numerically singular"):
+            LevelPhaseType(alpha, cycle, down, absorb)
+
+    def test_waiting_target_is_a_proper_law(self):
+        alpha, cycle, down, absorb = _chain()
+        target = np.zeros(alpha.shape, dtype=bool)
+        target[0, 0] = True
+        law = LevelPhaseType(alpha, cycle, down, absorb).absorbed_at(target)
+        keep = np.flatnonzero(~target.ravel())
+        S = _dense_generator(cycle, down, absorb)[np.ix_(keep, keep)]
+        dense = PhaseType(alpha.ravel()[keep], S)
+        assert np.array_equal(law.S, S)
+        assert law.condition == pytest.approx(np.linalg.cond(S, np.inf),
+                                              rel=1e-10)
+        assert law.mean == pytest.approx(dense.mean, rel=1e-12)
+        assert law.sf(1.0) == pytest.approx(dense.sf(1.0), rel=1e-12)

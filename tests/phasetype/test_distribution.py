@@ -228,25 +228,35 @@ def _series_oracle(d, x):
 
 
 @pytest.fixture(scope="module")
-def response_law():
+def fig2_solved():
     from repro.core import GangSchedulingModel
-    from repro.core.response import response_time_distribution
     from repro.workloads import fig23_config
 
-    solved = GangSchedulingModel(fig23_config(0.4, 2.0)).solve()
-    return response_time_distribution(solved, 0)
+    return GangSchedulingModel(fig23_config(0.4, 2.0)).solve()
 
 
-def _laws(response_law):
+def _fresh(name, solved):
+    """A new law ``name`` with no power sums grown yet.
+
+    ``"fig2-level"`` is Figure 2's class-0 response law itself, rebuilt
+    from its level blocks; ``"fig2-response"`` is the same law copied
+    into a dense ``PhaseType``.  The others are dense copies too.
+    """
+    from repro.core.response import response_time_distribution
     from repro.phasetype import hypoexponential
 
-    return {
-        "erlang": erlang(4, mean=2.0),
-        "hyperexponential": hyperexponential([0.3, 0.7], [0.2, 2.0]),
-        "ulp-close": hypoexponential([0.05, np.nextafter(0.05, 1.0)]),
-        "atom": PhaseType([0.4, 0.3], [[-1.0, 0.5], [0.0, -2.0]]),
-        "fig2-response": response_law,
-    }
+    if name in ("fig2-level", "fig2-response"):
+        d = response_time_distribution(solved, 0)
+        if name == "fig2-level":
+            return d
+    else:
+        d = {
+            "erlang": erlang(4, mean=2.0),
+            "hyperexponential": hyperexponential([0.3, 0.7], [0.2, 2.0]),
+            "ulp-close": hypoexponential([0.05, np.nextafter(0.05, 1.0)]),
+            "atom": PhaseType([0.4, 0.3], [[-1.0, 0.5], [0.0, -2.0]]),
+        }[name]
+    return PhaseType(d.alpha, d.S)
 
 
 class TestCachedUniformization:
@@ -254,36 +264,50 @@ class TestCachedUniformization:
 
     @pytest.mark.parametrize(
         "name", ["erlang", "hyperexponential", "ulp-close", "atom",
-                 "fig2-response"])
-    def test_matches_from_zero_series(self, response_law, name):
-        d = _laws(response_law)[name]
-        fresh = PhaseType(d.alpha, d.S)
+                 "fig2-response", "fig2-level"])
+    def test_matches_from_zero_series(self, fig2_solved, name):
+        d = _fresh(name, fig2_solved)
+        dense = PhaseType(d.alpha, d.S)
         for x in self.XS:
-            want = _series_oracle(fresh, x)
+            want = _series_oracle(dense, x)
             got = (d.cdf(x), d.sf(x), d.pdf(x))
             assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("name", ["ulp-close", "fig2-response"])
-    def test_values_do_not_depend_on_probe_order(self, response_law, name):
-        d = _laws(response_law)[name]
-        shared = PhaseType(d.alpha, d.S)
+    @pytest.mark.parametrize("name",
+                             ["ulp-close", "fig2-response", "fig2-level"])
+    def test_values_do_not_depend_on_probe_order(self, fig2_solved, name):
+        shared = _fresh(name, fig2_solved)
         # Largest first, then smaller, then beyond the first largest.
         xs = [12.0, 0.7, 3.0, 0.05, 25.0, 6.0]
         for fn in ("sf", "cdf", "pdf"):
             for x in xs:
-                fresh = PhaseType(d.alpha, d.S)
+                fresh = _fresh(name, fig2_solved)
                 assert getattr(shared, fn)(x) == getattr(fresh, fn)(x)
+
+    @pytest.mark.parametrize("name", ["erlang", "fig2-response", "fig2-level"])
+    def test_sequence_grown_at_once_equals_grown_term_by_term(
+            self, fig2_solved, name):
+        # 600 terms span three of the level law's 256-term chunks.
+        n = 600
+        at_once = _fresh(name, fig2_solved)
+        at_once._power_sums(n)
+        stepwise = _fresh(name, fig2_solved)
+        for k in range(1, n + 1):
+            stepwise._power_sums(k)
+        for got, want in zip(stepwise.__dict__["_sums"],
+                             at_once.__dict__["_sums"]):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("x", [1e6, 1e20])
     @pytest.mark.parametrize(
-        "name", ["erlang", "hyperexponential", "atom", "fig2-response"])
+        "name", ["erlang", "hyperexponential", "atom", "fig2-response",
+                 "fig2-level"])
     def test_huge_threshold_gives_the_limits_at_infinity(
-            self, response_law, name, x):
+            self, fig2_solved, name, x):
         # theta * x = 1e22 is past scipy's Poisson quantile (nan), and
         # 1e6 would need ~theta * 1e6 series terms: both are answered
         # once c_k has decayed below 1e-16, from a short prefix.
-        d = _laws(response_law)[name]
-        fresh = PhaseType(d.alpha, d.S)
+        fresh = _fresh(name, fig2_solved)
         assert (fresh.cdf(x), fresh.sf(x), fresh.pdf(x)) == (1.0, 0.0, 0.0)
         assert fresh.__dict__["_sums"][0].size <= 2 ** 15
 
@@ -296,35 +320,41 @@ class TestCachedUniformization:
         got = d.sf(np.array([1.0, np.inf, np.nan]))
         assert got[0] == d.sf(1.0) and got[1] == 0.0 and np.isnan(got[2])
 
-    def test_concurrent_probes_see_whole_sequences(self, response_law):
-        import sys
-        import threading
+    def test_concurrent_probes_see_whole_sequences(self, fig2_solved):
+        for name in ("fig2-response", "fig2-level"):
+            _probe_concurrently(name, fig2_solved)
 
-        xs = [0.05, 0.7, 3.0, 6.0, 12.0, 25.0]
-        want = {x: PhaseType(response_law.alpha, response_law.S).sf(x)
-                for x in xs}
-        shared = PhaseType(response_law.alpha, response_law.S)
-        got, errors = [], []
 
-        def probe(seed):
-            order = np.random.default_rng(seed).permutation(xs)
-            try:
-                got.extend((x, shared.sf(x)) for x in order)
-            except Exception as exc:  # pragma: no cover - reported below
-                errors.append(exc)
+def _probe_concurrently(name, solved):
+    """Eight threads probe one fresh law ``name`` in shuffled orders;
+    each must see the value a fresh law gives alone."""
+    import sys
+    import threading
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    xs = [0.05, 0.7, 3.0, 6.0, 12.0, 25.0]
+    want = {x: _fresh(name, solved).sf(x) for x in xs}
+    shared = _fresh(name, solved)
+    got, errors = [], []
+
+    def probe(seed):
+        order = np.random.default_rng(seed).permutation(xs)
         try:
-            threads = [threading.Thread(target=probe, args=(seed,))
-                       for seed in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        assert len(got) == 8 * len(xs)
-        assert all(value == want[x] for x, value in got)
+            got.extend((x, shared.sf(x)) for x in order)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=probe, args=(seed,))
+                   for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, name
+    assert len(got) == 8 * len(xs), name
+    assert all(value == want[x] for x, value in got), name
