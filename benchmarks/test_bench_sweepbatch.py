@@ -1,19 +1,19 @@
-"""Batched sweep engine acceptance bench: Figure 2 full grid race.
+"""Lockstep sweep acceptance bench: Figure 2 full grid race.
 
-The gate for the batched lockstep engine
-(:mod:`repro.workloads.batched`): the Figure 2 quantum sweep on the
-paper-resolution (``full``) grid, solved with ``batch_points=8``, must
+The gate for lockstep sweep chunks (:mod:`repro.workloads.batched`):
+the Figure 2 quantum sweep on the paper-resolution (``full``) grid,
+solved at the default chunk width (``batch_points=0``, 8 points), must
 
-* beat the per-point serial path's wall clock (the in-test floor is
-  deliberately looser than the committed baseline's speedup, to absorb
-  single-run timing noise),
-* reproduce the per-point mean-jobs and response-time series exactly
-  at every grid point.
+* beat the same sweep one point at a time (``batch_points=1``) on the
+  wall clock (the in-test floor is deliberately looser than the
+  committed baseline's speedup, to absorb single-run timing noise),
+* reproduce its mean-jobs and response-time series exactly at every
+  grid point.
 
 Times, speedup and parity persist to
 ``benchmarks/results/BENCH_sweepbatch.json``; the CI smoke-bench job
 regenerates the file and ``scripts/bench_compare.py`` fails the build
-when the batched path's host-calibrated wall clock regresses >20%
+when the default width's host-calibrated wall clock regresses >20%
 against the committed baseline.
 """
 
@@ -29,7 +29,8 @@ from repro.workloads.sweeps import sweep_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-BATCH = 8
+#: The one-point-at-a-time width the default races against.
+ONE_AT_A_TIME = 1
 
 
 def run_fig2(batch_points):
@@ -41,27 +42,28 @@ def run_fig2(batch_points):
 @pytest.mark.benchmark(group="sweepbatch")
 def test_fig2_batched_race_and_parity(benchmark, emit):
     t0 = time.perf_counter()
-    serial = run_fig2(0)
+    serial = run_fig2(ONE_AT_A_TIME)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = benchmark.pedantic(run_fig2, args=(BATCH,),
+    batched = benchmark.pedantic(run_fig2, args=(0,),
                                  rounds=1, iterations=1)
     t_batched = time.perf_counter() - t0
 
-    # Parity: batching is an execution strategy, not a model change.
+    # Parity: the chunk width is an execution strategy, not a model
+    # change.
     worst = 0.0
     for a, b in zip(serial.points, batched.points):
         assert a.value == b.value and a.error is None and b.error is None
         for x, y in zip(a.mean_jobs + a.mean_response_time,
                         b.mean_jobs + b.mean_response_time):
             worst = max(worst, abs(x - y))
-    assert worst == 0.0, f"batched sweep diverged by {worst:.3e}"
+    assert worst == 0.0, f"chunked sweep diverged by {worst:.3e}"
 
     speedup = t_serial / t_batched
     payload = {
         "grid": [pt.value for pt in serial.points],
-        "batch_points": BATCH,
+        "batch_points": 0,
         "seed_seconds": round(t_serial, 4),
         "pipeline_seconds": round(t_batched, 4),
         "speedup": round(speedup, 3),
@@ -71,9 +73,9 @@ def test_fig2_batched_race_and_parity(benchmark, emit):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_sweepbatch.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    print(f"\nper-point {t_serial:.2f}s  batched x{BATCH} {t_batched:.2f}s  "
-          f"speedup {speedup:.2f}x  worst diff {worst:.2e}")
+    print(f"\none at a time {t_serial:.2f}s  default width "
+          f"{t_batched:.2f}s  speedup {speedup:.2f}x  worst diff {worst:.2e}")
 
     assert speedup >= 1.1, (
-        f"batched sweep only {speedup:.2f}x faster than per-point "
-        f"({t_batched:.2f}s vs {t_serial:.2f}s)")
+        f"default-width sweep only {speedup:.2f}x faster than one point "
+        f"at a time ({t_batched:.2f}s vs {t_serial:.2f}s)")

@@ -91,9 +91,9 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
               "a DIR in use by a running daemon is refused"}),
     ("batch_points", "--batch",
      {"type": int, "metavar": "N",
-      "help": "solve up to N adjacent sweep points at once through the "
-              "batched lockstep engine (stacked BLAS, the same numbers "
-              "as the per-point path); 0 or 1 keeps the per-point path"}),
+      "help": "solve up to N adjacent sweep points at once in lockstep "
+              "(stacked BLAS; the width never changes a number); "
+              "0 (default) means 8, 1 one point at a time"}),
     ("max_iterations", "--max-iterations",
      {"type": int, "metavar": "N",
       "help": "fixed-point iteration budget (default 200)"}),
@@ -130,11 +130,11 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("engine options (shared scenario schema)")
     for field, flag, kwargs in ENGINE_FLAGS:
         g.add_argument(flag, dest=field, default=None, **kwargs)
-    # ``--no-batch`` is sugar for ``--batch 0`` (force the per-point
-    # path even when the scenario asks for batching).
+    # ``--no-batch`` is sugar for ``--batch 1``: one point at a time,
+    # whatever width the scenario asks for.
     g.add_argument("--no-batch", dest="batch_points", action="store_const",
-                   const=0, help="disable batched sweep solving "
-                   "(equivalent to --batch 0)")
+                   const=1, help="solve sweep points one at a time "
+                   "(equivalent to --batch 1)")
 
 
 def _engine_overrides(args) -> dict:

@@ -14,15 +14,15 @@ advances n >= 1 points through it in lockstep, each point carrying
 one :class:`~repro.pipeline.context.SolveContext` (a reusable
 assembly workspace, the previous iteration's ``R`` matrices as warm
 starts, per-stage wall-clock timings).  The per-class work of steps
-1-2 comes from a :class:`StageSet`: a single solve
-(:func:`run_fixed_point`, the n = 1 case) runs the per-point stages of
-:mod:`repro.pipeline.stages`; a batched sweep chunk runs the stacked
-kernels of :mod:`repro.workloads.batched`.  Both finish each class
-with the per-point boundary solve and extract through the one stacked
-:func:`repro.pipeline.extract.extract_effective_quanta`.
+1-2 is the one solve stage of :mod:`repro.pipeline.stages`
+(:func:`~repro.pipeline.stages.solve_points` and
+:func:`~repro.pipeline.stages.extract_points`), which stacks the
+points' drift tests, ``R`` solves and extractions.  A single solve
+(:func:`run_fixed_point`) is the n = 1 case; a sweep chunk
+(:mod:`repro.workloads.batched`) passes its points together.
 Everything else — initialization, bootstrap, saturation, the
-convergence test, Aitken, order reduction, recombination and
-per-point failure isolation — is shared.
+convergence test, Aitken, recombination and per-point failure
+isolation — runs per point.
 
 Initialization and saturation handling
 --------------------------------------
@@ -52,19 +52,13 @@ space of the paper's figures:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.statespace import ClassStateSpace
-from repro.core.vacation import (
-    fixed_point_vacation,
-    heavy_traffic_vacation,
-    reduce_order,
-)
+from repro.core.vacation import fixed_point_vacation, heavy_traffic_vacation
 from repro.errors import UnstableSystemError
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -77,7 +71,7 @@ from repro.qbd.structure import QBDProcess
 from repro.resilience.fallback import DEFAULT_POLICY, ResiliencePolicy
 
 __all__ = ["FixedPointOptions", "FixedPointResult", "IterationRecord",
-           "PointState", "StageSet", "run_fixed_point", "run_lockstep"]
+           "PointState", "run_fixed_point", "run_lockstep"]
 
 
 @dataclass(frozen=True)
@@ -210,26 +204,6 @@ def _aitken_target(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray,
     return target, ok
 
 
-class StageSet(NamedTuple):
-    """The per-class stages the lockstep driver runs.
-
-    ``solve(points)`` assembles and solves every class of each point at
-    its current ``vacations``, stores the
-    ``(spaces, processes, solutions, saturated)`` tuple in
-    ``point.state``, and fails a point (:meth:`PointState.fail`) rather
-    than raise.  ``extract(points)`` returns ``raw(point, p)``, the raw
-    effective quantum of stable class ``p``; a lookup that raises fails
-    only that point.
-    """
-
-    solve: Callable[[list], None]
-    extract: Callable[[list], Callable]
-
-
-#: The per-point stage set of :mod:`repro.pipeline.stages`.
-PER_POINT = StageSet(stages.solve_points, stages.extract_points)
-
-
 class PointState:
     """One point advancing through the lockstep iteration."""
 
@@ -247,6 +221,9 @@ class PointState:
         self.prev_sat: list[bool] | None = None
         self.eff_hist: list[np.ndarray] = []
         self.error: BaseException | None = None
+        #: Position in its lockstep batch (the point of a stacked
+        #: span's ``[point, klass]`` job tags).
+        self.index = 0
         self.finished = False
         self.started = time.perf_counter()
         self.elapsed = 0.0
@@ -279,7 +256,7 @@ def run_fixed_point(config: SystemConfig,
     pol = resolve_policy(opts.policy)
     with span("fixed_point", classes=config.num_classes, policy=pol.kind):
         point = PointState(config, opts)
-        run_lockstep([point], PER_POINT)
+        run_lockstep([point])
         if point.error is not None:
             raise point.error
         return point.result
@@ -354,23 +331,17 @@ def _record(pt: PointState, it: int) -> None:
         pt.prev_means, pt.prev_sat = means, saturated
 
 
-def _reduce(pt: PointState, p: int, raw: PhaseType) -> PhaseType:
-    with span("stage.reduce", timings=pt.ctx.timings, stage="reduce",
-              klass=p):
-        return reduce_order(raw, pt.opts.reduction, backend=pt.opts.backend)
-
-
-def _recombine(pt: PointState, it: int, raw) -> None:
+def _recombine(pt: PointState, it: int, reduced: dict) -> None:
     """Effective quanta, Aitken, and the next iterate's vacations."""
     opts, ctx, saturated = pt.opts, pt.ctx, pt.state[3]
-    # Effective quanta: Theorem 4.3 for stable classes; a saturated
-    # class never empties, so its effective quantum is its full
-    # quantum (the heavy-traffic behaviour, exactly).  Each raw
-    # quantum is reduced and dropped before the next is looked up.
+    # Effective quanta: Theorem 4.3 for stable classes (extracted and
+    # reduced by the solve stage); a saturated class never empties, so
+    # its effective quantum is its full quantum (the heavy-traffic
+    # behaviour, exactly).
     eff: dict[int, PhaseType] = {}
     for p in range(pt.L):
         eff[p] = (ctx.views[p].quantum if saturated[p]
-                  else _reduce(pt, p, raw(pt, p)))
+                  else reduced[pt, p])
 
     # Aitken delta-squared acceleration on the per-class effective-
     # quantum means, applied every third round from a window of
@@ -407,7 +378,7 @@ def _isolated(points: list[PointState], step, *args) -> list[PointState]:
     return chosen
 
 
-def run_lockstep(points: list[PointState], stage_set: StageSet) -> None:
+def run_lockstep(points: list[PointState]) -> None:
     """Advance ``points`` through the Section 4.3 iteration in lockstep.
 
     Every point follows the same control flow — heavy-traffic start,
@@ -415,11 +386,15 @@ def run_lockstep(points: list[PointState], stage_set: StageSet) -> None:
     Aitken windows — and drops out when it converges, exhausts its
     iteration budget, or fails.  A failure is stored on the point
     (``point.error``) and never stops the others; results land in
-    ``point.result``.
+    ``point.result``.  The points' per-class work is stacked by the
+    solve stage, so they should share their options (a sweep chunk's
+    points do).
     """
+    for i, pt in enumerate(points):
+        pt.index = i
     _isolated(points, _start)
-    stage_set.solve(_live(points))
-    stage_set.solve(_isolated(points, _bootstrap))
+    stages.solve_points(_live(points))
+    stages.solve_points(_isolated(points, _bootstrap))
     _fail_saturated(points,
                     "every class is saturated: the offered load exceeds "
                     "the system's capacity under any vacation assignment")
@@ -433,8 +408,8 @@ def run_lockstep(points: list[PointState], stage_set: StageSet) -> None:
         live = _live(live)
         if not live:
             break
-        _isolated(live, _recombine, it, stage_set.extract(live))
-        stage_set.solve(_live(live))
+        _isolated(live, _recombine, it, stages.extract_points(live))
+        stages.solve_points(_live(live))
         _fail_saturated(live,
                         "every class became saturated during the "
                         "fixed-point iteration: the system is over capacity")

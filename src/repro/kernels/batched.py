@@ -10,8 +10,9 @@ run the *same recurrences* on ``(npoints, m, m)`` stacks — one
 per-slice convergence masks so points converge and drop out of the
 batch individually, exactly where their serial solve would stop.
 
-Design rules (all load-bearing for the bit identity of
-:mod:`repro.workloads.batched` with the per-point engine):
+Design rules (all load-bearing for the bit identity of the stacked
+solve stage, :func:`repro.pipeline.stages.solve_points`, with the
+per-point kernels):
 
 * **Same recurrence, same stopping rule.**  Each kernel mirrors its
   serial counterpart step for step (``solve_G`` logreduction,
@@ -24,7 +25,7 @@ Design rules (all load-bearing for the bit identity of
   run's numbers.
 * **Per-slice failure isolation.**  A slice that diverges, hits a
   singular system, or trips a guard is flagged in the returned ``ok``
-  mask and frozen; the caller re-solves just that point through the
+  mask and frozen; the caller re-solves just that slice through the
   serial resilience chain.  A batched kernel never raises for a
   per-slice numerical failure.
 
@@ -49,8 +50,9 @@ __all__ = [
 
 #: Memory cap (float64 elements) for the materialized Kronecker
 #: linearizations of the batched Newton refinement; bigger batches are
-#: processed in sub-chunks of at most this many elements.
-_KRON_ELEMENT_BUDGET = 16_000_000
+#: processed in sub-chunks of at most this many elements (at least one
+#: slice each).
+_KRON_ELEMENT_BUDGET = 40_000
 
 
 def stack_blocks(mats) -> np.ndarray:
@@ -218,48 +220,46 @@ def batched_r_from_g(A0: np.ndarray, A1: np.ndarray, G: np.ndarray,
 # Newton refinement of warm-started R iterates
 
 
-def _batched_kron_operator(R, B, A2t, I):
-    """Stack of ``kron(I, B^T) + kron(R, A2^T)`` linearizations.
+def _batched_kron_operator(R, B, A2t):
+    """Stack of ``kron(R, A2^T) + kron(I, B^T)`` linearizations.
 
     ``kron(P, Q)[x1*d + x2, x3*d + x4] = P[x1, x3] Q[x2, x4]``, so the
     broadcast places the left factor on the outer row/column axes and
-    the right factor on the inner ones; the products and the sum pair
-    the exact same operands as ``np.kron``, keeping each slice bitwise
-    equal to the serial operator.
+    the right factor on the inner ones.  As in the serial refinement,
+    ``B^T`` is then added onto the diagonal blocks only, so each slice
+    pairs the exact operands of the serial operator, bit for bit.
     """
     n, d, _ = R.shape
-    Bt = np.transpose(B, (0, 2, 1))
-    A2b = A2t[None, None, :, None, :] if A2t.ndim == 2 \
-        else A2t[:, None, :, None, :]
-    M = np.empty((n, d, d, d, d))
-    np.multiply(I[None, :, None, :, None], Bt[:, None, :, None, :], out=M)
-    M += R[:, :, None, :, None] * A2b
+    M = R[:, :, None, :, None] * A2t[:, None, :, None, :]
+    diag = np.arange(d)
+    M[:, diag, :, diag, :] += np.transpose(B, (0, 2, 1))
     return M.reshape(n, d * d, d * d)
 
 
 def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                      R0: np.ndarray, *, tol: float = 1e-12,
                      max_steps: int = 8,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep Newton refinement of warm-start ``R`` iterates.
 
     Per-slice mirror of :func:`repro.qbd.rmatrix.refine_R` (dense
     Kronecker path): same residual target, the same divergence /
     non-finiteness / negativity / spectral-radius guards, applied per
-    slice.  Returns ``(R, ok)``; a slice with ``ok=False`` simply fell
-    back — the caller runs its cold solve — never an error.
+    slice.  Returns ``(R, steps, ok)`` with per-slice Newton step
+    counts; a slice with ``ok=False`` simply fell back — the caller
+    runs its cold solve — never an error.
     """
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
     A2 = np.asarray(A2, dtype=np.float64)
     R = np.array(R0, dtype=np.float64, copy=True)
     n, d, _ = A1.shape
-    I = np.eye(d)
     A2t = np.transpose(A2, (0, 2, 1))
     scale = np.maximum(1.0, np.abs(A1).max(axis=(1, 2)))
     target = np.maximum(tol, 1e-14) * scale
     ok = np.ones(n, dtype=bool)
     done = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=np.int64)
     prev_resid = np.full(n, np.inf)
     # Cap the memory of the materialized d^2 x d^2 operators.
     chunk = max(1, int(_KRON_ELEMENT_BUDGET // max(1, d ** 4)))
@@ -281,11 +281,12 @@ def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
             continue
         sel = idx[step]
         prev_resid[sel] = resid[step]
+        steps[sel] += 1
         for lo in range(0, sel.size, chunk):
             sub = sel[lo:lo + chunk]
             Rs = R[sub]
             M = _batched_kron_operator(Rs, A1[sub] + Rs @ A2[sub],
-                                       A2t[sub], I)
+                                       A2t[sub])
             rhs = -F[step][lo:lo + chunk].reshape(sub.size, d * d)
             sub_ok = np.ones(sub.size, dtype=bool)
             h = _masked_solve(M, rhs[..., None], sub_ok)[..., 0]
@@ -313,14 +314,15 @@ def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         if live.size:
             sp = np.abs(np.linalg.eigvals(R[live])).max(axis=1)
             ok[live[sp >= 1.0]] = False
-    return R, ok
+    return R, steps, ok
 
 
 def batched_solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
                     R0: np.ndarray | None = None,
                     seeded: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 64,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
     """Warm-refine + cold-logreduction ``R`` solve across a stack.
 
     Slices flagged in ``seeded`` first try the batched Newton
@@ -328,27 +330,32 @@ def batched_solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
     to the lockstep logarithmic reduction — the exact
     ``solve_R(method="logreduction")`` decision tree, batched.
 
-    Returns ``(R, refined, ok)``: ``refined`` marks slices served by
-    the warm refinement, ``ok=False`` marks slices the caller must
-    re-solve serially (resilience chain, other methods).
+    Returns ``(R, refined, iterations, ok)``: ``refined`` marks slices
+    served by the warm refinement, ``iterations`` counts their Newton
+    steps (doubling steps for the cold slices), and ``ok=False`` marks
+    slices the caller must re-solve serially (resilience chain, other
+    methods).
     """
     n = A1.shape[0]
     refined = np.zeros(n, dtype=bool)
+    iters = np.zeros(n, dtype=np.int64)
     R = np.zeros_like(A1)
     if R0 is not None and seeded is not None and seeded.any():
         idx = np.flatnonzero(seeded)
-        Rw, warm_ok = batched_refine_R(A0[idx], A1[idx], A2[idx], R0[idx],
-                                       tol=tol)
+        Rw, steps, warm_ok = batched_refine_R(A0[idx], A1[idx], A2[idx],
+                                              R0[idx], tol=tol)
         hit = idx[warm_ok]
         R[hit] = Rw[warm_ok]
+        iters[hit] = steps[warm_ok]
         refined[hit] = True
     cold = np.flatnonzero(~refined)
     ok = refined.copy()
     if cold.size:
-        G, _, g_ok = batched_solve_G(A0[cold], A1[cold], A2[cold],
-                                     tol=tol, max_iter=max_iter)
+        G, doublings, g_ok = batched_solve_G(A0[cold], A1[cold], A2[cold],
+                                             tol=tol, max_iter=max_iter)
         Rc = batched_r_from_g(A0[cold], A1[cold], G, g_ok)
         g_ok &= np.isfinite(Rc).all(axis=(1, 2))
         R[cold[g_ok]] = Rc[g_ok]
+        iters[cold] = doublings
         ok[cold[g_ok]] = True
-    return R, refined, ok
+    return R, refined, iters, ok

@@ -101,7 +101,8 @@ class Factorization:
 
         self.shape = A.shape
         if backend == "sparse":
-            self._lu = _spla.splu(_sp.csc_matrix(to_csr(A)))
+            # No copy when ``A`` is already CSC; one conversion otherwise.
+            self._lu = _spla.splu(_sp.csc_array(A))
             self._dense = None
         else:
             self._lu = None
@@ -142,11 +143,12 @@ def ph_moments(alpha: np.ndarray, S, kmax: int, *,
     factorization (sparse ``splu`` when the sub-generator is large and
     sparse — it is block-bidiagonal by construction) serves every
     moment via back-substitutions: ``y_k = (-S)^{-1} y_{k-1}`` with
-    ``y_0 = e``, ``m_k = k! alpha y_k``.
+    ``y_0 = e``, ``m_k = k! alpha y_k``.  ``-S`` is converted to CSC
+    once; that one operand serves the density test and ``splu``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     n = alpha.shape[0]
-    negS = -to_csr(S) if is_sparse(S) else -to_dense(S)
+    negS = _sp.csc_array(-S if is_sparse(S) else -to_dense(S))
     lu = factorize(negS, backend=backend)
     y = np.ones(n)
     fact = 1.0

@@ -5,11 +5,13 @@ reduces the raw event stream written by :mod:`repro.obs.trace` to:
 
 * a **per-class, per-stage table** of wall-clock seconds — every
   ``stage.*`` span grouped by its ``klass`` attribute (spans with no
-  class, e.g. ``recombine``, land in the ``-`` column).  The stage
-  totals reproduce ``FixedPointResult.timings`` because both are fed
-  from the same clock window;
+  class, e.g. ``recombine``, land in the ``-`` column); a stacked span
+  tagged with ``jobs`` is split evenly over the classes of its
+  ``[point, klass]`` pairs.  The stage totals reproduce the summed
+  ``FixedPointResult.timings`` because both are fed from the same
+  clock window;
 * **span rollups** — count / total wall / total CPU per span name
-  (``sweep.point``, ``fixed_point``...);
+  (``sweep.chunk``, ``fixed_point``...);
 * a **metrics rollup** — every ``"metrics"`` record in the file
   (the close-time snapshot plus one per worker task) merged with
   :func:`repro.obs.metrics.merge_snapshots`: backend decisions,
@@ -53,7 +55,8 @@ class TraceSummary:
     #: ``(stage, klass)`` -> accumulated wall seconds; ``klass`` is the
     #: span's ``klass`` attribute or ``None``.
     stage_seconds: dict = field(default_factory=dict)
-    #: ``(stage, klass)`` -> span count.
+    #: ``(stage, klass)`` -> span count (a stacked span counts once
+    #: per job it served).
     stage_counts: dict = field(default_factory=dict)
     #: span name -> ``{"count": n, "wall": s, "cpu": s}`` (all spans,
     #: including the stage ones).
@@ -162,12 +165,16 @@ def summarize_trace(path: str | os.PathLike) -> TraceSummary:
                 req["names"][name] = req["names"].get(name, 0) + 1
             if name.startswith(STAGE_PREFIX):
                 stage = name[len(STAGE_PREFIX):]
-                klass = (ev.get("attrs") or {}).get("klass")
-                key = (stage, klass)
-                summary.stage_seconds[key] = (
-                    summary.stage_seconds.get(key, 0.0) + wall)
-                summary.stage_counts[key] = (
-                    summary.stage_counts.get(key, 0) + 1)
+                attrs = ev.get("attrs") or {}
+                jobs = attrs.get("jobs")
+                shares = ([(klass, wall / len(jobs)) for _, klass in jobs]
+                          if jobs else [(attrs.get("klass"), wall)])
+                for klass, seconds in shares:
+                    key = (stage, klass)
+                    summary.stage_seconds[key] = (
+                        summary.stage_seconds.get(key, 0.0) + seconds)
+                    summary.stage_counts[key] = (
+                        summary.stage_counts.get(key, 0) + 1)
         elif kind == "metrics":
             snapshots.append(ev)
         elif kind == "profile":

@@ -42,7 +42,10 @@ accumulator from the *same* ``perf_counter`` window the trace event
 records, so a trace report's per-stage totals and the result's
 ``timings`` view agree by construction.  With tracing disabled the
 span degrades to exactly the old two-``perf_counter``-calls timing
-path.
+path.  A stacked stage serves several (point, class) jobs with one
+span: it carries a ``jobs`` attribute of ``[point, klass]`` pairs
+instead of ``klass`` and feeds each job an equal share of its wall
+time (:class:`SharedTimings`), and the report splits it the same way.
 
 Worker processes
 ----------------
@@ -79,6 +82,7 @@ from pathlib import Path
 
 __all__ = [
     "TRACE_VERSION",
+    "SharedTimings",
     "StageTimings",
     "Tracer",
     "span",
@@ -154,6 +158,25 @@ class StageTimings:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._seconds)
+
+
+class SharedTimings:
+    """Feeds an equal share of each span to several :class:`StageTimings`.
+
+    One accumulator per job a stacked span serves (a point with two
+    jobs in the stack appears twice), so the points' timings still sum
+    to the span's wall time.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list[StageTimings]):
+        self.parts = parts
+
+    def add(self, stage: str, seconds: float) -> None:
+        share = seconds / len(self.parts)
+        for timings in self.parts:
+            timings.add(stage, share)
 
 
 class Tracer:

@@ -7,15 +7,15 @@ value.  This package makes the repeated work explicit and reusable:
 * :mod:`repro.pipeline.assembly` — Kronecker-product generator
   assembly with a per-class workspace of vacation-independent factors;
 * :mod:`repro.pipeline.extract` — effective-quantum extraction
-  stacked over n >= 1 chains of one state space, with one cached
-  gather plan per space; single solves call it at n = 1, batched sweep
-  chunks once per space group;
+  stacked over n >= 1 chains of one state space under an element
+  budget, with one cached gather plan per space;
 * :mod:`repro.pipeline.context` — the per-run
   :class:`~repro.pipeline.context.SolveContext` carrying class
   artifacts (including warm-start ``R`` seeds) and stage timings;
 * :mod:`repro.pipeline.stages` — the assemble / stability / R-solve /
-  boundary / extract stages the fixed-point driver composes for a
-  single solve.
+  boundary / extract / reduce stages the fixed-point driver runs over
+  n >= 1 points, stacking their drift tests, ``R`` solves and
+  extractions.
 
 The reference implementations in :mod:`repro.core`
 (``build_class_qbd``, ``effective_quantum``) remain as test oracles:
@@ -31,9 +31,8 @@ from repro.pipeline.extract import (
 )
 from repro.pipeline.stages import (
     assemble_class,
-    extract_class,
-    solve_all,
-    solve_class,
+    extract_points,
+    solve_points,
 )
 
 __all__ = [
@@ -43,9 +42,8 @@ __all__ = [
     "StageTimings",
     "assemble_class",
     "build_class_qbd_fast",
-    "extract_class",
     "extract_effective_quanta",
     "extract_effective_quantum",
-    "solve_all",
-    "solve_class",
+    "extract_points",
+    "solve_points",
 ]

@@ -24,10 +24,12 @@ almost all of its cost is bookkeeping rather than arithmetic, so:
   repeating levels' entry flows.
 
 :func:`extract_effective_quanta` is the one implementation.  It takes
-n >= 1 solved chains sharing a state space and stacks their work.  A
-single solve calls it at n = 1 through
-:func:`extract_effective_quantum`, on lookup, one class at a time; a
-batched sweep chunk calls it once per state-space group.
+n >= 1 solved chains sharing a state space and stacks their work under
+an element budget (:data:`STACK_ELEMENTS`).  The solve stage,
+:func:`repro.pipeline.stages.extract_points`, calls it once per state
+space over the classes of every point it is given (one point for a
+single solve, a chunk's points for a sweep) and reduces each quantum
+as soon as its stack is built.
 
 The grouping never changes the arithmetic: each power, tail, row sum
 and entry flow is the same NumPy/BLAS operation on the same operands
@@ -39,7 +41,7 @@ absorbed sums and entry flows are copied contiguous first, because
 NumPy's fancy indexing lays a stack out slice-innermost and a product
 or long sum over such an operand runs a strided kernel instead of BLAS
 or pairwise summation.  A chain extracted with others gets the bits of
-its own n = 1 call, so a batched sweep matches a per-point one.
+its own n = 1 call, so a chunk's points match one-at-a-time solves.
 Against the reference implementation the quanta agree to
 floating-point noise only (``tests/pipeline/test_extract.py``),
 because its sums associate differently.
@@ -47,8 +49,9 @@ because its sums associate differently.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,13 @@ from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
 
-__all__ = ["extract_effective_quanta", "extract_effective_quantum"]
+__all__ = ["STACK_ELEMENTS", "extract_effective_quanta",
+           "extract_effective_quantum"]
+
+#: Sub-generator entries (float64) one extraction stack may hold: the
+#: chains of one truncation depth are stacked up to this budget, and a
+#: chain bigger than it is extracted alone.
+STACK_ELEMENTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -320,9 +329,10 @@ def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
     reference implementation for the semantics.  This is
     :func:`extract_effective_quanta` for one chain.
     """
-    return extract_effective_quanta(
+    (_, quantum), = extract_effective_quanta(
         space, [(process, solution, vacation)],
-        truncation_mass=truncation_mass, max_levels=max_levels)[0]
+        truncation_mass=truncation_mass, max_levels=max_levels)
+    return quantum
 
 
 def extract_effective_quanta(space: ClassStateSpace,
@@ -330,13 +340,23 @@ def extract_effective_quanta(space: ClassStateSpace,
                                                   QBDStationaryDistribution,
                                                   PhaseType]],
                              *, truncation_mass: float = 1e-9,
-                             max_levels: int = 400) -> list[PhaseType]:
+                             max_levels: int = 400,
+                             timed: Callable | None = None,
+                             ) -> Iterator[tuple[int, PhaseType]]:
     """Raw effective quanta of n >= 1 solved chains sharing ``space``.
 
-    ``jobs`` are ``(process, solution, vacation)`` triples; the result
-    holds one quantum per job, in order.  The truncation tail-walk runs
-    lockstep across the jobs, and within each truncation-depth subgroup
-    the level placement and the ``pi R^n`` entry flows are stacked.
+    ``jobs`` are ``(process, solution, vacation)`` triples.  Yields
+    ``(index, quantum)`` for every job, stack by stack: the truncation
+    tail-walk runs lockstep across the jobs, and the chains of one
+    truncation depth are stacked, up to :data:`STACK_ELEMENTS`
+    sub-generator entries per stack (at least one chain), for the level
+    placement and the ``pi R^n`` entry flows.  A quantum's ``S`` is a
+    view into its stack, so a caller that drops each quantum before
+    asking for the next stack's keeps at most one stack alive.
+
+    ``timed(indices)``, when given, returns a context manager wrapped
+    around each unit of stacked work with the job indices it serves:
+    the tail-walk (every job), then each stack.
 
     Raises
     ------
@@ -352,28 +372,26 @@ def extract_effective_quanta(space: ClassStateSpace,
     n = len(jobs)
     procs = [pr for pr, _, _ in jobs]
     sols = [sol for _, sol, _ in jobs]
+    timed = timed or (lambda indices: contextlib.nullcontext())
 
-    K, P = _truncation_walk(sols, c, truncation_mass, max_levels)
+    with timed(range(n)):
+        K, P = _truncation_walk(sols, c, truncation_mass, max_levels)
+        # Boundary blocks (dense; CSR densified) and boundary pi, one
+        # concatenated row per job: the plan's flat indices gather from
+        # these.
+        cat = np.stack([np.concatenate([*(_entries(pr.block(i, j))
+                                          for i, j in plan.blocks), _ZERO])
+                        for pr in procs])
+        pis = np.stack([np.concatenate(sol.boundary_pi) for sol in sols])
+        if plan.down_svc is not None:
+            # Switch policy: the whole down block from level 1 lands in
+            # level-0 waiting states — pure absorption.
+            down = np.stack([row_sums(pr.block(1, 0))[plan.down_svc]
+                             for pr in procs])
 
-    # Boundary blocks (dense; CSR densified) and boundary pi, one
-    # concatenated row per job: the plan's flat indices gather from
-    # these.
-    cat = np.stack([np.concatenate([*(_entries(pr.block(i, j))
-                                      for i, j in plan.blocks), _ZERO])
-                    for pr in procs])
-    pis = np.stack([np.concatenate(sol.boundary_pi) for sol in sols])
-    if plan.down_svc is not None:
-        # Switch policy: the whole down block from level 1 lands in
-        # level-0 waiting states — pure absorption.
-        down = np.stack([row_sums(pr.block(1, 0))[plan.down_svc]
-                         for pr in procs])
-
-    by_depth: dict[int, list[int]] = {}
-    for i in range(n):
-        by_depth.setdefault(int(K[i]), []).append(i)
-
-    out: list[PhaseType | None] = [None] * n
-    for Kv, idxs in by_depth.items():
+    def stack(Kv: int, idxs: list[int]) -> list[PhaseType]:
+        """The quanta of ``idxs`` (truncated at ``Kv``), views into one
+        ``T`` stack that lives as long as they do."""
         ns = len(idxs)
         sel = slice(None) if ns == n else idxs
         nlev = Kv - c                        # repeating levels, >= 1
@@ -456,6 +474,7 @@ def extract_effective_quanta(space: ClassStateSpace,
             flows = np.matmul(P[idxs, :nlev][:, :, rep.wait], Wm)
             xi[:, off0:off0 + nlev * nrep] += flows.reshape(ns, nlev * nrep)
 
+        out = []
         for si, gi in enumerate(idxs):
             # Skipped quanta: vacation completions while the system is
             # empty.
@@ -472,5 +491,18 @@ def extract_effective_quanta(space: ClassStateSpace,
                     "never serves")
             # T is a sub-generator by construction (diagonal set from
             # the row sums plus absorption); skip the O(n^3) validation.
-            out[gi] = PhaseType.from_trusted(xi[si] / total, T[si])
-    return out
+            out.append(PhaseType.from_trusted(xi[si] / total, T[si]))
+        return out
+
+    by_depth: dict[int, list[int]] = {}
+    for i in range(n):
+        by_depth.setdefault(int(K[i]), []).append(i)
+    for Kv, idxs in by_depth.items():
+        order = plan.nb + (Kv - c) * nrep
+        per = max(1, STACK_ELEMENTS // (order * order))
+        for lo in range(0, len(idxs), per):
+            piece = idxs[lo:lo + per]
+            with timed(piece):
+                quanta = stack(Kv, piece)
+            yield from zip(piece, quanta)
+            del quanta

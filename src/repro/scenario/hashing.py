@@ -49,7 +49,7 @@ __all__ = [
 
 #: Engine knobs that change how a run executes, never what it
 #: computes: they are stripped before hashing.
-EXECUTION_ONLY_ENGINE_FIELDS = ("workers", "checkpoint")
+EXECUTION_ONLY_ENGINE_FIELDS = ("workers", "checkpoint", "batch_points")
 
 
 def semantic_scenario_dict(scenario) -> dict:
@@ -72,7 +72,7 @@ def semantic_scenario_dict(scenario) -> dict:
       cache;
     * execution-only engine knobs (:data:`EXECUTION_ONLY_ENGINE_FIELDS`)
       — a parallel checkpointed run computes the same numbers as a
-      serial one.
+      serial one, and a sweep's chunk width never changes a point.
     """
     from repro.serialize import scenario_to_dict
 

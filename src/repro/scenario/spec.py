@@ -171,21 +171,21 @@ class EngineSpec:
     #: resilience chain; the check fires mid-attempt).  ``None``
     #: disables the clock.
     solve_budget: float | None = None
-    # Sweep execution knobs (not hashed).  Either one makes
-    # :func:`repro.scenario.run` serve a swept scenario through the
-    # service's result store and supervised worker pool.
+    # Sweep execution knobs (not hashed).  ``workers`` or
+    # ``checkpoint`` makes :func:`repro.scenario.run` serve a swept
+    # scenario through the service's result store and supervised
+    # worker pool.
     #: Spawned worker processes (``None``/``0``/``1``: solve inline).
     workers: int | None = None
     #: Result-store directory (the ``serve --store`` format) that
     #: persists completed points; a rerun resumes from it.
     checkpoint: str | None = None
-    #: Batched sweep chunk width: solve up to this many adjacent grid
-    #: points at once through :mod:`repro.workloads.batched` (stacked
-    #: BLAS, the per-point path's exact numbers).
-    #: ``0`` (default) and ``1`` keep the per-point path.  Unlike
-    #: ``workers``, this knob participates in the scenario's semantic
-    #: hash: both engines give the same numbers, but taking it out
-    #: would change every existing store key.
+    #: Sweep chunk width: solve up to this many adjacent grid points at
+    #: once in lockstep (:mod:`repro.workloads.batched`; stacked BLAS,
+    #: each point's single-solve numbers).  ``0`` (default) means
+    #: :data:`repro.workloads.sweeps.CHUNK_POINTS`; ``1`` solves one
+    #: point at a time.  The daemon's shards stay one point unless it
+    #: is above 1.
     batch_points: int = 0
     # Simulation knobs.
     horizon: float = 20_000.0

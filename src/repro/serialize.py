@@ -214,9 +214,8 @@ def scenario_to_dict(scenario) -> dict:
             "solve_budget": eng.solve_budget,
             "workers": eng.workers,
             "checkpoint": eng.checkpoint,
-            # ``batch_points`` appears only when engaged, so files and
-            # hashes written before the batched engine existed (and all
-            # per-point scenarios) are reproduced byte-for-byte.
+            # ``batch_points`` appears only when set, so files written
+            # before the knob existed are reproduced byte-for-byte.
             **({"batch_points": eng.batch_points}
                if eng.batch_points else {}),
             "horizon": eng.horizon,

@@ -36,14 +36,14 @@ Robustness semantics:
   the same requests reproduces byte-identical results (each sweep point
   is an independent solve, so a shard equals the corresponding point of
   a full-grid run bit for bit).
-* **Adjacency-preserving shards** — when the scenario engages the
-  batched sweep engine (``engine.batch_points > 1``), cold points are
-  grouped into shards of up to ``batch_points`` *consecutive* grid
-  values (a store-hit gap splits the run), so each shard's points
-  share one stack.  A batched point equals its per-point solve bit for
-  bit whatever shard it lands in.  ``batch_points`` is still part of
-  result identity (:func:`~repro.scenario.hashing.point_key`), so
-  batched and per-point store entries are keyed apart.
+* **Adjacency-preserving shards** — when the scenario sets a chunk
+  width (``engine.batch_points > 1``), cold points are grouped into
+  shards of up to ``batch_points`` *consecutive* grid values (a
+  store-hit gap splits the run), so each shard's points share one
+  lockstep chunk; otherwise every shard is one point.  A point equals
+  its single solve bit for bit whatever shard it lands in, so
+  ``batch_points`` is not part of result identity
+  (:func:`~repro.scenario.hashing.point_key`).
 
 Every stage is observable: ``service.requests{status=...}``,
 ``service.shards{source=store|solve|error|timeout}``,
@@ -606,11 +606,11 @@ def _plan_shards(scenario, misses: list) -> list[list]:
     """Group cold points into adjacency-preserving shards.
 
     ``misses`` is ``(grid index, value, point key)`` tuples in grid
-    order.  Without batching every point is its own shard.  With
-    ``engine.batch_points > 1``, runs of *consecutive* grid indices are
-    chunked up to that size, each run from its first point, and a
-    store-hit gap splits the run.  Each shard is one batched stack; the
-    grouping never changes a point's numbers.
+    order.  Every point is its own shard unless
+    ``engine.batch_points > 1``: then runs of *consecutive* grid
+    indices are chunked up to that size, each run from its first point,
+    and a store-hit gap splits the run.  Each shard is one lockstep
+    chunk; the grouping never changes a point's numbers.
     """
     batch = int(getattr(scenario.engine, "batch_points", 0) or 0)
     size = batch if (batch > 1 and scenario.axis is not None) else 1

@@ -5,9 +5,11 @@ parameter and plot ``N_p``".  :func:`sweep` runs that loop for any
 ``value -> SystemConfig`` factory, via the analytic model and/or the
 simulator, and returns a :class:`SweepResult` table the benches print.
 
-The loop is in-process and serial, or chunked through the batched
-engine (``batch=``).  Checkpointed and parallel sweeps run one level
-up: :func:`repro.scenario.run` hands a scenario whose engine sets
+The loop is in-process: it solves the grid in chunks of adjacent
+points that advance in lockstep (:mod:`repro.workloads.batched`,
+:data:`CHUNK_POINTS` wide by default), each point with the exact
+numbers of its single solve.  Checkpointed and parallel sweeps run one
+level up: :func:`repro.scenario.run` hands a scenario whose engine sets
 ``checkpoint`` or ``workers > 1`` to the scenario service's result
 store and supervised worker pool (:func:`repro.service.daemon.execute`),
 whose shards come back here as plain sweeps.
@@ -15,18 +17,18 @@ whose shards come back here as plain sweeps.
 
 from __future__ import annotations
 
-import contextlib
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
-from repro.core.model import GangSchedulingModel, SolvedModel
+from repro.core.model import SolvedModel
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
-from repro.resilience.faults import maybe_fault
 
-__all__ = ["SweepPoint", "SweepResult", "sweep", "sweep_scenario"]
+__all__ = ["CHUNK_POINTS", "SweepPoint", "SweepResult", "sweep",
+           "sweep_scenario"]
+
+#: Points a sweep solves in lockstep when its ``batch`` is unset or 0.
+CHUNK_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,14 @@ class SweepPoint:
     #: Per-class distribution kinds backing ``metrics`` (``"exact"``,
     #: ``"moment"``, ``"saturated"``, ``"unsupported"``).
     dist_kinds: tuple[str, ...] | None = None
-    #: Wall-clock seconds spent solving this point (``None`` when the
-    #: point errored before solving).  Not
-    #: part of equality: two runs of the same sweep produce equal
-    #: points even though their timings differ.
+    #: Wall-clock seconds spent solving this point: an equal share of
+    #: its lockstep chunk (``None`` when the point errored before
+    #: solving).  Not part of equality: two runs of the same sweep
+    #: produce equal points even though their timings differ.
     solve_seconds: float | None = field(default=None, compare=False)
-    #: ``False`` on points of the batched engine, whose points all
-    #: start cold, and ``None`` on per-point ones.  Not part of
-    #: equality.  Kept because ``bench/ledger.py::_count_warm_points``
-    #: reads it.
+    #: ``False`` on every solved sweep point (each starts cold).  Not
+    #: part of equality.  Kept because
+    #: ``bench/ledger.py::_count_warm_points`` reads it.
     warm: bool | None = field(default=None, compare=False)
 
 
@@ -128,21 +129,6 @@ def solved_point(value: float, solved: SolvedModel,
     )
 
 
-def _solve_point(v: float, config: SystemConfig, heavy_traffic_only: bool,
-                 model_kwargs: dict | None, solve_kwargs: dict | None,
-                 metrics_sel: tuple[str, ...] | None = None) -> SweepPoint:
-    """Solve one grid point; ``metrics_sel`` adds distribution metrics."""
-    with span("sweep.point", value=v):
-        t0 = time.perf_counter()
-        model = GangSchedulingModel(config, **(model_kwargs or {}))
-        solved = model.solve(heavy_traffic_only=heavy_traffic_only,
-                             **(solve_kwargs or {}))
-        with (span("sweep.point_metrics", value=v) if metrics_sel
-              else contextlib.nullcontext()):
-            return solved_point(v, solved, metrics_sel,
-                                solve_seconds=time.perf_counter() - t0)
-
-
 def _error_point(v: float, names: Sequence[str],
                  exc: Exception) -> SweepPoint:
     return SweepPoint(
@@ -181,18 +167,19 @@ def sweep(parameter: str, values: Sequence[float],
         Record unstable/failed points (with the error class and
         message) instead of aborting the sweep.
     batch:
-        Solve up to this many adjacent grid points at once through the
-        batched lockstep engine (:mod:`repro.workloads.batched`), which
-        stacks their linear algebra and returns the per-point path's
-        exact numbers.  ``None``/``0``/``1`` keeps the per-point path.
+        Chunk width: solve up to this many adjacent grid points at once
+        in lockstep (:mod:`repro.workloads.batched`), which stacks their
+        linear algebra and returns each point's single-solve numbers.
+        ``None``/``0`` means :data:`CHUNK_POINTS`; ``1`` solves one
+        point at a time.  The width changes speed and memory, never a
+        number.
     metrics:
         Metric selectors (see :mod:`repro.metrics.selectors`) to
         evaluate per class at every point, populating
         :attr:`SweepPoint.metrics` / :attr:`SweepPoint.dist_kinds`
         from the solved model's response-time distributions.
         Saturated points degrade to the ``saturated`` marker instead
-        of erroring.  Selectors force the per-point engine: they run
-        point by point.
+        of erroring.
 
     Checkpointing and worker processes are scenario-level: see
     :func:`repro.scenario.run`.
@@ -209,37 +196,25 @@ def sweep(parameter: str, values: Sequence[float],
 
     # The optional third argument exists only for the benchmark ledger
     # (``bench/ledger.py::_count_warm_points``), whose wrapper around
-    # the batched engine's ``finish`` passes one through.
+    # the chunk driver's ``finish`` passes one through.
     def finish(slot: int, point: SweepPoint, _extra=None) -> None:
         points[slot] = point
         obs_metrics.inc("sweep.points",
                         status="ok" if point.error is None else "error")
 
-    if batch is not None and int(batch) > 1 and metrics_sel is None:
-        from repro.workloads.batched import run_batched_pending
+    from repro.workloads.batched import run_batched_pending
 
-        run_batched_pending(
-            grid=grid,
-            pending=pending,
-            batch=int(batch),
-            heavy_traffic_only=heavy_traffic_only,
-            model_kwargs=model_kwargs,
-            solve_kwargs=solve_kwargs,
-            skip_errors=skip_errors,
-            finish=finish,
-        )
-    else:
-        for slot, v, config in pending:
-            try:
-                maybe_fault("sweeps.point", key=v)
-                point = _solve_point(v, config, heavy_traffic_only,
-                                     model_kwargs, solve_kwargs,
-                                     metrics_sel=metrics_sel)
-            except Exception as exc:  # noqa: BLE001 - reported per point
-                if not skip_errors:
-                    raise
-                point = _error_point(v, config.class_names, exc)
-            finish(slot, point)
+    run_batched_pending(
+        grid=grid,
+        pending=pending,
+        batch=int(batch or CHUNK_POINTS),
+        heavy_traffic_only=heavy_traffic_only,
+        model_kwargs=model_kwargs,
+        solve_kwargs=solve_kwargs,
+        skip_errors=skip_errors,
+        finish=finish,
+        metrics_sel=metrics_sel,
+    )
 
     return SweepResult(parameter=parameter,
                        class_names=pending[0][2].class_names, points=points)
@@ -250,7 +225,7 @@ def sweep_scenario(scenario) -> SweepResult:
 
     ``scenario`` is a :class:`repro.scenario.spec.Scenario` with a
     sweep axis; its engine spec supplies the model/solve kwargs and the
-    batch width.  Its ``checkpoint``/``workers`` knobs are not read
+    chunk width.  Its ``checkpoint``/``workers`` knobs are not read
     here: :func:`repro.scenario.run` serves such scenarios from the
     service's result store and worker pool.  (Duck-typed to keep this
     layer import-free of :mod:`repro.scenario`, which sits above it.)

@@ -101,3 +101,40 @@ class TestPhMoments:
         dist = erlang(6, rate=0.8)
         moments = ph_moments(dist.alpha, sp.csr_array(np.asarray(dist.S)), 2)
         assert moments[0] == pytest.approx(dist.mean, rel=1e-12)
+
+
+def _banded_subgenerator(order, seed):
+    """A block-banded PH sub-generator like a truncated chain's."""
+    rng = np.random.default_rng(seed)
+    S = np.zeros((order, order))
+    for offset in (-2, -1, 1, 2):
+        idx = np.arange(max(0, -offset), min(order, order - offset))
+        S[idx, idx + offset] = rng.random(idx.size)
+    absorb = rng.random(order) * (rng.random(order) < 0.2)
+    S[np.arange(order), np.arange(order)] = -(S.sum(axis=1) + absorb + 1e-3)
+    alpha = rng.random(order)
+    return alpha / (1.1 * alpha.sum()), S
+
+
+class TestPhMomentsOperand:
+    """``ph_moments`` builds its CSC operand once; the moments keep the
+    bits of the route that converted ``-S`` to CSR and then to CSC."""
+
+    @staticmethod
+    def _old_route(alpha, S, kmax):
+        from scipy.sparse import linalg as spla
+
+        lu = spla.splu(sp.csc_matrix(sp.csr_array(-np.asarray(S))))
+        y, fact, out = np.ones(len(alpha)), 1.0, []
+        for k in range(1, kmax + 1):
+            y = lu.solve(y)
+            fact *= k
+            out.append(float(fact * (alpha @ y)))
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("order", [256, 411])
+    def test_bits_equal_old_route(self, order, seed):
+        alpha, S = _banded_subgenerator(order, seed)
+        got = ph_moments(alpha, S, 3, backend="auto")
+        assert got == self._old_route(alpha, S, 3)

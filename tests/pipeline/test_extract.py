@@ -7,11 +7,15 @@ from repro.core.generator import build_class_qbd
 from repro.core.vacation import effective_quantum
 from repro.phasetype import PhaseType, erlang, exponential
 from repro.pipeline import extract
-from repro.pipeline.extract import (
-    extract_effective_quanta,
-    extract_effective_quantum,
-)
+from repro.pipeline.extract import extract_effective_quantum
 from repro.qbd.stationary import solve_qbd
+
+
+def extract_effective_quanta(space, jobs, **kwargs):
+    """The production quanta in job order (it yields them stack by
+    stack)."""
+    got = dict(extract.extract_effective_quanta(space, jobs, **kwargs))
+    return [got[i] for i in range(len(jobs))]
 
 ARRIVAL2 = PhaseType([0.6, 0.4], [[-1.0, 0.3], [0.1, -0.8]])
 SERVICE2 = PhaseType([0.5, 0.5], [[-2.0, 0.5], [0.0, -1.5]])

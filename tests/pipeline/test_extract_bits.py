@@ -9,6 +9,7 @@ the figure gate depends on it (Figure 3's first point moves its
 ``N_2`` past 1e-12 on ulp-level changes to a quantum).
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,12 +22,16 @@ from repro.kernels import is_sparse
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
 from repro.pipeline import extract
 from repro.pipeline.assembly import build_class_qbd_fast
-from repro.pipeline.extract import (
-    extract_effective_quanta,
-    extract_effective_quantum,
-)
+from repro.pipeline.extract import extract_effective_quantum
 from repro.qbd.stationary import solve_qbd
 from tests.pipeline import extract_oracle
+
+
+def extract_effective_quanta(space, jobs, **kwargs):
+    """The production quanta in job order (it yields them stack by
+    stack)."""
+    got = dict(extract.extract_effective_quanta(space, jobs, **kwargs))
+    return [got[i] for i in range(len(jobs))]
 
 ARRIVAL2 = PhaseType([0.6, 0.4], [[-1.0, 0.3], [0.1, -0.8]])
 SERVICE2 = PhaseType([0.5, 0.5], [[-2.0, 0.5], [0.0, -1.5]])
@@ -118,6 +123,28 @@ def test_stacked_chains_with_long_absorbed_sums(policy):
     # has ten nonzero terms: NumPy sums a contiguous row of eight or
     # more with eight partial sums, but a strided one term by term.
     _stacked_vs_single_calls(policy, VACATION10)
+
+
+def test_element_budget_splits_stacks_not_bits(monkeypatch):
+    # A budget below one chain's sub-generator puts every chain in a
+    # stack of its own (the walk still covers all of them); each
+    # quantum keeps the bits of the one-stack call.
+    jobs = []
+    for lam in (0.4, 0.4, 0.4, 0.2):
+        space, job = _chain(2, exponential(lam), exponential(1.0),
+                            QUANTUM2, VACATION3, "switch")
+        jobs.append(job)
+    units = []
+
+    def timed(indices):
+        units.append(list(indices))
+        return contextlib.nullcontext()
+
+    whole = extract_effective_quanta(space, jobs)
+    monkeypatch.setattr(extract, "STACK_ELEMENTS", 1)
+    split = dict(extract.extract_effective_quanta(space, jobs, timed=timed))
+    assert units == [[0, 1, 2, 3], [0], [1], [2], [3]]
+    _assert_same_bits([split[i] for i in range(4)], whole)
 
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])

@@ -98,19 +98,18 @@ class TestSaturatedMeasures:
 def test_warm_start_r_seed_survives_iterations(config):
     # The per-class R matrices must be carried across iterations: the
     # second iteration's seed equals the first iteration's solution.
-    from repro.pipeline.context import SolveContext
-    from repro.pipeline import stages
+    from repro.core.fixed_point import PointState
     from repro.core.vacation import heavy_traffic_vacation
+    from repro.pipeline import stages
 
-    opts = FixedPointOptions()
-    ctx = SolveContext.create(config, opts)
-    vacations = [heavy_traffic_vacation(config, p)
-                 for p in range(config.num_classes)]
-    stages.solve_all(ctx, vacations)
-    seeds = [art.R.copy() for art in ctx.classes]
+    point = PointState(config, FixedPointOptions())
+    point.vacations = [heavy_traffic_vacation(config, p)
+                       for p in range(config.num_classes)]
+    stages.solve_points([point])
+    seeds = [art.R.copy() for art in point.ctx.classes]
     # Identical blocks: each class is re-solved from its own converged
     # R, which passes the refinement's residual test at step 0 and
     # comes back unchanged.
-    stages.solve_all(ctx, vacations)
-    for art, seed in zip(ctx.classes, seeds):
+    stages.solve_points([point])
+    for art, seed in zip(point.ctx.classes, seeds):
         np.testing.assert_array_equal(art.R, seed)

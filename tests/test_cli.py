@@ -536,6 +536,46 @@ class TestObservabilityFlags:
         table = out.split("per-class, per-stage wall seconds:")[1]
         assert "rsolve" in table.split("\n\n")[0]
 
+    def test_run_trace_reports_every_stage_per_class(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A traced chunked sweep reports all seven pipeline stages for
+        every class, and its stage totals equal the points' summed
+        timings (stacked spans are split evenly over their jobs)."""
+        from repro.core.model import GangSchedulingModel
+        from repro.obs.report import summarize_trace
+
+        package = GangSchedulingModel._package
+        timings: dict[str, float] = {}
+
+        def capture(model, raw):
+            solved = package(model, raw)
+            for stage, seconds in solved.timings.items():
+                timings[stage] = timings.get(stage, 0.0) + seconds
+            return solved
+
+        monkeypatch.setattr(GangSchedulingModel, "_package", capture)
+        trace = tmp_path / "run.jsonl"
+        assert main(["run", "fig2", "--grid", "quick",
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        summary = summarize_trace(trace)
+        for klass in range(4):
+            for stage in ("assemble", "stability", "rsolve", "boundary",
+                          "extract", "reduce"):
+                assert (stage, klass) in summary.stage_seconds, \
+                    (stage, klass)
+        assert ("recombine", None) in summary.stage_seconds
+        totals = summary.stage_totals()
+        assert set(totals) == set(timings)
+        for stage, seconds in timings.items():
+            assert totals[stage] == pytest.approx(seconds, rel=1e-9), stage
+        assert main(["report", str(trace)]) == 0
+        table = capsys.readouterr().out.split(
+            "per-class, per-stage wall seconds:")[1].split("\n\n")[0]
+        rows = [line.split()[0] for line in table.splitlines()[3:]]
+        assert rows[:7] == ["assemble", "stability", "rsolve", "boundary",
+                            "extract", "reduce", "recombine"]
+
     def test_report_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err
