@@ -24,6 +24,8 @@ hold the processors.  This module builds the PH distribution
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.config import SystemConfig
@@ -247,7 +249,8 @@ def _off_diagonal(M: np.ndarray) -> np.ndarray:
 
 
 def reduce_order(dist: PhaseType, reduction: str, *,
-                 backend: str | None = None) -> PhaseType:
+                 backend: str | None = None,
+                 pattern: Callable[[], tuple] | None = None) -> PhaseType:
     """Compress a PH distribution by moment matching.
 
     ``reduction`` is one of :data:`REDUCTIONS`.  The atom at zero is
@@ -261,7 +264,10 @@ def reduce_order(dist: PhaseType, reduction: str, *,
     (:func:`repro.kernels.ph_moments`) — for the effective quanta of
     large machines, whose sub-generator order grows with the truncated
     chain, that drops the ``reduce`` stage from ``O(order^3)`` dense
-    to the cost of a banded solve.
+    to the cost of a banded solve.  ``pattern``, when given, returns
+    where ``dist.S`` may be nonzero (see
+    :func:`repro.kernels.sparse.band_csc`); it is called only when the
+    moments go sparse, whose operand is then read from it.
     """
     if reduction not in REDUCTIONS:
         raise ValidationError(f"unknown reduction {reduction!r}; use one of {REDUCTIONS}")
@@ -274,7 +280,8 @@ def reduce_order(dist: PhaseType, reduction: str, *,
     cond = 1.0 - atom
     kmax = 2 if reduction == "moments2" else 3
     if select_backend(backend, dist.order, site="reduce") == "sparse":
-        moments = ph_moments(dist.alpha, dist.S, kmax, backend=backend)
+        moments = ph_moments(dist.alpha, dist.S, kmax, backend=backend,
+                             pattern=pattern() if pattern else None)
     else:
         moments = [dist.moment(k) for k in range(1, kmax + 1)]
     m1 = moments[0] / cond

@@ -43,6 +43,7 @@ from repro.kernels.boundary import solve_boundary_blocktridiag
 from repro.kernels.kron import KronSumOperator, kron2, solve_sylvester
 from repro.kernels.sparse import (
     Factorization,
+    band_csc,
     density,
     diagonal,
     factorize,
@@ -76,6 +77,7 @@ __all__ = [
     "kron2",
     "solve_sylvester",
     "Factorization",
+    "band_csc",
     "density",
     "diagonal",
     "factorize",

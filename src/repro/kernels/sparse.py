@@ -26,6 +26,7 @@ __all__ = [
     "sub_dense",
     "Factorization",
     "factorize",
+    "band_csc",
     "ph_moments",
 ]
 
@@ -132,8 +133,35 @@ def factorize(A, *, backend: str | None = None) -> Factorization:
     return Factorization(A, backend=chosen)
 
 
+def band_csc(M: np.ndarray, rows: np.ndarray, cols: np.ndarray, *,
+             negate: bool = False) -> "_sp.csc_array":
+    """``csc_array(M)`` (``-M`` with ``negate``) read from a pattern.
+
+    ``rows``/``cols`` list every position where the dense ``M`` may be
+    nonzero, column by column with rows ascending; ``M`` must be zero
+    everywhere else.  Exact zeros are dropped as the dense conversion
+    drops them, so ``data``, ``indices`` and ``indptr`` equal
+    ``csc_array(M)``'s while only the pattern is read.
+    """
+    vals = np.asarray(M)[rows, cols]
+    if negate:
+        vals = -vals
+    keep = vals != 0
+    data = vals[keep]
+    n = M.shape[1]
+    # The index width the dense conversion picks.
+    index = np.int32 if max(max(M.shape), data.size) <= \
+        np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(cols[keep], minlength=n), out=indptr[1:])
+    return _sp.csc_array((data, rows[keep].astype(index), indptr),
+                         shape=M.shape)
+
+
 def ph_moments(alpha: np.ndarray, S, kmax: int, *,
-               backend: str | None = None) -> list[float]:
+               backend: str | None = None,
+               pattern: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> list[float]:
     """Raw moments ``E[X^k] = k! alpha (-S)^{-k} e`` for ``k = 1..kmax``.
 
     The dense reference (:meth:`repro.phasetype.PhaseType.moment`)
@@ -144,11 +172,17 @@ def ph_moments(alpha: np.ndarray, S, kmax: int, *,
     sparse — it is block-bidiagonal by construction) serves every
     moment via back-substitutions: ``y_k = (-S)^{-1} y_{k-1}`` with
     ``y_0 = e``, ``m_k = k! alpha y_k``.  ``-S`` is converted to CSC
-    once; that one operand serves the density test and ``splu``.
+    once; that one operand serves the density test and ``splu``.  A
+    dense ``S`` with a known ``pattern`` (the ``rows, cols`` of
+    :func:`band_csc`) is converted from the pattern alone, to the same
+    operand.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     n = alpha.shape[0]
-    negS = _sp.csc_array(-S if is_sparse(S) else -to_dense(S))
+    if pattern is not None and not is_sparse(S):
+        negS = band_csc(S, *pattern, negate=True)
+    else:
+        negS = _sp.csc_array(-S if is_sparse(S) else -to_dense(S))
     lu = factorize(negS, backend=backend)
     y = np.ones(n)
     fact = 1.0

@@ -64,7 +64,7 @@ from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
 
 __all__ = ["STACK_ELEMENTS", "extract_effective_quanta",
-           "extract_effective_quantum"]
+           "extract_effective_quantum", "sub_generator_pattern"]
 
 #: Sub-generator entries (float64) one extraction stack may hold: the
 #: chains of one truncation depth are stacked up to this budget, and a
@@ -120,6 +120,8 @@ class _ExtractionPlan:
 
     lvl_start: int
     nb: int
+    #: First ``T`` row of each boundary level ``lvl_start..c``.
+    level_rows: tuple[int, ...]
     #: ``(i, j)`` of the boundary blocks, concatenated in this order and
     #: followed by one 0.0.
     blocks: tuple[tuple[int, int], ...]
@@ -232,7 +234,9 @@ def _plan(space: ClassStateSpace) -> _ExtractionPlan:
                               dst=np.concatenate(own_dst + below_dst),
                               split=sum(len(a) for a in own_dst)))
     return _ExtractionPlan(
-        lvl_start=lvl_start, nb=nb, blocks=tuple(blocks),
+        lvl_start=lvl_start, nb=nb,
+        level_rows=tuple(base[lvl] for lvl in range(lvl_start, c + 1)),
+        blocks=tuple(blocks),
         window=window, sums=tuple(sums),
         flows=tuple(
             _FlowGroup(pi_src=np.stack(pis), w_src=np.stack(ws),
@@ -243,6 +247,32 @@ def _plan(space: ClassStateSpace) -> _ExtractionPlan:
         rep_ss=np.ix_(rep.svc, rep.svc),
         rep_sw=np.ix_(rep.svc, rep.wait),
         rep_ws=np.ix_(rep.wait, rep.svc))
+
+
+@functools.lru_cache(maxsize=64)
+def sub_generator_pattern(space: ClassStateSpace,
+                          order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the ``S`` of an effective quantum of ``order`` may be
+    nonzero, as the ``(rows, cols)`` of
+    :func:`repro.kernels.sparse.band_csc`.
+
+    ``S`` lists the service states level by level and each level only
+    reaches its neighbours (the boundary window and the repeating bands
+    are block tridiagonal), so column ``j`` of level ``t`` is zero
+    outside the rows of levels ``t - 1 .. t + 1``.
+    """
+    plan = _plan(space)
+    nrep = len(plan.repeating.svc)
+    starts = np.array(plan.level_rows + tuple(range(plan.nb, order + 1,
+                                                    nrep)))
+    last = len(starts) - 1
+    level = np.searchsorted(starts, np.arange(order), side="right") - 1
+    lo = starts[np.maximum(level - 1, 0)]
+    counts = starts[np.minimum(level + 2, last)] - lo
+    cols = np.repeat(np.arange(order), counts)
+    first = np.cumsum(counts) - counts
+    rows = np.arange(counts.sum()) - np.repeat(first - lo, counts)
+    return rows, cols
 
 
 def _entries(block) -> np.ndarray:

@@ -40,6 +40,7 @@ tracing disabled they degrade to the bare wall-clock accumulation.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -53,7 +54,10 @@ from repro.obs.trace import SharedTimings, span
 from repro.phasetype import PhaseType
 from repro.pipeline.assembly import build_class_qbd_fast
 from repro.pipeline.context import SolveContext
-from repro.pipeline.extract import extract_effective_quanta
+from repro.pipeline.extract import (
+    extract_effective_quanta,
+    sub_generator_pattern,
+)
 from repro.qbd.boundary import solve_boundary
 from repro.qbd.rmatrix import solve_R
 from repro.qbd.stability import DriftReport, drift
@@ -303,7 +307,9 @@ def _rsolve(jobs: list[_Job]) -> None:
                                   for j in group])
             ok &= np.isfinite(R).all(axis=(1, 2)) & (resid <= threshold
                                                       * scale)
-            live = np.flatnonzero(ok)
+            # sp(R) < 1: a refined slice passed this very test inside
+            # batched_refine_R, on the same matrix.
+            live = np.flatnonzero(ok & ~refined)
             if live.size:
                 sp_r = np.abs(np.linalg.eigvals(R[live])).max(axis=1)
                 ok[live[sp_r >= 1.0]] = False
@@ -390,6 +396,8 @@ def _extract(space, jobs: list[_Job], eff: dict) -> None:
         j = jobs[i]
         with span("stage.reduce", timings=j.pt.ctx.timings, stage="reduce",
                   klass=j.p):
-            eff[j.pt, j.p] = reduce_order(raw, j.pt.opts.reduction,
-                                          backend=j.pt.opts.backend)
+            eff[j.pt, j.p] = reduce_order(
+                raw, j.pt.opts.reduction, backend=j.pt.opts.backend,
+                pattern=functools.partial(sub_generator_pattern, space,
+                                          raw.order))
         del raw  # its stack must go before the next one is built

@@ -15,10 +15,12 @@ together with the normalization (eq. 24)::
 The balance system has rank deficiency one (global balance is
 redundant), so one scalar equation is replaced by the normalization.
 
-Two solve paths exist.  The dense reference below materializes the
-full ``n x n`` system; it is the fast case for small boundaries and
-the fallback of last resort.  Above the backend selector's size
-threshold the block-tridiagonal elimination of
+Two solve paths exist.  The dense reference below copies the
+process's boundary generator (:attr:`QBDProcess.G`, the full ``n x n``
+system) and folds ``R A2`` into its last diagonal block; it is the
+fast case for small boundaries and the fallback of last resort.
+Above the backend selector's size threshold the block-tridiagonal
+elimination of
 :func:`repro.kernels.boundary.solve_boundary_blocktridiag` takes over
 (``O(b d^3)`` instead of ``O(n^3)``, nothing larger than one block
 ever materialized); any numerical degeneracy there falls back to the
@@ -26,6 +28,8 @@ dense path transparently.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,9 +69,8 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
         Boundary level vectors, not yet padded with the geometric tail.
     """
     b = process.boundary_levels
-    dims = process.boundary_dims()
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    n = int(offsets[-1])
+    offsets = list(accumulate(process.boundary_dims(), initial=0))
+    n = offsets[-1]
     R = np.asarray(R, dtype=np.float64)
     d = process.phase_dim
     if R.shape != (d, d):
@@ -84,73 +87,66 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
 
     metrics.inc("boundary.solves", path="dense")
 
-    # Column-block assembly of x M = 0 where x = [pi_0 ... pi_b].
-    M = np.zeros((n, n))
-    for j in range(b + 1):
-        cols = slice(offsets[j], offsets[j + 1])
-        for i in (j - 1, j, j + 1):
-            if i < 0 or i > b:
-                continue
-            blk = process.boundary[i][j]
-            if blk is None:
-                continue
-            M[offsets[i]:offsets[i + 1], cols] += to_dense(blk)
-    # Fold the repeating tail into the level-b column:
+    # x M = 0 for x = [pi_0 ... pi_b]: the boundary generator with the
+    # repeating tail folded into the level-b column,
     # pi_{b+1} A2 = pi_b R A2.
-    M[offsets[b]:offsets[b + 1], offsets[b]:offsets[b + 1]] += \
-        R @ to_dense(process.A2)
+    M = process.G.copy()
+    M[offsets[b]:, offsets[b]:] += R @ to_dense(process.A2)
 
     # Normalization coefficients: 1 for levels < b, (I-R)^{-1} e for level b.
     norm = np.ones(n)
     tail = np.linalg.solve(np.eye(d) - R, np.ones(d))
-    if np.any(tail < 0):
+    if (tail < 0).any():
         raise ValidationError(
             "(I - R)^{-1} e has negative entries; sp(R) >= 1 (unstable QBD)"
         )
-    norm[offsets[b]:offsets[b + 1]] = tail
+    norm[offsets[b]:] = tail
 
     # Replace one balance column with the normalization.  Any single
     # balance equation is redundant for an irreducible chain; pick the
     # one whose column has the largest norm to keep conditioning sane.
-    col_norms = np.linalg.norm(M, axis=0)
-    if not np.any(col_norms > 0.0):
+    # (``np.linalg.norm(M, axis=0)``, without its conjugate copy.)
+    col_norms = np.sqrt(np.add.reduce(M * M, axis=0))
+    if not (col_norms > 0.0).any():
         raise ValidationError("boundary balance system is identically zero")
-    drop = int(np.argmax(col_norms))
-    A = M.copy()
-    A[:, drop] = norm
+    drop = int(col_norms.argmax())
     # Unreachable phases show up as all-zero balance columns (no flux
     # in or out): they carry no probability, but left in place they
     # make the system singular — and they poison the column
     # equilibration below with 0/0 NaNs before the lstsq fallback can
     # mask the damage.  Pin each such state to pi_k = 0 explicitly.
     dead = np.flatnonzero(col_norms == 0.0)
-    for k in dead:
-        if k != drop:
-            A[k, k] = 1.0
-    rhs = np.zeros(n)
-    rhs[drop] = 1.0
     # Column equilibration: the balance columns mix rates spanning many
     # orders of magnitude with the O(1) normalization column; scaling
     # each column to unit norm is a diagonal row scaling of ``A^T x =
-    # rhs`` (solution unchanged, pivoting much saner).
-    scales = np.linalg.norm(A, axis=0)
-    scales[scales == 0.0] = 1.0
+    # rhs`` (solution unchanged, pivoting much saner).  ``A`` is ``M``
+    # with column ``drop`` replaced by ``norm`` and each dead state
+    # pinned (``A[k, k] = 1``), so its column norms are ``M``'s except
+    # there: a pinned column's is 1, and the replaced column's is
+    # accumulated row by row, as an axis-0 reduction adds.
+    scales = col_norms.copy()
+    scales[drop] = np.sqrt(np.add.accumulate(norm * norm)[-1])
+    scales[dead] = 1.0
+    scaled = M / scales
+    scaled[:, drop] = norm / scales[drop]
+    scaled[dead, dead] = 1.0
+    rhs = np.zeros(n)
+    rhs[drop] = 1.0
     try:
-        x = np.linalg.solve((A / scales).T, rhs / scales)
-        residual = float(np.max(np.abs(x @ M))) if n else 0.0
+        x = np.linalg.solve(scaled.T, rhs / scales)
+        residual = float(np.abs(x @ M).max())
     except np.linalg.LinAlgError:
         residual = np.inf
         x = None
-    if x is None or residual > 1e-6 * max(1.0, float(np.max(np.abs(M)))) \
-            or np.any(x < -1e-8):
+    if x is None or residual > 1e-6 * max(1.0, M.max(), -M.min()) \
+            or (x < -1e-8).any():
         # Fall back to least squares on the full system + normalization.
         full = np.hstack([M, norm[:, None]])
-        for k in dead:
-            full[k, k] = 1.0  # keep the dead states pinned to zero
+        full[dead, dead] = 1.0  # keep the dead states pinned to zero
         rhs_full = np.zeros(n + 1)
         rhs_full[-1] = 1.0
         x, *_ = np.linalg.lstsq(full.T, rhs_full, rcond=None)
-    x = np.clip(x, 0.0, None)
+    x = np.maximum(x, 0.0)
     # Re-normalize exactly against the tail-aware mass.
     mass = float(x @ norm)
     if mass <= 0:

@@ -15,6 +15,7 @@ growing phase spaces as jobs fill the partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,9 @@ class QBDProcess:
         Repeating blocks: up / local / down.  ``A1`` carries the
         diagonal.  All are ``d x d`` with ``d`` equal to the phase
         dimension of boundary level ``b``.
+
+    The boundary generator :attr:`G` holds every boundary block in one
+    dense array.
 
     Notes
     -----
@@ -154,7 +158,7 @@ class QBDProcess:
 
     @classmethod
     def from_trusted_blocks(cls, boundary, A0, A1, A2,
-                            level_labels=None) -> "QBDProcess":
+                            level_labels=None, G=None) -> "QBDProcess":
         """Construct without re-validating the generator structure.
 
         For builders that derive diagonals as negative row sums — the
@@ -163,7 +167,9 @@ class QBDProcess:
         the per-iteration assembly cost of the fixed point's small
         chains).  Blocks must already be float64 ``ndarray``s of
         consistent shapes; anything user-supplied should go through the
-        validating constructor instead.
+        validating constructor instead.  A builder that wrote the
+        boundary into one array passes it as ``G``; the boundary
+        blocks must then be views of it.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "boundary",
@@ -172,7 +178,35 @@ class QBDProcess:
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "A2", A2)
         object.__setattr__(self, "level_labels", level_labels)
+        if G is not None:
+            self.__dict__["G"] = G
         return self
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The boundary generator: levels ``0..b`` as one dense array.
+
+        Level ``i``'s rows and columns start at the running sum of
+        :meth:`boundary_dims`, and block ``[i][j]`` sits at level
+        ``i``'s rows and level ``j``'s columns; every other entry is
+        zero.  The Kronecker assembler writes it directly (the boundary
+        blocks are its views); a process built block by block assembles
+        it from the blocks on first read, once.  Read-only.
+        """
+        from repro.kernels import to_dense
+
+        dims = self.boundary_dims()
+        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        G = np.zeros((offsets[-1], offsets[-1]))
+        b = self.boundary_levels
+        for i in range(b + 1):
+            for j in range(max(0, i - 1), min(b, i + 1) + 1):
+                blk = self.boundary[i][j]
+                if blk is not None:
+                    G[offsets[i]:offsets[i + 1],
+                      offsets[j]:offsets[j + 1]] += to_dense(blk)
+        G.flags.writeable = False
+        return G
 
     @property
     def boundary_levels(self) -> int:

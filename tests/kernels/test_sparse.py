@@ -6,6 +6,7 @@ from scipy import sparse as sp
 
 from repro.kernels import (
     Factorization,
+    band_csc,
     density,
     diagonal,
     factorize,
@@ -138,3 +139,74 @@ class TestPhMomentsOperand:
         alpha, S = _banded_subgenerator(order, seed)
         got = ph_moments(alpha, S, 3, backend="auto")
         assert got == self._old_route(alpha, S, 3)
+
+    @staticmethod
+    def _band(order, width):
+        """``band_csc``'s pattern of a band ``width`` rows either side."""
+        cols = np.repeat(np.arange(order), 2 * width + 1)
+        rows = cols + np.tile(np.arange(-width, width + 1), order)
+        keep = (rows >= 0) & (rows < order)
+        return rows[keep], cols[keep]
+
+    @staticmethod
+    def _assert_same_csc(got, want):
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+        assert got.shape == want.shape
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("order", [256, 411])
+    def test_band_with_exact_zeros(self, order, seed):
+        """Zeros (of either sign) inside the pattern are dropped as the
+        dense conversion drops them; the moments keep their bits."""
+        alpha, S = _banded_subgenerator(order, seed)
+        rng = np.random.default_rng(seed)
+        holes = (rng.random(S.shape) < 0.3) & ~np.eye(order, dtype=bool)
+        S[holes] = rng.choice([0.0, -0.0], size=int(holes.sum()))
+        S[np.diag_indices(order)] = 0.0
+        S[np.diag_indices(order)] = -(S.sum(axis=1) + 1e-3)
+        pattern = self._band(order, 3)        # wider than the matrix's band
+        self._assert_same_csc(band_csc(S, *pattern, negate=True),
+                              sp.csc_array(-S))
+        self._assert_same_csc(band_csc(S, *pattern), sp.csc_array(S))
+        got = ph_moments(alpha, S, 3, backend="auto", pattern=pattern)
+        assert got == ph_moments(alpha, S, 3, backend="auto")
+        assert got == self._old_route(alpha, S, 3)
+
+    def test_figure3_operands(self):
+        """The effective quanta of Figure 3's first point at the
+        400-level cap: the extraction plan's pattern covers every
+        nonzero of ``S`` and gives the dense conversion's operand."""
+        from repro import scenario
+        from repro.pipeline import stages
+        from repro.scenario import figure_scenarios
+
+        captured = []
+        reduce_order = stages.reduce_order
+
+        def capture(raw, reduction, **kwargs):
+            if raw.order >= 256 and len(captured) < 6:
+                captured.append((raw, kwargs["pattern"]()))
+            return reduce_order(raw, reduction, **kwargs)
+
+        fig3 = figure_scenarios(3, grid="full")[0]
+        mp = pytest.MonkeyPatch()
+        mp.setattr(stages, "reduce_order", capture)
+        try:
+            scenario.run(fig3.with_grid(fig3.grid()[:1]))
+        finally:
+            mp.undo()
+        assert len(captured) == 6
+        for raw, (rows, cols) in captured:
+            S = np.asarray(raw.S)
+            outside = np.ones(S.shape, dtype=bool)
+            outside[rows, cols] = False
+            assert not (S[outside] != 0).any()
+            self._assert_same_csc(band_csc(S, rows, cols, negate=True),
+                                  sp.csc_array(-S))
+            alpha = np.asarray(raw.alpha)
+            got = ph_moments(alpha, S, 3, backend="auto",
+                             pattern=(rows, cols))
+            assert got == self._old_route(alpha, S, 3)

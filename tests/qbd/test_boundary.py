@@ -3,15 +3,21 @@
 Unreachable boundary phases (no flux in or out) produce all-zero
 columns in the balance system.  Before the zero-column guard they
 poisoned the column equilibration with 0/0 NaNs; the regression tests
-here pin such states to zero probability explicitly.
+here pin such states to zero probability explicitly.  The solve on the
+assembler's boundary generator must return the bits of the
+block-assembled oracle (``tests/qbd/boundary_oracle.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.phasetype import PhaseType, erlang, exponential
+from repro.pipeline.assembly import build_class_qbd_fast
 from repro.qbd.boundary import solve_boundary
+from repro.qbd.rmatrix import solve_R
 from repro.qbd.structure import QBDProcess
+from tests.qbd import boundary_oracle
 
 
 def process_with_dead_phase(lam=0.5, mu=1.0):
@@ -60,3 +66,79 @@ class TestDeadColumns:
             boundary=((z, z), (z, z)), A0=z, A1=z, A2=z)
         with pytest.raises(ValidationError):
             solve_boundary(proc, np.zeros((1, 1)), backend="dense")
+
+
+# ---------------------------------------------------------------------------
+# The boundary generator: plan-built against block-built, to the bit
+
+
+def _rebuilt(process):
+    """The same process built block by block (``G`` from the blocks)."""
+    return QBDProcess.from_trusted_blocks(
+        [[None if blk is None else np.array(blk) for blk in row]
+         for row in process.boundary],
+        process.A0, process.A1, process.A2)
+
+
+def _assert_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def _chains():
+    ph_arrival = PhaseType([0.5, 0.3, 0.2], [[-1.3, 0.4, 0.2],
+                                             [0.1, -0.9, 0.3],
+                                             [0.2, 0.0, -1.1]])
+    ph_service = PhaseType([0.35, 0.65], [[-2.3, 0.7], [0.4, -1.9]])
+    vacation = PhaseType([0.5, 0.3, 0.2], [[-3.1, 1.2, 0.4],
+                                           [0.3, -2.2, 0.9],
+                                           [0.0, 0.7, -4.3]])
+    for policy in ("switch", "idle"):
+        for c in (1, 3, 8):
+            yield (c, exponential(0.37 * c), exponential(1.13),
+                   erlang(2, 0.9), erlang(3, 2.3), policy)
+        yield (3, ph_arrival, ph_service, erlang(2, 1.7), vacation, policy)
+
+
+@pytest.mark.parametrize("args", list(_chains()),
+                         ids=lambda a: f"c{a[0]}-{a[5]}-m{a[1].order}")
+def test_plan_G_equals_block_G_and_oracle_bits(args):
+    *dists, policy = args
+    proc, _, _ = build_class_qbd_fast(*dists, policy=policy)
+    R = solve_R(proc.A0, proc.A1, proc.A2)
+    rebuilt = _rebuilt(proc)
+    assert rebuilt.G is not proc.G
+    assert np.array_equal(rebuilt.G, proc.G)
+    want, lstsq = boundary_oracle.solve_boundary_dense(proc, R)
+    assert not lstsq
+    _assert_bits(solve_boundary(proc, R, backend="dense"), want)
+    _assert_bits(solve_boundary(rebuilt, R, backend="dense"), want)
+
+
+def test_dead_state_bits_equal_oracle():
+    proc = process_with_dead_phase(0.5, 1.0)
+    R = np.array([[0.5]])
+    want, _ = boundary_oracle.solve_boundary_dense(proc, R)
+    _assert_bits(solve_boundary(proc, R, backend="dense"), want)
+
+
+def test_lstsq_fallback_bits_equal_oracle():
+    """Two copies of an M/M/1 chain that never meet: the balance system
+    keeps a second redundant equation after the normalization replaces
+    one, so the solve falls back to least squares."""
+    lam, mu = 0.5, 1.0
+    B00 = np.diag([-lam, -lam])
+    up = np.eye(2) * lam
+    down = np.eye(2) * mu
+    A1 = np.eye(2) * -(lam + mu)
+    proc = QBDProcess.from_trusted_blocks(
+        boundary=((B00, up), (down, A1)), A0=up, A1=A1, A2=down)
+    R = np.eye(2) * (lam / mu)
+    want, lstsq = boundary_oracle.solve_boundary_dense(proc, R)
+    assert lstsq
+    got = solve_boundary(proc, R, backend="dense")
+    _assert_bits(got, want)
+    assert sum(v.sum() for v in got[:-1]) + \
+        got[-1] @ np.linalg.solve(np.eye(2) - R, np.ones(2)) \
+        == pytest.approx(1.0)
