@@ -4,9 +4,8 @@ A full reproduction of *"An Analysis of Gang Scheduling for
 Multiprogrammed Parallel Computing Environments"* (Squillante, Wang &
 Papaefthymiou, SPAA 1996): the matrix-geometric queueing analysis of a
 flexible gang scheduler, the substrates it stands on (phase-type
-distributions, Markov-chain machinery, a general QBD solver), and a
-discrete-event simulator of the same policy with time-/space-sharing
-baselines.
+distributions, a general QBD solver), and a discrete-event simulator of
+the same policy with time-/space-sharing baselines.
 
 Quick tour
 ----------
@@ -28,8 +27,6 @@ Subpackages
     heavy-traffic vacations, the fixed-point iteration, measures.
 ``repro.phasetype``
     Phase-type distributions: families, algebra, fitting, sampling.
-``repro.markov``
-    CTMC/DTMC machinery: GTH, uniformization, absorbing chains.
 ``repro.qbd``
     Matrix-geometric QBD solver (R/G matrices, drift test, boundary).
 ``repro.sim``

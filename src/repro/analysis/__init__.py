@@ -15,7 +15,6 @@
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.compare import ComparisonRow, compare_analytic_simulation
 from repro.analysis.littles_law import littles_law_gap
-from repro.analysis.report import build_results_report
 from repro.analysis.series import Series, Table
 from repro.analysis.shapes import (
     is_monotone_decreasing,
@@ -34,6 +33,5 @@ __all__ = [
     "is_monotone_increasing",
     "is_monotone_decreasing",
     "knee_index",
-    "build_results_report",
     "ascii_plot",
 ]

@@ -38,7 +38,6 @@ from repro.core.response import (
     waiting_time_distribution,
 )
 from repro.core.statespace import ClassStateSpace
-from repro.core.transient import TransientResult, transient_mean_jobs
 from repro.core.vacation import heavy_traffic_vacation
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "heavy_traffic_vacation",
     "response_time_distribution",
     "waiting_time_distribution",
-    "transient_mean_jobs",
-    "TransientResult",
     "optimize_quantum",
     "optimize_quantum_for_slo",
     "optimize_cycle_split",

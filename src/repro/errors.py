@@ -11,8 +11,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ValidationError",
-    "NotAGeneratorError",
-    "NotStochasticError",
     "NotAPhaseTypeError",
     "UnstableSystemError",
     "ConvergenceError",
@@ -28,19 +26,6 @@ class ReproError(Exception):
 
 class ValidationError(ReproError, ValueError):
     """An input failed structural validation (shape, sign, normalization)."""
-
-
-class NotAGeneratorError(ValidationError):
-    """A matrix claimed to be a CTMC generator is not one.
-
-    A generator (infinitesimal rate) matrix must be square, have
-    non-negative off-diagonal entries, and have rows that sum to zero
-    (to within tolerance).
-    """
-
-
-class NotStochasticError(ValidationError):
-    """A matrix claimed to be a (sub)stochastic matrix is not one."""
 
 
 class NotAPhaseTypeError(ValidationError):

@@ -36,7 +36,6 @@ from repro.phasetype.builders import (
 )
 from repro.phasetype.distribution import PhaseType
 from repro.phasetype.em import HyperErlangFit, fit_hyper_erlang, fit_ph_em
-from repro.phasetype.equilibrium import equilibrium, residual_moment
 from repro.phasetype.fitting import (
     fit_moments,
     match_two_moments,
@@ -61,8 +60,6 @@ __all__ = [
     "fit_moments",
     "match_two_moments",
     "match_three_moments",
-    "equilibrium",
-    "residual_moment",
     "fit_ph_em",
     "fit_hyper_erlang",
     "HyperErlangFit",

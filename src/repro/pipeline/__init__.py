@@ -17,18 +17,18 @@ value.  This package makes the repeated work explicit and reusable:
   n >= 1 points, stacking their drift tests, ``R`` solves and
   extractions.
 
-The reference implementations in :mod:`repro.core`
-(``build_class_qbd``, ``effective_quantum``) remain as test oracles:
-the parity tests patch them into the stages in place of the fast
-versions.
+Each stage has one implementation.  The reference assembly,
+:func:`repro.core.generator.build_class_qbd`, stays in
+:mod:`repro.core` because the Figure 1 and ``R``-matrix benchmarks
+build through it; the reference extraction is a test oracle under
+``tests/`` (``tests/core/vacation_oracle.py``).  The parity tests patch
+both into the stages in place of the fast versions
+(``tests/legacy_route.py``).
 """
 
 from repro.pipeline.assembly import AssemblyWorkspace, build_class_qbd_fast
 from repro.pipeline.context import ClassArtifacts, SolveContext, StageTimings
-from repro.pipeline.extract import (
-    extract_effective_quanta,
-    extract_effective_quantum,
-)
+from repro.pipeline.extract import extract_effective_quanta
 from repro.pipeline.stages import (
     assemble_class,
     extract_points,
@@ -43,7 +43,6 @@ __all__ = [
     "assemble_class",
     "build_class_qbd_fast",
     "extract_effective_quanta",
-    "extract_effective_quantum",
     "extract_points",
     "solve_points",
 ]

@@ -1,10 +1,14 @@
 """Effective-quantum extraction (Theorem 4.3), stacked over n >= 1 chains.
 
-:func:`repro.core.vacation.effective_quantum` is the reference
-implementation and documents the construction; this module computes
-the same absorbing PH with the per-iteration overhead stripped out.
-It runs once per stable class in every fixed-point iteration, and
-almost all of its cost is bookkeeping rather than arithmetic, so:
+The effective quantum is an absorbing PH on the solved chain, cut at
+the first level above which less than ``truncation_mass`` remains: its
+phases are the service states ``Omega^s`` (``k < M_p``), every exit
+from them (quantum expiry, or the last departure under the switch
+policy) is absorption, its entry vector is the steady-state flow into
+``Omega^s``, and vacations ending on an empty system are its atom at
+zero (skipped quanta).  It runs once per stable class in every
+fixed-point iteration, and almost all of its cost is bookkeeping rather
+than arithmetic, so:
 
 * everything that depends only on the
   :class:`~repro.core.statespace.ClassStateSpace` is computed once per
@@ -42,8 +46,9 @@ NumPy's fancy indexing lays a stack out slice-innermost and a product
 or long sum over such an operand runs a strided kernel instead of BLAS
 or pairwise summation.  A chain extracted with others gets the bits of
 its own n = 1 call, so a chunk's points match one-at-a-time solves.
-Against the reference implementation the quanta agree to
-floating-point noise only (``tests/pipeline/test_extract.py``),
+Against the reference implementation, which builds the chain one
+level at a time (``tests/core/vacation_oracle.py``), the quanta agree
+to floating-point noise only (``tests/pipeline/test_extract.py``),
 because its sums associate differently.
 """
 
@@ -64,7 +69,7 @@ from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
 
 __all__ = ["STACK_ELEMENTS", "extract_effective_quanta",
-           "extract_effective_quantum", "sub_generator_pattern"]
+           "sub_generator_pattern"]
 
 #: Sub-generator entries (float64) one extraction stack may hold: the
 #: chains of one truncation depth are stacked up to this budget, and a
@@ -346,23 +351,6 @@ def _truncation_walk(sols, c: int, truncation_mass: float,
         live &= on
         lo, block = hi, 2 * block
     return K, P
-
-
-def extract_effective_quantum(space: ClassStateSpace, process: QBDProcess,
-                              solution: QBDStationaryDistribution,
-                              vacation: PhaseType,
-                              *, truncation_mass: float = 1e-9,
-                              max_levels: int = 400) -> PhaseType:
-    """Fast equivalent of :func:`repro.core.vacation.effective_quantum`.
-
-    Same construction, same truncation rule, same entry vector; see the
-    reference implementation for the semantics.  This is
-    :func:`extract_effective_quanta` for one chain.
-    """
-    (_, quantum), = extract_effective_quanta(
-        space, [(process, solution, vacation)],
-        truncation_mass=truncation_mass, max_levels=max_levels)
-    return quantum
 
 
 def extract_effective_quanta(space: ClassStateSpace,

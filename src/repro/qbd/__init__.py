@@ -27,11 +27,6 @@ This package provides:
 """
 
 from repro.qbd.rmatrix import solve_G, solve_R
-from repro.qbd.spectral import (
-    CaudalCharacteristic,
-    caudal_characteristic,
-    decay_rate,
-)
 from repro.qbd.stability import drift, is_stable
 from repro.qbd.stationary import QBDStationaryDistribution, solve_qbd
 from repro.qbd.structure import QBDProcess
@@ -44,7 +39,4 @@ __all__ = [
     "is_stable",
     "solve_qbd",
     "QBDStationaryDistribution",
-    "caudal_characteristic",
-    "CaudalCharacteristic",
-    "decay_rate",
 ]

@@ -238,83 +238,3 @@ class QBDProcess:
         if j == i - 1:
             return self.A2
         return self.A1
-
-    def _truncation_layout(self, levels: int):
-        if levels < self.boundary_levels + 2:
-            raise ValidationError(
-                f"need at least {self.boundary_levels + 2} levels to include "
-                "one repeating level"
-            )
-        dims = self.boundary_dims() + \
-            [self.phase_dim] * (levels - self.boundary_levels - 1)
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-        tags: list[tuple[int, int]] = []
-        for lvl, dim in enumerate(dims):
-            tags.extend((lvl, ph) for ph in range(dim))
-        return dims, offsets, tags
-
-    def truncated_generator(self, levels: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Dense generator truncated to the first ``levels`` levels.
-
-        The top level's upward rates are folded onto its diagonal being
-        removed — i.e. the truncation reflects upward transitions back
-        as self-loops (rates dropped, diagonal adjusted so rows sum to
-        zero).  Used by tests to compare against direct linear solves.
-
-        Returns the matrix and a list of ``(level, phase)`` state tags.
-        """
-        from repro.kernels import to_dense
-
-        dims, offsets, tags = self._truncation_layout(levels)
-        n = int(offsets[-1])
-        Q = np.zeros((n, n))
-        for i in range(levels):
-            for j in (i - 1, i, i + 1):
-                if j < 0 or j >= levels:
-                    continue
-                blk = self.block(i, j)
-                if blk is None:
-                    continue
-                Q[offsets[i]:offsets[i] + dims[i],
-                  offsets[j]:offsets[j] + dims[j]] = to_dense(blk)
-        # Repair the top level: remove the (dropped) upward rates from
-        # the diagonal so that rows sum to zero.
-        top = slice(int(offsets[levels - 1]), int(offsets[levels]))
-        row_def = Q[top].sum(axis=1)
-        Q[top, top] -= np.diag(row_def)
-        return Q, tags
-
-    def truncated_generator_sparse(self, levels: int):
-        """CSR variant of :meth:`truncated_generator`.
-
-        Same truncation semantics, but the generator is assembled as a
-        block-sparse grid — the whole matrix has ``O(levels * d^2)``
-        stored entries versus the dense version's ``O((levels d)^2)``
-        zeros, which is what makes large-window transient analysis
-        feasible.  Returns ``(csr_array, tags)``.
-        """
-        from scipy import sparse as _sp
-
-        from repro.kernels import row_sums, to_csr
-
-        dims, offsets, tags = self._truncation_layout(levels)
-        grid: list[list] = [[None] * levels for _ in range(levels)]
-        for i in range(levels):
-            for j in (i - 1, i, i + 1):
-                if j < 0 or j >= levels:
-                    continue
-                blk = self.block(i, j)
-                if blk is None:
-                    # block_array needs every row/column to carry at
-                    # least one shaped entry; an explicit zero block
-                    # keeps the layout unambiguous.
-                    blk = np.zeros((dims[i], dims[j]))
-                grid[i][j] = to_csr(blk)
-        Q = _sp.csr_array(_sp.block_array(grid, format="csr"))
-        # Repair the top level as in the dense variant.
-        n = int(offsets[-1])
-        top_start = int(offsets[levels - 1])
-        row_def = np.zeros(n)
-        row_def[top_start:] = row_sums(Q)[top_start:]
-        Q = _sp.csr_array(Q - _sp.diags_array(row_def))
-        return Q, tags

@@ -31,7 +31,6 @@ from repro.sim.runner import (
     simulate_scenario_point,
 )
 from repro.sim.stats import ClassStats, SimulationReport
-from repro.sim.trace import ScheduleTrace, TracingGangSimulation
 from repro.sim.variants import (
     MalleableSpeedupSimulation,
     PartitionLendingSimulation,
@@ -59,6 +58,4 @@ __all__ = [
     "SimPointEstimate",
     "simulate_scenario_point",
     "BatchArrivalGangSimulation",
-    "TracingGangSimulation",
-    "ScheduleTrace",
 ]

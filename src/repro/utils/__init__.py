@@ -3,20 +3,19 @@
 Submodules
 ----------
 ``validation``
-    Structural checks for stochastic vectors, (sub)stochastic matrices,
-    CTMC generators and PH sub-generators.
+    Structural checks for sub-probability vectors and PH
+    sub-generators.
 ``linalg``
-    Stationary-vector solvers (GTH elimination, direct solve), spectral
-    radius helpers, and Kronecker utilities.
+    The GTH stationary solver, the spectral radius and the Kronecker
+    sum.
 ``combinatorics``
     Enumeration of compositions / occupancy vectors used to build the
     service-phase state space.
 ``rng``
-    Seed-sequence helpers for reproducible parallel streams.
+    Named, independent random streams from one root seed.
 ``poisson``
-    The Poisson window and weights of a uniformization series, shared by
-    :class:`~repro.phasetype.PhaseType` and
-    :func:`~repro.markov.uniformization.transient_distribution`.
+    The Poisson window and weights of a uniformization series, used by
+    :class:`~repro.phasetype.PhaseType`.
 """
 
 from repro.utils.combinatorics import (
@@ -24,22 +23,8 @@ from repro.utils.combinatorics import (
     compositions,
     num_compositions,
 )
-from repro.utils.linalg import (
-    drazin_like_solve,
-    kron_sum,
-    solve_stationary_dtmc,
-    solve_stationary_gth,
-    spectral_radius,
-    stationary_from_generator,
-)
-from repro.utils.validation import (
-    check_generator,
-    check_probability_vector,
-    check_stochastic,
-    check_subgenerator,
-    check_substochastic,
-    is_generator,
-)
+from repro.utils.linalg import kron_sum, solve_stationary_gth, spectral_radius
+from repro.utils.validation import check_subgenerator
 
 __all__ = [
     "compositions",
@@ -48,13 +33,5 @@ __all__ = [
     "spectral_radius",
     "kron_sum",
     "solve_stationary_gth",
-    "solve_stationary_dtmc",
-    "stationary_from_generator",
-    "drazin_like_solve",
-    "check_probability_vector",
-    "check_stochastic",
-    "check_substochastic",
-    "check_generator",
     "check_subgenerator",
-    "is_generator",
 ]

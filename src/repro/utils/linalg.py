@@ -6,8 +6,7 @@ stationary vector of an irreducible chain using only additions and
 multiplications of non-negative quantities (the diagonal is recomputed
 as a row sum at every elimination step), so it is immune to the
 catastrophic cancellation that plagues naive LU approaches on stiff
-generators.  Both DTMC (stochastic ``P``) and CTMC (generator ``Q``)
-inputs are supported through a shared elimination core.
+generators.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ __all__ = [
     "spectral_radius",
     "kron_sum",
     "solve_stationary_gth",
-    "solve_stationary_dtmc",
-    "stationary_from_generator",
-    "drazin_like_solve",
-    "geometric_tail_sum",
 ]
 
 
@@ -46,19 +41,22 @@ def kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, np.eye(B.shape[0])) + np.kron(np.eye(A.shape[0]), B)
 
 
-def _gth_core(T: np.ndarray) -> np.ndarray:
-    """Shared GTH elimination on a rate-like matrix.
+def solve_stationary_gth(Q: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible CTMC generator via GTH.
 
-    ``T`` must have non-negative off-diagonals; the diagonal is ignored
-    (recomputed from row sums), which is exactly what makes GTH stable.
-    Returns the normalized stationary vector.
+    Solves ``pi Q = 0``, ``pi e = 1``.  Only the off-diagonal rates are
+    read (the diagonal is recomputed from row sums), which is exactly
+    what makes GTH stable.  Raises
+    :class:`~repro.errors.ReducibleChainError` if elimination detects a
+    reducible structure.
     """
-    n = T.shape[0]
+    Q = np.asarray(Q, dtype=np.float64)
+    n = Q.shape[0]
     if n == 0:
         raise ValidationError("cannot solve a 0-state chain")
     if n == 1:
         return np.ones(1)
-    A = np.array(T, dtype=np.float64, copy=True)
+    A = np.array(Q, dtype=np.float64, copy=True)
     np.fill_diagonal(A, 0.0)
 
     # Forward elimination: fold state k into states 0..k-1.  The rank-1
@@ -85,96 +83,3 @@ def _gth_core(T: np.ndarray) -> np.ndarray:
     if not np.isfinite(total) or total <= 0:
         raise ReducibleChainError("GTH back-substitution produced invalid mass")
     return pi / total
-
-
-def solve_stationary_gth(Q: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible CTMC generator via GTH.
-
-    Solves ``pi Q = 0``, ``pi e = 1``.  Raises
-    :class:`~repro.errors.ReducibleChainError` if elimination detects a
-    reducible structure.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    return _gth_core(Q)
-
-
-def solve_stationary_dtmc(P: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible DTMC via GTH.
-
-    Solves ``pi P = pi``, ``pi e = 1``.  The elimination operates on
-    ``P`` with its diagonal ignored, which is equivalent to operating on
-    the generator ``P - I``.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    return _gth_core(P)
-
-
-def stationary_from_generator(Q: np.ndarray, *, method: str = "gth") -> np.ndarray:
-    """Stationary vector of a CTMC generator.
-
-    Parameters
-    ----------
-    Q:
-        Irreducible generator matrix.
-    method:
-        ``"gth"`` (default, numerically robust) or ``"direct"`` (replace
-        one balance equation by the normalization and solve the dense
-        linear system; faster for large well-conditioned chains).
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    if method == "gth":
-        return solve_stationary_gth(Q)
-    if method == "direct":
-        n = Q.shape[0]
-        A = Q.T.copy()
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise ReducibleChainError(f"direct stationary solve failed: {exc}") from exc
-        if np.any(pi < -1e-8):
-            raise ReducibleChainError(
-                "direct stationary solve produced negative probabilities; "
-                "the chain is likely reducible"
-            )
-        pi = np.clip(pi, 0.0, None)
-        return pi / pi.sum()
-    raise ValidationError(f"unknown stationary method {method!r}")
-
-
-def drazin_like_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Least-squares solve ``X A = B`` for possibly singular ``A``.
-
-    Used for group-inverse style computations (e.g. deviation matrices);
-    returns the minimum-norm solution.
-    """
-    X, *_ = np.linalg.lstsq(np.asarray(A, dtype=np.float64).T,
-                            np.asarray(B, dtype=np.float64).T, rcond=None)
-    return X.T
-
-
-def geometric_tail_sum(R: np.ndarray, *, weight: int = 0) -> np.ndarray:
-    """Closed forms for matrix-geometric tail sums.
-
-    For ``sp(R) < 1``:
-
-    * ``weight=0`` returns ``sum_{n>=0} R^n = (I - R)^{-1}``
-    * ``weight=1`` returns ``sum_{n>=0} n R^n = R (I - R)^{-2}``
-    * ``weight=2`` returns ``sum_{n>=0} n^2 R^n = R (I + R) (I - R)^{-3}``
-
-    These are the sums behind the closed-form queue-length moments of
-    eq. (37) in the paper.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    n = R.shape[0]
-    ImR = np.eye(n) - R
-    inv = np.linalg.inv(ImR)
-    if weight == 0:
-        return inv
-    if weight == 1:
-        return R @ inv @ inv
-    if weight == 2:
-        return R @ (np.eye(n) + R) @ inv @ inv @ inv
-    raise ValidationError(f"unsupported weight {weight}; use 0, 1 or 2")

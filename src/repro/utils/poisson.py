@@ -1,11 +1,10 @@
 """Poisson windows of uniformization series (Section 2.4 of the paper).
 
 A uniformized transient quantity is a Poisson-weighted sum
-``sum_k Pois(k; lam) * a_k``.  Both series in the package — the
-distribution functions of :class:`~repro.phasetype.PhaseType` and
-:func:`~repro.markov.uniformization.transient_distribution` — sum it
-over the two-sided window that holds all but ``eps`` of the Poisson
-mass, so the dropped terms weigh at most ``eps * max_k |a_k|``.
+``sum_k Pois(k; lam) * a_k``.  The distribution functions of
+:class:`~repro.phasetype.PhaseType` sum it over the two-sided window
+that holds all but ``eps`` of the Poisson mass, so the dropped terms
+weigh at most ``eps * max_k |a_k|``.
 
 The window and weights are the formulas ``scipy.stats.poisson.interval``
 and ``scipy.stats.poisson.pmf`` evaluate, taken from ``scipy.special``

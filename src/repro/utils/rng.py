@@ -12,16 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_generators", "StreamFactory"]
-
-
-def spawn_generators(seed: int | np.random.SeedSequence | None,
-                     count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from one seed."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
+__all__ = ["StreamFactory"]
 
 
 class StreamFactory:

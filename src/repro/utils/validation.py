@@ -5,8 +5,8 @@ failure and return the validated object as a contiguous ``float64``
 array on success, so they can be used as normalizing gates at API
 boundaries::
 
-    Q = check_generator(Q)          # now guaranteed to be a generator
-    alpha = check_probability_vector(alpha)
+    S = check_subgenerator(S)       # now guaranteed to be a sub-generator
+    alpha = check_subprobability_vector(alpha)
 
 Tolerances are absolute and default to ``1e-9`` scaled by the matrix
 magnitude where appropriate; they can be overridden per call.
@@ -16,23 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import (
-    NotAGeneratorError,
-    NotAPhaseTypeError,
-    NotStochasticError,
-    ValidationError,
-)
+from repro.errors import NotAPhaseTypeError, ValidationError
 
 __all__ = [
     "as_float_array",
-    "check_probability_vector",
     "check_subprobability_vector",
-    "check_stochastic",
-    "check_substochastic",
-    "check_generator",
     "check_subgenerator",
-    "is_generator",
-    "is_stochastic",
 ]
 
 #: Default absolute tolerance for structural checks.
@@ -61,23 +50,6 @@ def as_float_array(x, *, ndim: int | None = None, name: str = "array") -> np.nda
     return arr
 
 
-def check_probability_vector(v, *, atol: float = DEFAULT_ATOL,
-                             name: str = "probability vector") -> np.ndarray:
-    """Validate that ``v`` is a probability vector (non-negative, sums to 1)."""
-    v = as_float_array(v, ndim=1, name=name)
-    if v.size == 0:
-        raise ValidationError(f"{name} must be non-empty")
-    if np.any(v < -atol):
-        raise ValidationError(f"{name} has negative entries: min={v.min()}")
-    s = float(v.sum())
-    if abs(s - 1.0) > max(atol, atol * v.size):
-        raise ValidationError(f"{name} must sum to 1, got {s}")
-    # Clip tiny negatives and renormalize exactly so downstream code can
-    # rely on the invariant bit-for-bit.
-    v = np.clip(v, 0.0, None)
-    return v / v.sum()
-
-
 def check_subprobability_vector(v, *, atol: float = DEFAULT_ATOL,
                                 name: str = "sub-probability vector") -> np.ndarray:
     """Validate a non-negative vector with sum at most 1."""
@@ -90,94 +62,10 @@ def check_subprobability_vector(v, *, atol: float = DEFAULT_ATOL,
     return np.clip(v, 0.0, None)
 
 
-def is_stochastic(P, *, atol: float = DEFAULT_ATOL) -> bool:
-    """Return ``True`` iff ``P`` is a row-stochastic matrix."""
-    try:
-        check_stochastic(P, atol=atol)
-    except ValidationError:
-        return False
-    return True
-
-
-def check_stochastic(P, *, atol: float = DEFAULT_ATOL,
-                     name: str = "stochastic matrix") -> np.ndarray:
-    """Validate that ``P`` is square, non-negative with unit row sums."""
-    P = as_float_array(P, ndim=2, name=name)
-    n, m = P.shape
-    if n != m:
-        raise NotStochasticError(f"{name} must be square, got {P.shape}")
-    if np.any(P < -atol):
-        raise NotStochasticError(f"{name} has negative entries: min={P.min()}")
-    rows = P.sum(axis=1)
-    bad = np.abs(rows - 1.0) > max(atol, atol * n)
-    if np.any(bad):
-        i = int(np.argmax(np.abs(rows - 1.0)))
-        raise NotStochasticError(
-            f"{name} row {i} sums to {rows[i]}, expected 1"
-        )
-    return np.clip(P, 0.0, None)
-
-
-def check_substochastic(P, *, atol: float = DEFAULT_ATOL,
-                        name: str = "substochastic matrix") -> np.ndarray:
-    """Validate that ``P`` is square, non-negative with row sums ``<= 1``."""
-    P = as_float_array(P, ndim=2, name=name)
-    n, m = P.shape
-    if n != m:
-        raise NotStochasticError(f"{name} must be square, got {P.shape}")
-    if np.any(P < -atol):
-        raise NotStochasticError(f"{name} has negative entries: min={P.min()}")
-    rows = P.sum(axis=1)
-    if np.any(rows > 1.0 + max(atol, atol * n)):
-        i = int(np.argmax(rows))
-        raise NotStochasticError(
-            f"{name} row {i} sums to {rows[i]}, expected <= 1"
-        )
-    return np.clip(P, 0.0, None)
-
-
-def is_generator(Q, *, atol: float | None = None) -> bool:
-    """Return ``True`` iff ``Q`` is a valid CTMC generator matrix."""
-    try:
-        check_generator(Q, atol=atol)
-    except ValidationError:
-        return False
-    return True
-
-
 def _rate_scale(Q: np.ndarray) -> float:
     """Magnitude scale used for relative tolerances on rate matrices."""
     scale = float(np.max(np.abs(Q))) if Q.size else 1.0
     return max(scale, 1.0)
-
-
-def check_generator(Q, *, atol: float | None = None,
-                    name: str = "generator") -> np.ndarray:
-    """Validate that ``Q`` is a CTMC infinitesimal generator.
-
-    Requirements: square; off-diagonal entries ``>= 0``; each row sums
-    to zero within ``atol`` (scaled by the largest rate so that chains
-    with fast clocks are not rejected for benign round-off).
-    """
-    Q = as_float_array(Q, ndim=2, name=name)
-    n, m = Q.shape
-    if n != m:
-        raise NotAGeneratorError(f"{name} must be square, got {Q.shape}")
-    tol = (DEFAULT_ATOL if atol is None else atol) * _rate_scale(Q) * max(n, 1)
-    off = Q.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < -tol):
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise NotAGeneratorError(
-            f"{name} has negative off-diagonal entry Q[{i},{j}]={Q[i, j]}"
-        )
-    rows = Q.sum(axis=1)
-    if np.any(np.abs(rows) > tol):
-        i = int(np.argmax(np.abs(rows)))
-        raise NotAGeneratorError(
-            f"{name} row {i} sums to {rows[i]:.3e}, expected 0 (tol {tol:.1e})"
-        )
-    return Q
 
 
 def check_subgenerator(S, *, atol: float | None = None, require_invertible: bool = True,

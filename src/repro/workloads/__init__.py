@@ -4,17 +4,16 @@
 paper's Section 5 experiments (Figures 2-5);
 :mod:`~repro.workloads.sweeps` provides the generic one-parameter sweep
 driver used by the benchmark harness;
-:mod:`~repro.workloads.batched` is the batched lockstep engine the
-driver dispatches to when ``batch > 1``.
+:mod:`~repro.workloads.traces` replays a recorded job stream through
+the gang simulator;
+:mod:`~repro.workloads.batched` is the lockstep engine every
+in-process sweep runs on: it solves the grid in chunks of adjacent
+points, :data:`~repro.workloads.sweeps.CHUNK_POINTS` (8) wide unless
+the sweep's ``batch`` says otherwise (``batch=1`` solves one point at a
+time).
 """
 
 from repro.workloads.batched import plan_chunks
-from repro.workloads.generators import (
-    ClassTrace,
-    TraceDrivenGangSimulation,
-    WorkloadTrace,
-    generate_trace,
-)
 from repro.workloads.presets import (
     PAPER_SERVICE_RATES,
     fig1_example_config,
@@ -28,6 +27,11 @@ from repro.workloads.sweeps import (
     SweepResult,
     sweep,
     sweep_scenario,
+)
+from repro.workloads.traces import (
+    ClassTrace,
+    TraceDrivenGangSimulation,
+    WorkloadTrace,
 )
 
 __all__ = [
@@ -44,6 +48,5 @@ __all__ = [
     "SweepResult",
     "ClassTrace",
     "WorkloadTrace",
-    "generate_trace",
     "TraceDrivenGangSimulation",
 ]

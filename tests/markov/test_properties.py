@@ -1,17 +1,12 @@
-"""Property-based tests for the Markov toolkit."""
+"""Property-based tests for the stationary solves."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.markov import DiscreteTimeMarkovChain
-from repro.markov.uniformization import uniformize
-from repro.utils.linalg import (
-    solve_stationary_dtmc,
-    solve_stationary_gth,
-    stationary_from_generator,
-)
+from repro.utils.linalg import solve_stationary_gth
+from tests.markov.ctmc_oracle import stationary_from_generator
 
 
 @st.composite
@@ -44,31 +39,3 @@ def test_gth_agrees_with_direct_solver(Q):
     b = stationary_from_generator(Q, method="direct")
     np.testing.assert_allclose(a, b, atol=1e-9)
 
-
-@given(Q=irreducible_generators())
-@settings(max_examples=50, deadline=None)
-def test_uniformization_preserves_stationary_vector(Q):
-    # The paper's Section 2.4 equivalence, as a universal property.
-    P, rate = uniformize(Q)
-    pi_c = solve_stationary_gth(Q)
-    pi_d = solve_stationary_dtmc(P)
-    np.testing.assert_allclose(pi_c, pi_d, atol=1e-9)
-    assert rate >= np.max(-np.diag(Q)) - 1e-12
-
-
-@given(Q=irreducible_generators(), slack=st.floats(1.0, 3.0))
-@settings(max_examples=30, deadline=None)
-def test_uniformization_rate_slack_keeps_stochasticity(Q, slack):
-    rate = np.max(-np.diag(Q)) * slack
-    P, _ = uniformize(Q, q_max=rate)
-    assert np.all(P >= 0)
-    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
-
-
-@given(Q=irreducible_generators())
-@settings(max_examples=30, deadline=None)
-def test_uniformized_chain_aperiodic_when_diagonal_positive(Q):
-    P, _ = uniformize(Q)
-    chain = DiscreteTimeMarkovChain(P)
-    if np.any(np.diag(P) > 0):
-        assert chain.is_aperiodic()

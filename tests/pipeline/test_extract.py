@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.generator import build_class_qbd
-from repro.core.vacation import effective_quantum
 from repro.phasetype import PhaseType, erlang, exponential
 from repro.pipeline import extract
-from repro.pipeline.extract import extract_effective_quantum
 from repro.qbd.stationary import solve_qbd
+from tests.core.vacation_oracle import effective_quantum
 
 
 def extract_effective_quanta(space, jobs, **kwargs):
@@ -16,6 +15,13 @@ def extract_effective_quanta(space, jobs, **kwargs):
     stack)."""
     got = dict(extract.extract_effective_quanta(space, jobs, **kwargs))
     return [got[i] for i in range(len(jobs))]
+
+
+def extract_effective_quantum(space, process, solution, vacation, **kwargs):
+    """The production quantum of one chain (an n = 1 call)."""
+    (quantum,) = extract_effective_quanta(
+        space, [(process, solution, vacation)], **kwargs)
+    return quantum
 
 ARRIVAL2 = PhaseType([0.6, 0.4], [[-1.0, 0.3], [0.1, -0.8]])
 SERVICE2 = PhaseType([0.5, 0.5], [[-2.0, 0.5], [0.0, -1.5]])

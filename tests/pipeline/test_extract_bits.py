@@ -22,7 +22,6 @@ from repro.kernels import is_sparse
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
 from repro.pipeline import extract
 from repro.pipeline.assembly import build_class_qbd_fast
-from repro.pipeline.extract import extract_effective_quantum
 from repro.qbd.stationary import solve_qbd
 from tests.pipeline import extract_oracle
 
@@ -77,9 +76,6 @@ def test_single_markovian_chain(policy, partitions):
                         exponential(1.0), exponential(0.5), VACATION3,
                         policy)
     _check(space, [job])
-    alone = extract_effective_quantum(space, *job)
-    _assert_same_bits([alone], extract_oracle.extract_effective_quanta(
-        space, [job]))
 
 
 @pytest.mark.parametrize("policy", ["switch", "idle"])

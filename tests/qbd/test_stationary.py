@@ -6,6 +6,7 @@ import pytest
 from repro.errors import UnstableSystemError, ValidationError
 from repro.qbd import QBDProcess, solve_qbd
 from repro.utils.linalg import solve_stationary_gth
+from tests.markov.ctmc_oracle import truncated_generator
 
 
 def mm1_process(lam=0.5, mu=1.0):
@@ -120,7 +121,7 @@ class TestAgainstTruncatedSolve:
         proc = QBDProcess(boundary=((B00, B01), (B10, B11)),
                           A0=A0, A1=A1, A2=A2)
         sol = solve_qbd(proc)
-        Q, tags = proc.truncated_generator(400)
+        Q, tags = truncated_generator(proc, 400)
         pi = solve_stationary_gth(Q)
         # Compare first 10 levels state by state.
         idx = 0

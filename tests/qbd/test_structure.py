@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.qbd import QBDProcess
+from tests.markov.ctmc_oracle import truncated_generator
 
 
 def mm1_process(lam=0.5, mu=1.0):
@@ -87,22 +88,22 @@ class TestAccessors:
 
 class TestTruncatedGenerator:
     def test_rows_sum_to_zero(self):
-        Q, tags = mm1_process().truncated_generator(10)
+        Q, tags = truncated_generator(mm1_process(), 10)
         assert np.allclose(Q.sum(axis=1), 0.0)
         assert len(tags) == 10
 
     def test_tags_are_level_phase(self):
-        _, tags = mm1_process().truncated_generator(4)
+        _, tags = truncated_generator(mm1_process(), 4)
         assert tags == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     def test_requires_repeating_level(self):
         with pytest.raises(ValidationError):
-            mm1_process().truncated_generator(2)
+            truncated_generator(mm1_process(), 2)
 
     def test_truncated_stationary_approximates_mm1(self):
         from repro.utils.linalg import solve_stationary_gth
         lam, mu = 0.5, 1.0
-        Q, _ = mm1_process(lam, mu).truncated_generator(60)
+        Q, _ = truncated_generator(mm1_process(lam, mu), 60)
         pi = solve_stationary_gth(Q)
         rho = lam / mu
         expect = (1 - rho) * rho ** np.arange(60)

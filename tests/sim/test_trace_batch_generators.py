@@ -5,13 +5,42 @@ import pytest
 
 from repro.core import ClassConfig, SystemConfig
 from repro.errors import ValidationError
-from repro.sim import BatchArrivalGangSimulation, GangSimulation, TracingGangSimulation
-from repro.sim.trace import TraceEventType
-from repro.workloads import (
-    ClassTrace,
-    TraceDrivenGangSimulation,
-    generate_trace,
-)
+from repro.phasetype.random import sampler_for
+from repro.sim import BatchArrivalGangSimulation, GangSimulation
+from repro.utils.rng import StreamFactory
+from repro.workloads import ClassTrace, TraceDrivenGangSimulation, WorkloadTrace
+from tests.sim.trace_oracle import TraceEventType, TracingGangSimulation
+
+
+def generate_trace(config: SystemConfig, horizon: float,
+                   *, seed: int | None = None) -> WorkloadTrace:
+    """Sample a trace from the configuration's PH distributions.
+
+    Interarrival times and service requirements are drawn i.i.d. per
+    class, exactly as the live simulator would — a trace-driven run on
+    the output is statistically identical to a live run (different
+    stream usage, so not sample-path identical).
+    """
+    if horizon <= 0:
+        raise ValidationError(f"horizon must be positive, got {horizon}")
+    streams = StreamFactory(seed)
+    traces = []
+    for p, cls in enumerate(config.classes):
+        rng_a = streams.get(f"trace.arrival.{p}")
+        rng_s = streams.get(f"trace.service.{p}")
+        arr_sampler = sampler_for(cls.arrival)
+        # Draw in growing batches until the horizon is covered.
+        gaps = []
+        total = 0.0
+        while total < horizon:
+            batch = arr_sampler.draw_batch(rng_a, 1024)
+            gaps.append(batch)
+            total += float(batch.sum())
+        times = np.cumsum(np.concatenate(gaps))
+        times = times[times <= horizon]
+        services = sampler_for(cls.service).draw_batch(rng_s, times.size)
+        traces.append(ClassTrace(times, services))
+    return WorkloadTrace(classes=tuple(traces), horizon=horizon)
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import pytest
 MODULES = [
     "repro",
     "repro.phasetype.distribution",
-    "repro.phasetype.equilibrium",
     "repro.phasetype.em",
     "repro.core.model",
     "repro.core.batchmodel",

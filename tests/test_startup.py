@@ -6,7 +6,9 @@ run them: the Poisson windows and the Student-t quantile come from
 ``scipy.special``, and ``scipy.optimize`` is imported inside the three
 functions that call it.  These tests guard both halves: the heavy
 modules stay unloaded, and the ``scipy.special`` formulas give the
-``scipy.stats`` numbers.
+``scipy.stats`` numbers.  The model itself loads none of the layers
+built on it: ``import repro.core`` leaves the simulator, the metrics
+and the analysis helpers unloaded.
 """
 
 import math
@@ -37,6 +39,23 @@ print(sorted(m for m in {HEAVY!r} if m in sys.modules))
 def test_imports_and_a_sweep_leave_scipy_stats_and_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                           text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+CORE_ONLY = ("repro.analysis", "repro.metrics", "repro.sim")
+
+CORE_PROBE = f"""
+import sys
+import repro.core
+print(sorted(m for m in {CORE_ONLY!r} if m in sys.modules))
+"""
+
+
+def test_importing_the_model_leaves_the_layers_above_it_unloaded():
+    done = subprocess.run([sys.executable, "-c", CORE_PROBE],
+                          capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

