@@ -68,7 +68,6 @@ from repro.pipeline.context import SolveContext
 from repro.policy import SchedulingPolicy, resolve_policy
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
-from repro.resilience.fallback import DEFAULT_POLICY, ResiliencePolicy
 
 __all__ = ["FixedPointOptions", "FixedPointResult", "IterationRecord",
            "PointState", "run_fixed_point", "run_lockstep"]
@@ -89,7 +88,12 @@ class FixedPointOptions:
         Effective-quantum order reduction (see
         :data:`repro.core.vacation.REDUCTIONS`).
     rmatrix_method:
-        ``R``-matrix algorithm passed through to the QBD solver.
+        Primary ``R``-matrix algorithm of the resilience chain
+        (:func:`repro.resilience.fallback.default_chain`).
+    solve_budget:
+        Wall-clock budget in seconds of each ``R`` solve
+        (:func:`repro.resilience.fallback.resilient_solve_R`'s
+        ``budget``); ``None`` disables the clock.
     truncation_mass:
         Tail mass allowed beyond the truncation level when extracting
         effective quanta.
@@ -104,10 +108,7 @@ class FixedPointOptions:
     tol: float = 1e-5
     reduction: str = "moments2"
     rmatrix_method: str = "logreduction"
-    #: Fallback/retry policy for every per-class QBD solve (see
-    #: :mod:`repro.resilience.fallback`); ``None`` disables fallback,
-    #: restoring fail-fast single-method solves.
-    resilience: ResiliencePolicy | None = DEFAULT_POLICY
+    solve_budget: float | None = None
     truncation_mass: float = 1e-9
     max_truncation_levels: int = 400
     heavy_traffic_only: bool = False

@@ -18,7 +18,6 @@ from repro.obs.trace import StageTimings, span
 from repro.phasetype import PhaseType
 from repro.policy import SchedulingPolicy, resolve_policy
 from repro.qbd.stationary import QBDStationaryDistribution
-from repro.resilience.fallback import DEFAULT_POLICY, ResiliencePolicy
 
 __all__ = ["GangSchedulingModel", "SolvedModel", "ClassResult"]
 
@@ -132,8 +131,8 @@ class GangSchedulingModel:
     ----------
     config:
         The system description.
-    reduction, rmatrix_method, truncation_mass, max_truncation_levels, \
-resilience, backend:
+    reduction, rmatrix_method, solve_budget, truncation_mass, \
+max_truncation_levels, backend:
         Passed through to :class:`~repro.core.fixed_point.FixedPointOptions`
         (``backend`` selects the dense/sparse kernels, see
         :mod:`repro.kernels`).
@@ -154,18 +153,18 @@ resilience, backend:
 
     def __init__(self, config: SystemConfig, *, reduction: str = "moments2",
                  rmatrix_method: str = "logreduction",
+                 solve_budget: float | None = None,
                  truncation_mass: float = 1e-9,
                  max_truncation_levels: int = 400,
-                 resilience: "ResiliencePolicy | None" = DEFAULT_POLICY,
                  backend: str = "auto",
                  policy: "SchedulingPolicy | None" = None):
         self.config = config
         self.policy = resolve_policy(policy) if policy is not None else None
         self._reduction = reduction
         self._rmatrix_method = rmatrix_method
+        self._solve_budget = solve_budget
         self._truncation_mass = truncation_mass
         self._max_truncation_levels = max_truncation_levels
-        self._resilience = resilience
         self._backend = resolve_backend(backend)
 
     def _options(self, max_iterations: int, tol: float,
@@ -175,10 +174,10 @@ resilience, backend:
             tol=tol,
             reduction=self._reduction,
             rmatrix_method=self._rmatrix_method,
+            solve_budget=self._solve_budget,
             truncation_mass=self._truncation_mass,
             max_truncation_levels=self._max_truncation_levels,
             heavy_traffic_only=heavy_traffic_only,
-            resilience=self._resilience,
             backend=self._backend,
             policy=self.policy,
         )

@@ -68,9 +68,9 @@ class SolverBudgetExceededError(ConvergenceError):
     """A resilient solve ran out of its iteration or wall-clock budget.
 
     Raised by :mod:`repro.resilience.fallback` when the combined
-    retry/fallback attempts exhaust the caller's
-    :class:`~repro.resilience.fallback.RetryPolicy` budgets before any
-    method produces an acceptable solution.  Inherits the
+    retry/fallback attempts exhaust the solve's iteration budget or
+    the caller's wall-clock ``budget`` before any method produces an
+    acceptable solution.  Inherits the
     ``iterations``/``residual`` diagnostics of
     :class:`ConvergenceError` and adds the budget bookkeeping.
     """

@@ -45,13 +45,10 @@ from repro.kernels.sparse import (
     Factorization,
     band_csc,
     density,
-    diagonal,
     factorize,
     is_sparse,
     ph_moments,
     row_sums,
-    sub_dense,
-    to_csr,
     to_dense,
 )
 
@@ -79,12 +76,9 @@ __all__ = [
     "Factorization",
     "band_csc",
     "density",
-    "diagonal",
     "factorize",
     "is_sparse",
     "ph_moments",
     "row_sums",
-    "sub_dense",
-    "to_csr",
     "to_dense",
 ]

@@ -14,10 +14,16 @@ Design rules (all load-bearing for the bit identity of the stacked
 solve stage, :func:`repro.pipeline.stages.solve_points`, with the
 per-point kernels):
 
-* **Same recurrence, same stopping rule.**  Each kernel mirrors its
-  serial counterpart step for step (``solve_G`` logreduction,
-  ``refine_R`` Newton, GTH elimination), so a batched slice follows
-  the trajectory its serial solve would.
+* **Same recurrence, same stopping rule.**  Each ``R`` kernel mirrors
+  its serial twin in :mod:`repro.qbd.rmatrix` step for step
+  (``solve_G`` logreduction, ``r_from_g``, ``refine_R`` Newton), so a
+  batched slice follows the trajectory its serial solve would.  The
+  twins stay for single solves: a budgeted or fallback solve runs
+  them one job at a time, faster than a stack of one, and
+  ``tests/kernels/test_batched.py`` pins each stack of one to its
+  twin bit for bit.  The drift test has no twin:
+  :func:`repro.qbd.stability.drift` runs :func:`batched_drift` on a
+  stack of one.
 * **Composition independence.**  Stacked ``matmul``/``solve``/``inv``
   dispatch to LAPACK/BLAS per slice, so a slice's result does not
   depend on which other points share the batch — a resumed sweep
@@ -26,7 +32,7 @@ per-point kernels):
 * **Per-slice failure isolation.**  A slice that diverges, hits a
   singular system, or trips a guard is flagged in the returned ``ok``
   mask and frozen; the caller re-solves just that slice through the
-  serial resilience chain.  A batched kernel never raises for a
+  resilience chain.  A batched kernel never raises for a
   per-slice numerical failure.
 
 Nothing here imports above the kernels layer; callers pass plain
@@ -68,12 +74,15 @@ def stack_blocks(mats) -> np.ndarray:
 def batched_gth(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GTH stationary vectors of a stack of rate-like matrices.
 
-    Mirrors :func:`repro.utils.linalg.solve_stationary_gth` (diagonal
-    ignored, recomputed from row sums) slice by slice; the elimination
-    loop runs over the small phase dimension while every update is
-    vectorized across the batch.  Returns ``(pi, ok)`` where ``ok[i]``
-    is ``False`` for slices whose elimination detected a reducible
-    structure (the serial solver raises ``ReducibleChainError`` there).
+    The Grassmann–Taksar–Heyman elimination: only additions and
+    multiplications of non-negative quantities, with the diagonal
+    ignored (recomputed from row sums), so stiff generators suffer no
+    catastrophic cancellation.  The elimination loop runs over the
+    small phase dimension while every update is vectorized across the
+    batch.  Returns ``(pi, ok)`` where ``ok[i]`` is ``False`` for
+    slices whose elimination detected a reducible structure.  The
+    one-chain reference is ``solve_stationary_gth`` in
+    ``tests/markov/ctmc_oracle.py``; the two agree to a few ulps.
     """
     T = np.asarray(T, dtype=np.float64)
     n, m, _ = T.shape
@@ -105,9 +114,9 @@ def batched_drift(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Theorem 4.4 drift test across a stack of repeating blocks.
 
-    Returns ``(up, down, phase_stationary, ok)``; slices with
-    ``ok=False`` need the serial :func:`repro.qbd.stability.drift`
-    (which raises the proper ``ReducibleChainError``).
+    Returns ``(up, down, phase_stationary, ok)``; ``ok=False`` marks a
+    reducible phase process (:func:`repro.qbd.stability.drift` raises
+    ``ReducibleChainError`` for it).
     """
     y, ok = batched_gth(A0 + A1 + A2)
     up = np.einsum("ni,ni->n", y, A0.sum(axis=2))

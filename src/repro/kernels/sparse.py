@@ -18,12 +18,9 @@ from scipy.sparse import linalg as _spla
 
 __all__ = [
     "is_sparse",
-    "to_csr",
     "to_dense",
     "density",
-    "diagonal",
     "row_sums",
-    "sub_dense",
     "Factorization",
     "factorize",
     "band_csc",
@@ -34,13 +31,6 @@ __all__ = [
 def is_sparse(M) -> bool:
     """``True`` for any scipy sparse matrix/array."""
     return _sp.issparse(M)
-
-
-def to_csr(M) -> "_sp.csr_array":
-    """Coerce to ``csr_array`` (cheap when already CSR)."""
-    if _sp.issparse(M):
-        return _sp.csr_array(M)
-    return _sp.csr_array(np.asarray(M, dtype=np.float64))
 
 
 def to_dense(M) -> np.ndarray:
@@ -61,31 +51,11 @@ def density(M) -> float:
     return float(np.count_nonzero(M)) / cells
 
 
-def diagonal(M) -> np.ndarray:
-    """Main diagonal as a 1-D array, either representation."""
-    if _sp.issparse(M):
-        return np.asarray(M.diagonal())
-    return np.diag(np.asarray(M))
-
-
 def row_sums(M) -> np.ndarray:
     """Row sums as a 1-D array, either representation."""
     if _sp.issparse(M):
         return np.asarray(M.sum(axis=1)).ravel()
     return np.asarray(M).sum(axis=1)
-
-
-def sub_dense(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense submatrix ``M[rows, cols]`` from either representation.
-
-    The consumers (boundary solve, extraction) take small index sets
-    out of possibly-large blocks, so the result is always dense.
-    """
-    if rows.size == 0 or cols.size == 0:
-        return np.zeros((rows.size, cols.size))
-    if _sp.issparse(M):
-        return M[np.ix_(rows, cols)].toarray()
-    return M[np.ix_(rows, cols)]
 
 
 class Factorization:

@@ -15,9 +15,20 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.phasetype.distribution import PhaseType
-from repro.utils.linalg import kron_sum
 
 __all__ = ["convolve", "convolve_many", "mixture", "scale", "minimum", "maximum"]
+
+
+def kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker sum ``A ⊕ B = A ⊗ I + I ⊗ B``.
+
+    The generator of two independent Markov processes running in
+    parallel; :func:`minimum` and :func:`maximum` build their joint
+    block from it.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    return np.kron(A, np.eye(B.shape[0])) + np.kron(np.eye(A.shape[0]), B)
 
 
 def convolve(f: PhaseType, g: PhaseType) -> PhaseType:

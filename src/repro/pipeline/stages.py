@@ -11,12 +11,13 @@ class is stacked across the (point, class) jobs:
   dimension, run as ``(njobs, m, m)`` kernels
   (:mod:`repro.kernels.batched`, LAPACK called per slice).  A job's
   ``R`` is seeded with its class's previous iterate and accepted by
-  :func:`~repro.resilience.fallback.resilient_solve_R`'s own test, so
-  each slice carries the bits and the
+  :func:`~repro.resilience.fallback.accept_R`, the resilience chain's
+  own test, so each slice carries the bits and the
   :class:`~repro.resilience.fallback.SolveReport` its single solve
-  would.  A job whose options the stacked solve does not reproduce,
-  whose attempt fails, or whose ``R`` solve has a fault armed goes
-  through the resilience chain alone (:func:`solve_rmatrix`);
+  would.  A job with another primary method, a solve budget, a fault
+  armed at its ``R`` solve or a matrix-free seed, or whose stacked
+  attempt fails, goes through the resilience chain alone
+  (:func:`solve_rmatrix`);
 * effective-quantum extraction stacks the classes of one state space
   (:func:`repro.pipeline.extract.extract_effective_quanta`) and
   reduces each quantum as soon as its stack is built.
@@ -59,13 +60,13 @@ from repro.pipeline.extract import (
     sub_generator_pattern,
 )
 from repro.qbd.boundary import solve_boundary
-from repro.qbd.rmatrix import solve_R
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience import faults
 from repro.resilience.fallback import (
     AttemptRecord,
     SolveReport,
+    accept_R,
     resilient_solve_R,
 )
 from repro.resilience.faults import maybe_fault
@@ -160,19 +161,13 @@ def finish_class(ctx: SolveContext, p: int, report, R,
 
 
 def solve_rmatrix(process, opts, R0):
-    """``(R, report)`` of one QBD, seeded with ``R0``.
-
-    Runs the resilience chain of ``opts`` (``report`` is its
-    :class:`~repro.resilience.fallback.SolveReport`), or a fail-fast
-    single-method solve with ``report=None`` when it is disabled.
-    """
-    if opts.resilience is None:
-        return solve_R(process.A0, process.A1, process.A2,
-                       method=opts.rmatrix_method, tol=_R_TOL, R0=R0,
-                       backend=opts.backend), None
+    """``(R, report)`` of one QBD, seeded with ``R0``: the resilience
+    chain of ``opts.rmatrix_method`` under ``opts.solve_budget``
+    (``report`` is its
+    :class:`~repro.resilience.fallback.SolveReport`)."""
     return resilient_solve_R(process.A0, process.A1, process.A2,
                              method=opts.rmatrix_method, tol=_R_TOL,
-                             policy=opts.resilience, R0=R0,
+                             budget=opts.solve_budget, R0=R0,
                              backend=opts.backend)
 
 
@@ -257,18 +252,11 @@ def _drift_alone(job: _Job) -> None:
 
 def _stackable(job: _Job) -> bool:
     """Whether the stacked ``R`` solve reproduces this job's resilient
-    solve: the default logarithmic-reduction chain, no wall-clock or
-    tight iteration budget, no matrix-free refinement of its seed, and
-    no fault armed at the ``R`` solve."""
+    solve: logarithmic reduction first, no solve budget, no fault armed
+    at the ``R`` solve, and no matrix-free refinement of its seed."""
     opts = job.pt.opts
-    policy = opts.resilience
-    if policy is None or opts.rmatrix_method != "logreduction" \
-            or (policy.chain or ("logreduction",))[0] != "logreduction":
-        return False
-    retry = policy.retry
-    if retry.wall_clock_budget is not None or (
-            retry.max_total_iterations is not None
-            and retry.max_total_iterations < _R_MAX_ITER):
+    if opts.rmatrix_method != "logreduction" \
+            or opts.solve_budget is not None:
         return False
     if faults.spec_for("rmatrix.solve") or faults.spec_for("rmatrix.result"):
         return False
@@ -300,22 +288,12 @@ def _rsolve(jobs: list[_Job]) -> None:
             R, refined, iters, ok = bk.batched_solve_R(
                 A0, A1, A2, R0=R0, seeded=seeded, tol=_R_TOL,
                 max_iter=_R_MAX_ITER)
-            # resilient_solve_R's acceptance test, per slice.
-            resid = np.abs(R @ R @ A2 + R @ A1 + A0).max(axis=(1, 2))
-            scale = np.maximum(1.0, np.abs(A1).max(axis=(1, 2)))
-            threshold = np.array([j.pt.opts.resilience.acceptance_residual
-                                  for j in group])
-            ok &= np.isfinite(R).all(axis=(1, 2)) & (resid <= threshold
-                                                      * scale)
-            # sp(R) < 1: a refined slice passed this very test inside
-            # batched_refine_R, on the same matrix.
-            live = np.flatnonzero(ok & ~refined)
-            if live.size:
-                sp_r = np.abs(np.linalg.eigvals(R[live])).max(axis=1)
-                ok[live[sp_r >= 1.0]] = False
+            # A refined slice passed sp(R) < 1 inside batched_refine_R,
+            # on the same matrix.
+            reasons, resid = accept_R(R, A0, A1, A2, tested=refined)
             elapsed = (time.monotonic() - t0) / len(group)
         for i, j in enumerate(group):
-            if not ok[i]:
+            if not ok[i] or reasons[i] is not None:
                 continue
             j.R = np.clip(R[i], 0.0, None)
             j.solve_report = SolveReport(method="logreduction", attempts=[

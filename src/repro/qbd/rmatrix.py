@@ -165,8 +165,7 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         :class:`~repro.errors.ConvergenceError` when it passes, so a
         wall-clock budget binds *inside* an attempt, not just between
         attempts (:func:`repro.resilience.fallback.resilient_solve_R`
-        threads its :class:`~repro.resilience.fallback.RetryPolicy`
-        budget through here).
+        threads its wall-clock ``budget`` through here).
     """
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)

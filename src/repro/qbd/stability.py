@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReducibleChainError
-from repro.utils.linalg import solve_stationary_gth
+from repro.kernels.batched import batched_drift
 
 __all__ = ["drift", "is_stable", "DriftReport"]
 
@@ -63,24 +63,21 @@ class DriftReport:
 def drift(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> DriftReport:
     """Run the Theorem 4.4 drift test on the repeating blocks.
 
-    Raises :class:`~repro.errors.ReducibleChainError` when the phase
-    generator ``A0 + A1 + A2`` is reducible (the paper requires
-    irreducible PH representations precisely so this cannot happen).
+    The test is :func:`repro.kernels.batched.batched_drift` on a stack
+    of one, so a single QBD gets the bits of a slice of the stacked
+    solve stage.  Raises :class:`~repro.errors.ReducibleChainError`
+    when the phase generator ``A0 + A1 + A2`` is reducible (the paper
+    requires irreducible PH representations precisely so this cannot
+    happen).
     """
-    A0 = np.asarray(A0, dtype=np.float64)
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    A = A0 + A1 + A2
-    try:
-        y = solve_stationary_gth(A)
-    except ReducibleChainError as exc:
+    up, down, y, ok = batched_drift(
+        *(np.asarray(A, dtype=np.float64)[None] for A in (A0, A1, A2)))
+    if not ok[0]:
         raise ReducibleChainError(
             "phase process A0+A1+A2 is reducible; use irreducible PH "
-            "representations (PhaseType.trimmed() can help)"
-        ) from exc
-    up = float(y @ A0.sum(axis=1))
-    down = float(y @ A2.sum(axis=1))
-    return DriftReport(up=up, down=down, phase_stationary=y)
+            "representations (PhaseType.trimmed() can help)")
+    return DriftReport(up=float(up[0]), down=float(down[0]),
+                       phase_stationary=y[0])
 
 
 def is_stable(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> bool:

@@ -16,17 +16,10 @@ import numpy as np
 
 from repro.errors import UnstableSystemError, ValidationError
 from repro.qbd.boundary import solve_boundary
-from repro.qbd.rmatrix import solve_R
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.structure import QBDProcess
-from repro.resilience.fallback import (
-    DEFAULT_POLICY,
-    ResiliencePolicy,
-    SolveReport,
-    resilient_solve_R,
-)
+from repro.resilience.fallback import SolveReport, resilient_solve_R
 from repro.resilience.faults import maybe_fault
-from repro.utils.linalg import spectral_radius
 
 __all__ = ["solve_qbd", "QBDStationaryDistribution"]
 
@@ -43,14 +36,14 @@ class QBDStationaryDistribution:
         Rate matrix of the repeating portion.
     drift_report:
         The Theorem 4.4 stability diagnostics.
+    solve_report:
+        Attempt history of the resilient ``R`` solve.
     """
 
     boundary_pi: tuple[np.ndarray, ...]
     R: np.ndarray
     drift_report: DriftReport
-    #: Attempt history of the resilient ``R`` solve (``None`` when the
-    #: solve ran without the resilience layer).
-    solve_report: SolveReport | None = None
+    solve_report: SolveReport
 
     @property
     def boundary_levels(self) -> int:
@@ -143,14 +136,9 @@ class QBDStationaryDistribution:
         mass += float(self.repeating_phase_marginal().sum())
         return mass
 
-    @property
-    def spectral_radius_R(self) -> float:
-        return spectral_radius(self.R)
-
 
 def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
-              tol: float = 1e-12, require_stable: bool = True,
-              resilience: ResiliencePolicy | None = DEFAULT_POLICY,
+              tol: float = 1e-12,
               R0: np.ndarray | None = None,
               backend: str | None = None,
               ) -> QBDStationaryDistribution:
@@ -161,25 +149,15 @@ def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
     process:
         Validated QBD description.
     method:
-        Primary ``R``-matrix algorithm (see
-        :func:`repro.qbd.rmatrix.solve_R`).
+        Primary ``R``-matrix algorithm of the resilience chain (see
+        :func:`repro.resilience.fallback.resilient_solve_R`): when it
+        fails, the remaining algorithms are tried in turn and the
+        attempt history lands on the result's ``solve_report``.
     tol:
         Convergence tolerance for the ``R`` iteration.
-    require_stable:
-        When ``True`` (default), raise
-        :class:`~repro.errors.UnstableSystemError` if the drift test
-        fails instead of attempting a divergent iteration.
-    resilience:
-        Fallback/retry policy for the ``R`` solve (see
-        :func:`repro.resilience.fallback.resilient_solve_R`): when the
-        primary method fails, the remaining algorithms are tried in
-        turn and the attempt history lands on the result's
-        ``solve_report``.  Pass ``None`` to run the single configured
-        method with no retries (legacy behaviour).
     R0:
         Optional warm-start iterate for the ``R`` solve (see
-        :func:`repro.qbd.rmatrix.solve_R`); used by the fixed-point
-        pipeline to seed each iteration with the previous one's ``R``.
+        :func:`repro.qbd.rmatrix.solve_R`).
     backend:
         Kernel selection (``"auto"`` / ``"dense"`` / ``"sparse"``),
         threaded to the ``R`` refinement and the boundary solve; see
@@ -188,30 +166,25 @@ def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
     Raises
     ------
     UnstableSystemError
-        If the repeating portion has non-negative mean drift.
+        If the repeating portion has non-negative mean drift (checked
+        before any ``R`` iteration could diverge).
     ConvergenceError
-        If the ``R`` solve fails — with resilience enabled, only after
-        every method in the chain has failed.
+        If every method of the ``R`` solve's chain failed.
     SolverBudgetExceededError
-        If the resilience policy's iteration or wall-clock budget ran
-        out before any method succeeded.
+        If the ``R`` solve's iteration budget ran out before any method
+        succeeded.
     """
     maybe_fault("qbd.solve")
     report = drift(process.A0, process.A1, process.A2)
-    if require_stable and not report.stable:
+    if not report.stable:
         raise UnstableSystemError(
             f"QBD is not positive recurrent: mean up-rate {report.up:.6g} >= "
             f"mean down-rate {report.down:.6g} (rho={report.traffic_intensity:.4g})",
             drift=report.drift,
         )
-    if resilience is None:
-        R = solve_R(process.A0, process.A1, process.A2, method=method, tol=tol,
-                    R0=R0, backend=backend)
-        solve_report = None
-    else:
-        R, solve_report = resilient_solve_R(
-            process.A0, process.A1, process.A2, method=method, tol=tol,
-            policy=resilience, R0=R0, backend=backend)
+    R, solve_report = resilient_solve_R(
+        process.A0, process.A1, process.A2, method=method, tol=tol,
+        R0=R0, backend=backend)
     pi = solve_boundary(process, R, backend=backend)
     return QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
                                      drift_report=report,

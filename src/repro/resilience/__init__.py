@@ -1,12 +1,14 @@
-"""Resilience layer: fallback chains, retry budgets, fault injection.
+"""Resilience layer: the fallback chain, solve budgets, fault injection.
 
 Production sweeps solve thousands of models; this package makes partial
 failure a first-class, *recoverable* outcome instead of a fatal one:
 
 :mod:`~repro.resilience.fallback`
     Multi-method ``R``-matrix solving with per-method retries
-    (tightened tolerances, mild regularization), iteration and
-    wall-clock budgets, and a structured :class:`SolveReport` of every
+    (tightened tolerances, mild regularization), the one acceptance
+    test of a candidate ``R`` (:func:`accept_R`, shared with the
+    stacked solve stage), an iteration budget and an optional
+    wall-clock budget, and a structured :class:`SolveReport` of every
     attempt.
 :mod:`~repro.resilience.faults`
     Deterministic fault injection at named sites throughout the solver
@@ -15,9 +17,8 @@ failure a first-class, *recoverable* outcome instead of a fatal one:
 
 from repro.resilience.fallback import (
     AttemptRecord,
-    ResiliencePolicy,
-    RetryPolicy,
     SolveReport,
+    accept_R,
     default_chain,
     resilient_solve_R,
 )
@@ -32,9 +33,8 @@ from repro.resilience.faults import (
 
 __all__ = [
     "AttemptRecord",
-    "ResiliencePolicy",
-    "RetryPolicy",
     "SolveReport",
+    "accept_R",
     "default_chain",
     "resilient_solve_R",
     "FaultSpec",

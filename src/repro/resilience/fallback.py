@@ -1,41 +1,48 @@
-"""Multi-method ``R``-matrix solving: fallback chains, retries, budgets.
+"""Multi-method ``R``-matrix solving: fallback chain, retries, budget.
 
-A single :class:`~repro.errors.ConvergenceError` in one R-matrix solve
-used to abort an entire fixed-point run (and with it a whole sweep
-point).  :func:`resilient_solve_R` instead walks a *chain* of solver
-methods — by default the configured method first, then the remaining
-algorithms of :data:`repro.qbd.rmatrix.METHODS` — retrying each with
-adjusted tolerances and mild regularization, validating every result,
-and recording a structured :class:`AttemptRecord` per attempt so the
-caller can see which method succeeded and why the others failed.
+One R-matrix solve that raises :class:`~repro.errors.ConvergenceError`
+must not abort a whole fixed-point run (and with it a sweep point).
+:func:`resilient_solve_R` walks a *chain* of solver methods — the
+configured method first, then the remaining algorithms of
+:data:`repro.qbd.rmatrix.METHODS` (:func:`default_chain`) — retrying
+each with adjusted tolerances and mild regularization, validating
+every result, and recording a structured :class:`AttemptRecord` per
+attempt so the caller can see which method succeeded and why the
+others failed.  The solve's one setting is its wall-clock ``budget``;
+the retry schedule, the acceptance threshold and the iteration budget
+are the module constants below.
 
 Retry semantics
 ---------------
 The two failure modes call for opposite tolerance adjustments:
 
 * the iteration *ran out of budget* (``ConvergenceError``) — retry
-  with a **relaxed** tolerance and a mild diagonal regularization
-  (a tiny uniform killing rate on ``A1``), which rescues
-  nearly-converged and nearly-singular iterations;
+  with a **relaxed** tolerance (:data:`TOL_RELAX`) and a mild diagonal
+  regularization (:data:`REGULARIZATION`, a tiny uniform killing rate
+  on ``A1``), which rescues nearly-converged and nearly-singular
+  iterations;
 * the iteration *converged to a bad answer* (non-finite entries,
   quadratic residual too large, ``sp(R) >= 1``) — retry with a
-  **tightened** tolerance, which rescues premature stopping.
+  **tightened** tolerance (:data:`TOL_TIGHTEN`), which rescues
+  premature stopping.
 
 Every candidate ``R`` — including regularized ones — is accepted only
-if the *unregularized* quadratic residual passes the policy's
-acceptance threshold, so fallback never trades a loud failure for a
-silently wrong answer.
+by :func:`accept_R` on the *unregularized* blocks, so fallback never
+trades a loud failure for a silently wrong answer.  The stacked solve
+stage (:func:`repro.pipeline.stages.solve_points`) accepts its slices
+with the same function.
 
 Budgets
 -------
-:class:`RetryPolicy` carries a per-solve iteration budget (summed over
-all attempts) and an optional wall-clock budget.  Exhausting either
-raises :class:`~repro.errors.SolverBudgetExceededError` with the
-attempt history attached as ``exc.report``.  The wall-clock budget is
+Every solve has an iteration budget summed over all attempts
+(:data:`MAX_TOTAL_ITERATIONS`) and an optional wall-clock budget (the
+scenario's ``solve_budget``).  Exhausting either raises
+:class:`~repro.errors.SolverBudgetExceededError` with the attempt
+history attached as ``exc.report``.  The wall-clock budget is
 enforced both between attempts and *inside* each attempt: the
-per-attempt deadline is threaded into the solver's iteration loops,
-so a single runaway attempt (large blocks creeping toward an unstable
-fixed point) is cut off mid-iteration instead of running to its full
+deadline is threaded into the solver's iteration loops, so a single
+runaway attempt (large blocks creeping toward an unstable fixed
+point) is cut off mid-iteration instead of running to its full
 iteration cap first.
 """
 
@@ -53,60 +60,24 @@ from repro.errors import (
 )
 from repro.obs import metrics
 
-__all__ = ["RetryPolicy", "ResiliencePolicy", "AttemptRecord", "SolveReport",
-           "DEFAULT_POLICY", "default_chain", "resilient_solve_R"]
+__all__ = ["AttemptRecord", "SolveReport", "accept_R", "default_chain",
+           "resilient_solve_R"]
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry and budget knobs of a resilient solve."""
-
-    #: Attempts per method (the initial try counts as one).
-    max_attempts_per_method: int = 2
-    #: Tolerance factor for retries after an *invalid result*
-    #: (``< 1``: tighten).
-    tol_tighten: float = 1e-2
-    #: Tolerance factor for retries after a *convergence failure*
-    #: (``> 1``: relax).
-    tol_relax: float = 1e2
-    #: Uniform killing rate (relative to ``max |diag A1|``) added to the
-    #: diagonal of ``A1`` on convergence-failure retries.
-    regularization: float = 1e-10
-    #: Iteration budget summed across every attempt of the solve;
-    #: ``None`` disables the check.
-    max_total_iterations: int | None = 400_000
-    #: Wall-clock budget in seconds for the whole solve.  Checked
-    #: between attempts *and* threaded into every attempt's iteration
-    #: loop as a deadline (see ``solve_R(..., deadline=)``), so one
-    #: runaway attempt cannot exceed the budget by more than a single
-    #: iteration.  ``None`` disables the check.
-    wall_clock_budget: float | None = None
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """What :func:`resilient_solve_R` is allowed to do.
-
-    Attributes
-    ----------
-    chain:
-        Method names to try in order.  ``None`` (default) derives the
-        chain from the configured primary method via
-        :func:`default_chain`.
-    retry:
-        The :class:`RetryPolicy` applied to each method.
-    acceptance_residual:
-        A candidate ``R`` is accepted only if
-        ``max|R^2 A2 + R A1 + A0| <= acceptance_residual * max(1, max|A1|)``.
-    """
-
-    chain: tuple[str, ...] | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    acceptance_residual: float = 1e-8
-
-
-#: The policy :func:`repro.qbd.stationary.solve_qbd` applies by default.
-DEFAULT_POLICY = ResiliencePolicy()
+#: Attempts per method (the initial try counts as one).
+ATTEMPTS_PER_METHOD = 2
+#: Tolerance factor for a retry after an *invalid result* (tighten).
+TOL_TIGHTEN = 1e-2
+#: Tolerance factor for a retry after a *convergence failure* (relax).
+TOL_RELAX = 1e2
+#: Uniform killing rate, relative to ``max |diag A1|``, added to the
+#: diagonal of ``A1`` on the first convergence-failure retry (each
+#: further one multiplies it by 100).
+REGULARIZATION = 1e-10
+#: A candidate ``R`` is accepted only if
+#: ``max|R^2 A2 + R A1 + A0| <= ACCEPTANCE_RESIDUAL * max(1, max|A1|)``.
+ACCEPTANCE_RESIDUAL = 1e-8
+#: Iteration budget summed across every attempt of one solve.
+MAX_TOTAL_ITERATIONS = 400_000
 
 
 @dataclass(frozen=True)
@@ -174,10 +145,6 @@ class SolveReport:
     def total_elapsed(self) -> float:
         return sum(a.elapsed for a in self.attempts)
 
-    @property
-    def total_iterations(self) -> int:
-        return sum(a.iterations or 0 for a in self.attempts)
-
     def describe(self) -> str:
         head = (f"resilient solve: method={self.method or 'FAILED'} "
                 f"({len(self.attempts)} attempt(s), "
@@ -206,18 +173,39 @@ def default_chain(method: str = "logreduction") -> tuple[str, ...]:
     return (method,) + tuple(m for m in METHODS if m != method)
 
 
-def _validate_R(R: np.ndarray, A0, A1, A2, *, threshold: float) -> str | None:
-    """``None`` if ``R`` is acceptable, else a human-readable reason."""
-    if not np.all(np.isfinite(R)):
-        return "non-finite entries in R"
-    residual = float(np.max(np.abs(R @ R @ A2 + R @ A1 + A0)))
-    scale = max(1.0, float(np.max(np.abs(A1))))
-    if residual > threshold * scale:
-        return f"quadratic residual {residual:.3g} above threshold"
-    sp = float(np.max(np.abs(np.linalg.eigvals(R))))
-    if sp >= 1.0:
-        return f"sp(R)={sp:.6g} >= 1 (not the minimal solution)"
-    return None
+def accept_R(R: np.ndarray, A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+             *, tested: np.ndarray | None = None,
+             ) -> tuple[list[str | None], np.ndarray]:
+    """The acceptance test of candidate ``R`` solutions, on a stack.
+
+    ``R`` and the blocks are ``(n, d, d)`` stacks.  Slice ``i`` passes
+    when ``R[i]`` is finite, its quadratic residual
+    ``max|R^2 A2 + R A1 + A0|`` is at most
+    ``ACCEPTANCE_RESIDUAL * max(1, max|A1|)``, and ``sp(R[i]) < 1``
+    (the minimal solution of a positive recurrent QBD).  Slices marked
+    in ``tested`` skip the spectral test: the Newton refinement
+    already ran it on the same matrix.
+
+    Returns ``(reasons, residual)``: ``reasons[i]`` is ``None`` for a
+    slice that passes and says why it failed otherwise;
+    ``residual[i]`` is its quadratic residual.
+    """
+    finite = np.isfinite(R).all(axis=(1, 2))
+    residual = np.abs(R @ R @ A2 + R @ A1 + A0).max(axis=(1, 2))
+    limit = ACCEPTANCE_RESIDUAL * np.maximum(1.0, np.abs(A1).max(axis=(1, 2)))
+    reasons: list[str | None] = [
+        "non-finite entries in R" if not f
+        else None if r <= lim
+        else f"quadratic residual {r:.3g} above threshold"
+        for f, r, lim in zip(finite, residual, limit)]
+    spectral = [i for i, why in enumerate(reasons)
+                if why is None and not (tested is not None and tested[i])]
+    if spectral:
+        sp = np.abs(np.linalg.eigvals(R[spectral])).max(axis=1)
+        for i, s in zip(spectral, sp):
+            if s >= 1.0:
+                reasons[i] = f"sp(R)={s:.6g} >= 1 (not the minimal solution)"
+    return reasons, residual
 
 
 def _method_max_iter(method: str) -> int:
@@ -228,33 +216,39 @@ def _method_max_iter(method: str) -> int:
 
 def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                       tol: float = 1e-12,
-                      policy: ResiliencePolicy | None = None,
+                      budget: float | None = None,
                       R0: np.ndarray | None = None,
                       backend: str | None = None,
                       ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``R^2 A2 + R A1 + A0 = 0`` with fallback, retries, budgets.
 
-    Returns ``(R, report)`` on the first attempt that passes
-    validation.  ``R0`` is an optional warm-start iterate forwarded to
-    every :func:`~repro.qbd.rmatrix.solve_R` attempt (each method uses
-    or ignores it as described there); the attempt is still validated
-    against the acceptance residual, so a stale seed can only cost a
-    retry, never a wrong answer.
+    Walks :func:`default_chain` of ``method`` and returns ``(R,
+    report)`` on the first attempt that passes :func:`accept_R`.
+    ``budget`` is the wall-clock budget of the whole solve in seconds
+    (``None``: no clock).  It is checked between attempts and threaded
+    into every attempt's iteration loop as a deadline (see
+    ``solve_R(..., deadline=)``), so one runaway attempt cannot exceed
+    it by more than a single iteration.  ``R0`` is an optional
+    warm-start iterate forwarded to every
+    :func:`~repro.qbd.rmatrix.solve_R` attempt (each method uses or
+    ignores it as described there); the attempt is still validated,
+    so a stale seed can only cost a retry, never a wrong answer.
 
     The chain is backend-aware: ``backend`` is forwarded to every
     attempt, and the first failure of an attempt whose backend engages
     the sparse kernels downgrades the remaining attempts of that
     method (and the rest of the chain) to ``backend="dense"`` — a
     sparse-path defect costs one extra attempt, never the solve.  The
-    downgrade attempt is granted on top of
-    ``max_attempts_per_method`` and skips the tolerance adjustments,
-    since the failure says nothing about the tolerance.
+    downgrade attempt is granted on top of :data:`ATTEMPTS_PER_METHOD`
+    and skips the tolerance adjustments, since the failure says
+    nothing about the tolerance.
 
     Raises
     ------
     SolverBudgetExceededError
-        The iteration or wall-clock budget ran out first.  The partial
-        attempt history is attached as ``exc.report``.
+        The wall-clock budget or :data:`MAX_TOTAL_ITERATIONS` ran out
+        first.  The partial attempt history is attached as
+        ``exc.report``.
     ConvergenceError
         Every method and retry failed within budget (``exc.report``
         attached).
@@ -262,9 +256,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
     from repro.kernels import select_backend
     from repro.qbd.rmatrix import solve_R
 
-    policy = policy or DEFAULT_POLICY
-    retry = policy.retry
-    chain = policy.chain or default_chain(method)
+    chain = default_chain(method)
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
     A2 = np.asarray(A2, dtype=np.float64)
@@ -279,48 +271,43 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
 
     report = SolveReport()
     t0 = time.monotonic()
-    deadline = (t0 + retry.wall_clock_budget
-                if retry.wall_clock_budget is not None else None)
+    deadline = t0 + budget if budget is not None else None
     iterations_used = 0
     best_residual: float | None = None
 
     def _out_of_budget() -> None:
         elapsed = time.monotonic() - t0
-        if retry.wall_clock_budget is not None \
-                and elapsed > retry.wall_clock_budget:
+        if budget is not None and elapsed > budget:
             exc = SolverBudgetExceededError(
                 f"R-matrix solve exceeded its wall-clock budget "
-                f"({elapsed:.3g}s > {retry.wall_clock_budget:.3g}s) after "
+                f"({elapsed:.3g}s > {budget:.3g}s) after "
                 f"{len(report.attempts)} attempt(s)",
                 iterations=iterations_used, residual=best_residual,
-                elapsed=elapsed, budget=retry.wall_clock_budget)
+                elapsed=elapsed, budget=budget)
             exc.report = report
             raise exc
-        if retry.max_total_iterations is not None \
-                and iterations_used >= retry.max_total_iterations:
+        if iterations_used >= MAX_TOTAL_ITERATIONS:
             exc = SolverBudgetExceededError(
                 f"R-matrix solve exceeded its iteration budget "
-                f"({iterations_used} >= {retry.max_total_iterations}) after "
+                f"({iterations_used} >= {MAX_TOTAL_ITERATIONS}) after "
                 f"{len(report.attempts)} attempt(s)",
                 iterations=iterations_used, residual=best_residual,
                 elapsed=time.monotonic() - t0,
-                budget=float(retry.max_total_iterations))
+                budget=float(MAX_TOTAL_ITERATIONS))
             exc.report = report
             raise exc
 
     for m in chain:
         attempt_tol = tol
         regularization = 0.0
-        budget_attempts = max(1, retry.max_attempts_per_method)
+        budget_attempts = ATTEMPTS_PER_METHOD
         if _sparse_active(cur_backend):
             budget_attempts += 1  # the dense downgrade is a bonus attempt
         attempt = 0
         while attempt < budget_attempts:
             _out_of_budget()
-            max_iter = _method_max_iter(m)
-            if retry.max_total_iterations is not None:
-                max_iter = min(max_iter,
-                               retry.max_total_iterations - iterations_used)
+            max_iter = min(_method_max_iter(m),
+                           MAX_TOTAL_ITERATIONS - iterations_used)
             A1_eff = A1
             if regularization > 0.0:
                 scale = float(np.max(np.abs(np.diag(A1)))) or 1.0
@@ -355,34 +342,28 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                     continue
                 # Ran out of steam: relax the tolerance, add a tiny
                 # killing rate to break near-singularity.
-                attempt_tol *= retry.tol_relax
-                regularization = retry.regularization \
+                attempt_tol *= TOL_RELAX
+                regularization = REGULARIZATION \
                     if regularization == 0.0 else regularization * 100.0
                 continue
             elapsed = time.monotonic() - t_attempt
-            reason = _validate_R(R, A0, A1, A2,
-                                 threshold=policy.acceptance_residual)
+            # Judged against the *unregularized* blocks.
+            [reason], residual = accept_R(R[None], A0[None], A1[None],
+                                          A2[None])
+            report.attempts.append(AttemptRecord(
+                method=m, attempt=attempt, tol=attempt_tol,
+                regularization=regularization,
+                outcome="ok" if reason is None else "invalid",
+                error=reason, iterations=info.iterations,
+                residual=float(residual[0]), elapsed=elapsed,
+                backend=cur_backend))
             if reason is None:
-                # Validate against the *unregularized* blocks; the
-                # solver's own diagnostics supply the iteration count
-                # that used to be discarded on success.
-                report.attempts.append(AttemptRecord(
-                    method=m, attempt=attempt, tol=attempt_tol,
-                    regularization=regularization, outcome="ok", error=None,
-                    iterations=info.iterations, residual=float(np.max(np.abs(
-                        R @ R @ A2 + R @ A1 + A0))), elapsed=elapsed,
-                    backend=cur_backend))
                 metrics.inc("fallback.attempts", method=m, outcome="ok")
                 metrics.inc("fallback.solves", status="ok",
                             fallback=attempt > 0 or m != chain[0])
                 report.method = m
                 return np.clip(R, 0.0, None), report
             iterations_used += _method_max_iter(m) if m != "spectral" else 1
-            report.attempts.append(AttemptRecord(
-                method=m, attempt=attempt, tol=attempt_tol,
-                regularization=regularization, outcome="invalid",
-                error=reason, iterations=info.iterations,
-                residual=info.residual, elapsed=elapsed, backend=cur_backend))
             metrics.inc("fallback.attempts", method=m, outcome="invalid")
             attempt += 1
             if _sparse_active(cur_backend):
@@ -392,7 +373,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                 metrics.inc("fallback.backend_downgrades", method=m)
                 continue
             # Converged to a bad answer: tighten, drop regularization.
-            attempt_tol *= retry.tol_tighten
+            attempt_tol *= TOL_TIGHTEN
             regularization = 0.0
 
     # A deadline that fired inside the last attempt must still surface

@@ -105,11 +105,6 @@ class RunResult:
         return [pt.mean_jobs[p] if pt.error is None and pt.mean_jobs is not None
                 else float("nan") for pt in self.points]
 
-    def sim_series(self, p: int) -> list[float]:
-        """Simulated ``N_p`` along the grid."""
-        return [pt.sim_mean_jobs[p] if pt.sim_mean_jobs is not None
-                else float("nan") for pt in self.points]
-
     def delta_series(self, p: int) -> list[float]:
         """Cross-engine relative gap along the grid (``both`` runs)."""
         return [pt.delta[p] if pt.delta is not None else float("nan")

@@ -166,10 +166,9 @@ class EngineSpec:
     max_iterations: int = 200
     tol: float = 1e-5
     heavy_traffic_only: bool = False
-    #: Wall-clock budget in seconds for each R-matrix solve (threaded
-    #: into the :class:`~repro.resilience.fallback.RetryPolicy` of the
-    #: resilience chain; the check fires mid-attempt).  ``None``
-    #: disables the clock.
+    #: Wall-clock budget in seconds for each R-matrix solve (the
+    #: ``budget`` of :func:`~repro.resilience.fallback.resilient_solve_R`;
+    #: the check fires mid-attempt).  ``None`` disables the clock.
     solve_budget: float | None = None
     # Sweep execution knobs (not hashed).  ``workers`` or
     # ``checkpoint`` makes :func:`repro.scenario.run` serve a swept
@@ -227,15 +226,9 @@ class EngineSpec:
 
     def model_kwargs(self) -> dict:
         """Keyword arguments for :class:`~repro.core.model.GangSchedulingModel`."""
-        kwargs = {"backend": self.backend, "reduction": self.reduction,
-                  "rmatrix_method": self.rmatrix_method}
-        if self.solve_budget is not None:
-            from repro.resilience.fallback import DEFAULT_POLICY
-            retry = dataclasses.replace(DEFAULT_POLICY.retry,
-                                        wall_clock_budget=self.solve_budget)
-            kwargs["resilience"] = dataclasses.replace(DEFAULT_POLICY,
-                                                       retry=retry)
-        return kwargs
+        return {"backend": self.backend, "reduction": self.reduction,
+                "rmatrix_method": self.rmatrix_method,
+                "solve_budget": self.solve_budget}
 
     def solve_kwargs(self) -> dict:
         """Keyword arguments for ``GangSchedulingModel.solve``."""

@@ -61,8 +61,8 @@ def solve_shard(shard: dict) -> dict:
     This is the unit of work a pool worker executes: typically a
     single-grid-point shard of a swept scenario, or an unswept scenario
     whole.  Per-point solver failures are recorded *inside* the result
-    (the sweep driver's ``skip_errors`` path), so an exception escaping
-    here means the shard as a whole could not run.
+    (the sweep driver records every failed point), so an exception
+    escaping here means the shard as a whole could not run.
     """
     from repro.scenario import run, run_result_to_dict
     from repro.serialize import scenario_from_dict

@@ -5,9 +5,6 @@ Submodules
 ``validation``
     Structural checks for sub-probability vectors and PH
     sub-generators.
-``linalg``
-    The GTH stationary solver, the spectral radius and the Kronecker
-    sum.
 ``combinatorics``
     Enumeration of compositions / occupancy vectors used to build the
     service-phase state space.
@@ -23,15 +20,11 @@ from repro.utils.combinatorics import (
     compositions,
     num_compositions,
 )
-from repro.utils.linalg import kron_sum, solve_stationary_gth, spectral_radius
 from repro.utils.validation import check_subgenerator
 
 __all__ = [
     "compositions",
     "num_compositions",
     "composition_index_map",
-    "spectral_radius",
-    "kron_sum",
-    "solve_stationary_gth",
     "check_subgenerator",
 ]

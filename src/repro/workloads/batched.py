@@ -52,7 +52,6 @@ def run_batched_pending(*, grid, pending, batch: int,
                         heavy_traffic_only: bool,
                         model_kwargs: dict | None,
                         solve_kwargs: dict | None,
-                        skip_errors: bool,
                         finish,
                         metrics_sel: tuple[str, ...] | None = None) -> None:
     """Solve a sweep's pending points, ``batch`` adjacent points at a time.
@@ -82,8 +81,6 @@ def run_batched_pending(*, grid, pending, batch: int,
     def emit(t: _Task, seconds: float) -> None:
         """Turn a finished task into points for all its slots."""
         if t.error is not None:
-            if not skip_errors:
-                raise t.error
             point = dataclasses.replace(
                 _error_point(t.value, t.config.class_names, t.error),
                 solve_seconds=seconds, warm=False)
@@ -107,8 +104,6 @@ def run_batched_pending(*, grid, pending, batch: int,
             try:
                 maybe_fault("sweeps.point", key=v)
             except Exception as exc:  # noqa: BLE001 - per point
-                if not skip_errors:
-                    raise
                 point = _error_point(v, by_value[v][0][1].class_names, exc)
                 for slot, _ in by_value[v]:
                     finish(slot, point)

@@ -145,10 +145,12 @@ def sweep(parameter: str, values: Sequence[float],
           *, heavy_traffic_only: bool = False,
           model_kwargs: dict | None = None,
           solve_kwargs: dict | None = None,
-          skip_errors: bool = True,
           batch: int | None = None,
           metrics: Sequence[str] | None = None) -> SweepResult:
     """Solve the analytic model along a parameter grid.
+
+    An unstable or failed point is recorded (with the error class and
+    message) instead of aborting the sweep.
 
     Parameters
     ----------
@@ -163,9 +165,6 @@ def sweep(parameter: str, values: Sequence[float],
     model_kwargs, solve_kwargs:
         Extra keyword arguments for :class:`GangSchedulingModel` /
         its ``solve``.
-    skip_errors:
-        Record unstable/failed points (with the error class and
-        message) instead of aborting the sweep.
     batch:
         Chunk width: solve up to this many adjacent grid points at once
         in lockstep (:mod:`repro.workloads.batched`), which stacks their
@@ -211,7 +210,6 @@ def sweep(parameter: str, values: Sequence[float],
         heavy_traffic_only=heavy_traffic_only,
         model_kwargs=model_kwargs,
         solve_kwargs=solve_kwargs,
-        skip_errors=skip_errors,
         finish=finish,
         metrics_sel=metrics_sel,
     )

@@ -95,12 +95,6 @@ class TestResilienceWiring:
             assert sol.solve_report is not None
             assert sol.solve_report.method == "logreduction"
 
-    def test_resilience_disabled_omits_reports(self, two_class_config):
-        opts = FixedPointOptions(resilience=None)
-        result = run_fixed_point(two_class_config, opts)
-        for sol in result.solutions:
-            assert sol.solve_report is None
-
     def test_rmatrix_fault_recovered_by_fallback(self, two_class_config):
         from repro.errors import ConvergenceError
         clean = run_fixed_point(two_class_config)

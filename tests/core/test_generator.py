@@ -149,7 +149,7 @@ class TestAgainstBruteForce:
     def test_stationary_matches_truncated_gth(self):
         """Full chain solution vs dense truncation, multi-phase case."""
         from repro.qbd import solve_qbd
-        from repro.utils.linalg import solve_stationary_gth
+        from tests.markov.ctmc_oracle import solve_stationary_gth
         proc, space = simple_chain(
             c=2,
             arrival=exponential(0.4),

@@ -67,7 +67,7 @@ class TestMMCLimit:
         """
         import numpy as np
 
-        from repro.utils.linalg import solve_stationary_gth
+        from tests.markov.ctmc_oracle import solve_stationary_gth
 
         lam, c, stages, r = 1.2, 2, 2, 2.0   # stage rate = k * mu = 2
         cfg = single_class(c, lam=lam, mu=1.0, service=erlang(2, mean=1.0))

@@ -15,10 +15,10 @@ import numpy as np
 
 from repro.core.statespace import ClassStateSpace
 from repro.errors import ValidationError
-from repro.kernels import sub_dense
 from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
+from tests.kernels.sparse_helpers import sub_dense
 
 __all__ = ["effective_quantum"]
 

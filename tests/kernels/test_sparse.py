@@ -8,16 +8,14 @@ from repro.kernels import (
     Factorization,
     band_csc,
     density,
-    diagonal,
     factorize,
     is_sparse,
     ph_moments,
     row_sums,
-    sub_dense,
-    to_csr,
     to_dense,
 )
 from repro.phasetype import erlang, hyperexponential
+from tests.kernels.sparse_helpers import diagonal, sub_dense, to_csr
 
 
 def random_block(n, seed=0, fill=0.3):

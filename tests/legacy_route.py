@@ -47,6 +47,5 @@ def legacy_route():
         mp.setattr(stages, "build_class_qbd_fast", _reference_assembly)
         mp.setattr(stages, "extract_effective_quanta", _reference_quanta)
         mp.setattr(stages, "_stackable", lambda job: False)
-        mp.setattr(stages, "solve_R", _cold(stages.solve_R))
         mp.setattr(stages, "resilient_solve_R", _cold(stages.resilient_solve_R))
         yield

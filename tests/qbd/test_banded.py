@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.qbd import solve_qbd
 from repro.qbd.banded import BandedLevelProcess, reblock
-from repro.utils.linalg import solve_stationary_gth
+from tests.markov.ctmc_oracle import solve_stationary_gth
 
 
 def batch_mm1(lam=0.3, mu=1.0, pmf=(0.5, 0.3, 0.2)):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import UnstableSystemError, ValidationError
 from repro.qbd import QBDProcess, solve_qbd
-from repro.utils.linalg import solve_stationary_gth
+from tests.markov.ctmc_oracle import solve_stationary_gth
 from tests.markov.ctmc_oracle import truncated_generator
 
 

@@ -101,7 +101,7 @@ class TestTruncatedGenerator:
             truncated_generator(mm1_process(), 2)
 
     def test_truncated_stationary_approximates_mm1(self):
-        from repro.utils.linalg import solve_stationary_gth
+        from tests.markov.ctmc_oracle import solve_stationary_gth
         lam, mu = 0.5, 1.0
         Q, _ = truncated_generator(mm1_process(lam, mu), 60)
         pi = solve_stationary_gth(Q)

@@ -136,8 +136,9 @@ class TestSweepCheckpointing:
         """Acceptance: kill mid-sweep, resume, identical results and
         store records."""
         clean = run(fig4(tmp_path / "clean"))
-        # "Kill" the sweep at the third grid point: KeyboardInterrupt
-        # is not swallowed by skip_errors, like a real SIGINT.
+        # "Kill" the sweep at the third grid point: the sweep records
+        # a failed point but lets a KeyboardInterrupt through, like a
+        # real SIGINT.
         with faults.inject("sweeps.point", raises=KeyboardInterrupt,
                            keys=(GRID[2],)):
             with pytest.raises(KeyboardInterrupt):

@@ -12,11 +12,9 @@ from repro.errors import (
 )
 from repro.qbd import QBDProcess, solve_qbd
 from repro.qbd.rmatrix import METHODS
-from repro.resilience import faults
+from repro.resilience import fallback, faults
 from repro.resilience.fallback import (
     AttemptRecord,
-    ResiliencePolicy,
-    RetryPolicy,
     SolveReport,
     default_chain,
     resilient_solve_R,
@@ -100,7 +98,7 @@ class TestFallback:
                            keys=("logreduction",)):
             _, report = resilient_solve_R(A0, A1, A2)
         lr = [a for a in report.attempts if a.method == "logreduction"]
-        assert len(lr) == 2                      # default retry policy
+        assert len(lr) == fallback.ATTEMPTS_PER_METHOD
         assert lr[1].tol > lr[0].tol             # relaxed after failure
         assert lr[1].regularization > 0.0
 
@@ -114,34 +112,23 @@ class TestFallback:
         assert {a.method for a in report.attempts} == set(METHODS)
         assert not report.succeeded
 
-    def test_custom_chain_restricts_methods(self):
-        A0, A1, A2 = phase_blocks()
-        policy = ResiliencePolicy(chain=("substitution",))
-        with faults.inject("rmatrix.solve", raises=ConvergenceError,
-                           keys=("substitution",)):
-            with pytest.raises(ConvergenceError) as info:
-                resilient_solve_R(A0, A1, A2, policy=policy)
-        assert {a.method for a in info.value.report.attempts} \
-            == {"substitution"}
-
 
 class TestBudgets:
     def test_wall_clock_budget_exceeded(self):
         A0, A1, A2 = phase_blocks()
-        policy = ResiliencePolicy(retry=RetryPolicy(wall_clock_budget=0.0))
         with pytest.raises(SolverBudgetExceededError) as info:
-            resilient_solve_R(A0, A1, A2, policy=policy)
+            resilient_solve_R(A0, A1, A2, budget=0.0)
         assert info.value.budget == 0.0
         assert info.value.elapsed is not None
         assert info.value.report.attempts == []
 
-    def test_iteration_budget_exceeded(self):
+    def test_iteration_budget_exceeded(self, monkeypatch):
         A0, A1, A2 = phase_blocks()
-        policy = ResiliencePolicy(retry=RetryPolicy(max_total_iterations=1500))
+        monkeypatch.setattr(fallback, "MAX_TOTAL_ITERATIONS", 1500)
         injected = ConvergenceError("stuck", iterations=1000, residual=0.5)
         with faults.inject("rmatrix.solve", raises=injected):
             with pytest.raises(SolverBudgetExceededError) as info:
-                resilient_solve_R(A0, A1, A2, policy=policy)
+                resilient_solve_R(A0, A1, A2)
         assert info.value.iterations >= 1500
         assert info.value.residual == 0.5
         assert len(info.value.report.attempts) == 2
@@ -168,14 +155,9 @@ class TestBudgets:
         A0 = np.eye(d)
         A2 = np.eye(d)
         A1 = -2.0 * np.eye(d)
-        policy = ResiliencePolicy(
-            chain=("substitution",),
-            retry=RetryPolicy(max_attempts_per_method=1,
-                              max_total_iterations=None,
-                              wall_clock_budget=0.2))
         t0 = time.monotonic()
         with pytest.raises(SolverBudgetExceededError) as info:
-            resilient_solve_R(A0, A1, A2, policy=policy)
+            resilient_solve_R(A0, A1, A2, method="substitution", budget=0.2)
         elapsed = time.monotonic() - t0
         # Generous CI slack; the pre-fix behavior is 20s+.
         assert elapsed < 3.0
@@ -215,15 +197,6 @@ class TestSolveQBDIntegration:
         sol = solve_qbd(phase_process())
         assert sol.solve_report is not None
         assert sol.solve_report.method == "logreduction"
-
-    def test_legacy_mode_fails_fast(self):
-        process = phase_process()
-        with faults.inject("rmatrix.solve", raises=ConvergenceError,
-                           keys=("logreduction",)):
-            with pytest.raises(ConvergenceError):
-                solve_qbd(process, resilience=None)
-        sol = solve_qbd(process, resilience=None)
-        assert sol.solve_report is None
 
 
 class TestReportSerialization:

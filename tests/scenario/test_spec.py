@@ -68,7 +68,8 @@ class TestEngineSpec:
                                       "heavy_traffic_only": False}
         assert eng.model_kwargs() == {"backend": "auto",
                                       "reduction": "moments2",
-                                      "rmatrix_method": "logreduction"}
+                                      "rmatrix_method": "logreduction",
+                                      "solve_budget": None}
 
     def test_engine_validated(self):
         with pytest.raises(ValidationError, match="engine"):

@@ -1,11 +1,20 @@
-"""Tests for repro.utils.linalg."""
+"""Tests for the GTH oracle and the Kronecker sum.
+
+:func:`solve_stationary_gth` (``tests/markov/ctmc_oracle.py``) is the
+reference the stacked GTH of the drift test is checked against;
+:func:`~repro.phasetype.algebra.kron_sum` builds the joint block of the
+PH minimum and maximum.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ReducibleChainError, ValidationError
-from repro.utils.linalg import kron_sum, solve_stationary_gth, spectral_radius
-from tests.markov.ctmc_oracle import stationary_from_generator
+from repro.phasetype.algebra import kron_sum
+from tests.markov.ctmc_oracle import (
+    solve_stationary_gth,
+    stationary_from_generator,
+)
 
 
 def gth_zeroing_diagonal(T):
@@ -30,20 +39,6 @@ def random_generator(rng, n):
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
-
-
-class TestSpectralRadius:
-    def test_diagonal(self):
-        assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
-
-    def test_empty(self):
-        assert spectral_radius(np.zeros((0, 0))) == 0.0
-
-    def test_rotation_matrix(self):
-        theta = 0.3
-        R = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        assert spectral_radius(R) == pytest.approx(1.0)
 
 
 class TestKronSum:

@@ -12,7 +12,6 @@ extraction stack at a time.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import weakref
 
@@ -24,7 +23,6 @@ from repro.core import ClassConfig, SystemConfig
 from repro.core.model import GangSchedulingModel
 from repro.errors import ConvergenceError
 from repro.resilience import faults
-from repro.resilience.fallback import DEFAULT_POLICY
 from repro.scenario import (
     EngineSpec,
     Scenario,
@@ -132,6 +130,19 @@ class TestFigureParity:
             assert dumps[3] == dumps[1], sc.name
             assert dumps[8] == dumps[1], sc.name
             assert dumps[0] == dumps[1], sc.name
+
+
+class TestSolveBudgetParity:
+    @pytest.mark.parametrize("number", [2, 5])
+    def test_generous_budget_keeps_every_bit(self, number):
+        """A budgeted job solves ``R`` through the resilience chain one
+        job at a time, an unbudgeted one on the stacked kernels; a
+        budget that does not bind changes no number (the daemon stores
+        a budgeted point under its unbudgeted key)."""
+        for sc in figure_scenarios(number, grid="quick"):
+            plain = _hex_dump(run(sc))
+            budgeted = _hex_dump(run(sc.with_engine(solve_budget=60.0)))
+            assert budgeted == plain, sc.name
 
 
 class TestKillAndResume:
@@ -257,9 +268,7 @@ class TestChunkRecords:
         point fails with SolverBudgetExceededError, and its neighbours
         keep the bits of a clean run."""
         budget = 0.05
-        policy = dataclasses.replace(DEFAULT_POLICY, retry=dataclasses.replace(
-            DEFAULT_POLICY.retry, wall_clock_budget=budget))
-        kwargs = {"model_kwargs": {"resilience": policy}, "batch": 3}
+        kwargs = {"model_kwargs": {"solve_budget": budget}, "batch": 3}
         grid = (0.3, 0.45, 0.6)
         clean = sweep("lambda", grid, tiny_config, **kwargs)
 

@@ -34,11 +34,6 @@ class TestSweep:
         assert res.points[1].error is not None
         assert math.isnan(res.series(0)[1])
 
-    def test_skip_errors_false_raises(self):
-        from repro.errors import UnstableSystemError
-        with pytest.raises(UnstableSystemError):
-            sweep("lambda", [5.0], tiny_config, skip_errors=False)
-
     def test_heavy_traffic_only_runs_one_iteration(self):
         res = sweep("lambda", [0.5], tiny_config, heavy_traffic_only=True)
         assert res.points[0].iterations == 1
