@@ -221,7 +221,7 @@ def test_backend_scaling_dense_vs_sparse(benchmark, emit):
         "Dense vs sparse kernels over machine size, Erlang-%d quanta "
         "(constant per-partition load).  P<=64 is the parity band; "
         "P=128/256 are the sizes the block-tridiagonal boundary solver "
-        "and matrix-free Newton unlock." % QUANTUM_STAGES))
+        "unlocks." % QUANTUM_STAGES))
 
     t_dense = sum(pt["t_dense"] for pt in points)
     t_sparse = sum(pt["t_sparse"] for pt in points)

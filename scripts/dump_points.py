@@ -9,10 +9,13 @@ are equal exactly when every figure number is equal to the bit, so
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/dump_points.py > a.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/dump_points.py 1 > b.txt
-    cmp a.txt b.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/dump_points.py 0 60 > c.txt
+    cmp a.txt b.txt && cmp a.txt c.txt
 
-The optional argument is the sweep's chunk width (``batch_points``);
-``0`` or none keeps the scenario's default.
+The optional first argument is the sweep's chunk width
+(``batch_points``); ``0`` or none keeps the scenario's default.  The
+optional second argument is a wall-clock ``solve_budget`` in seconds
+for every ``R`` solve; a budget that does not bind changes no number.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from repro.scenario import figure_scenarios
 
 def main(argv: list[str]) -> int:
     batch = int(argv[0]) if argv else 0
+    budget = float(argv[1]) if len(argv) > 1 else None
     for n in (2, 3, 4, 5):
         for s in figure_scenarios(n, grid="full"):
             if batch:
                 s = s.with_engine(batch_points=batch)
+            if budget is not None:
+                s = s.with_engine(solve_budget=budget)
             for i, pt in enumerate(scenario.run(s).points):
                 print(s.name, i, *(float(v).hex() for v in
                                    pt.mean_jobs + pt.mean_response_time),

@@ -106,7 +106,8 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
     ("solve_budget", "--solve-budget",
      {"type": float, "metavar": "S",
       "help": "wall-clock budget in seconds for each R-matrix solve "
-              "(enforced mid-attempt; default: none)"}),
+              "of the fallback chain (enforced mid-attempt; default: "
+              "none)"}),
     ("horizon", "--horizon",
      {"type": float, "metavar": "T",
       "help": "simulated time per run (default 20000)"}),

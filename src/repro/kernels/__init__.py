@@ -6,17 +6,18 @@ The package splits into:
   mode and the size x density selector every kernel consults;
 * :mod:`repro.kernels.sparse` — representation-agnostic block helpers
   (dense ``ndarray`` or CSR) plus LU factorization and PH moments;
-* :mod:`repro.kernels.kron` — sparse Kronecker assembly and the
-  matrix-free Kronecker-sum / generalized-Sylvester operators;
+* :mod:`repro.kernels.kron` — sparse Kronecker assembly;
 * :mod:`repro.kernels.boundary` — the block-tridiagonal boundary
   solver replacing the dense all-levels least-squares path;
 * :mod:`repro.kernels.batched` — ``(n, m, m)`` stacked twins of the
   R/G solvers, driving many sweep points through one batched-BLAS
   iteration with per-point dropout.
 
-Every kernel here has a dense reference twin elsewhere in the repo;
-``backend="dense"`` routes around this package entirely and the
-sparse paths fall back to the references on numerical failure.
+Every sparse kernel here has a dense reference elsewhere in the repo:
+``backend="dense"`` keeps the dense paths, and the block-tridiagonal
+boundary solve falls back to the dense one on numerical failure.  The
+``R`` solve has no sparse variant; the backend only decides whether a
+warm seed is refined (:func:`repro.qbd.rmatrix.warm_seed`).
 """
 
 from repro.kernels.backend import (
@@ -40,7 +41,7 @@ from repro.kernels.batched import (
     stack_blocks,
 )
 from repro.kernels.boundary import solve_boundary_blocktridiag
-from repro.kernels.kron import KronSumOperator, kron2, solve_sylvester
+from repro.kernels.kron import kron2
 from repro.kernels.sparse import (
     Factorization,
     band_csc,
@@ -70,9 +71,7 @@ __all__ = [
     "batched_refine_R",
     "batched_solve_R",
     "solve_boundary_blocktridiag",
-    "KronSumOperator",
     "kron2",
-    "solve_sylvester",
     "Factorization",
     "band_csc",
     "density",

@@ -1,9 +1,8 @@
 """Dense / sparse backend selection.
 
-Every analytic kernel in the repo has a dense reference implementation
-(small, cache-friendly, zero bookkeeping) and — since this module's
-introduction — a sparse or matrix-free counterpart that wins once the
-operand grows past a few hundred states.  The crossover is not subtle:
+Every sparse kernel in the repo has a dense reference implementation
+(small, cache-friendly, zero bookkeeping); the sparse counterpart wins
+once the operand grows past a few hundred states.  The crossover is not subtle:
 the per-class boundary system of the gang chains grows linearly with
 the machine size ``P`` while its *density* falls like ``1/n`` (three
 small blocks per block-row), so dense costs cross from "free" to
@@ -11,8 +10,10 @@ small blocks per block-row), so dense costs cross from "free" to
 back.
 
 :func:`select_backend` centralizes that decision as a size × density
-rule so every kernel (boundary solve, uniformization, PH moments,
-Kronecker assembly) picks the same way.  Callers thread a user-facing
+rule so every kernel (boundary solve, PH moments, Kronecker assembly)
+picks the same way; the ``R`` solve asks it only whether a warm seed's
+``d^2 x d^2`` Newton operator is small enough to build densely
+(:func:`repro.qbd.rmatrix.warm_seed`).  Callers thread a user-facing
 ``backend`` mode through (``"auto"``, ``"dense"``, ``"sparse"``):
 
 * ``"dense"`` — always the reference kernels (bit-compatible with the

@@ -18,7 +18,7 @@ per-point kernels):
   its serial twin in :mod:`repro.qbd.rmatrix` step for step
   (``solve_G`` logreduction, ``r_from_g``, ``refine_R`` Newton), so a
   batched slice follows the trajectory its serial solve would.  The
-  twins stay for single solves: a budgeted or fallback solve runs
+  twins stay for single solves: a faulted or fallback solve runs
   them one job at a time, faster than a stack of one, and
   ``tests/kernels/test_batched.py`` pins each stack of one to its
   twin bit for bit.  The drift test has no twin:

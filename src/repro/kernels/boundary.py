@@ -61,15 +61,18 @@ def _same_blocks(p, q) -> bool:
     return np.array_equal(p, q)
 
 
-def solve_boundary_blocktridiag(process, R: np.ndarray,
-                                *, backend: str | None = None,
+def solve_boundary_blocktridiag(process, R: np.ndarray, *,
+                                tail: np.ndarray,
+                                backend: str | None = None,
                                 ) -> list[np.ndarray]:
     """Boundary vectors ``pi_0 .. pi_b`` via block-LU elimination.
 
     Accepts the same inputs as the dense
     :func:`repro.qbd.boundary.solve_boundary` (boundary blocks may
-    additionally be CSR) and returns the same normalized level
-    vectors.  Raises :class:`~repro.errors.ConvergenceError` when the
+    additionally be CSR) plus the normalization's tail vector
+    ``tail = (I - R)^{-1} e``, which that caller has already solved
+    and checked, and returns the same normalized level vectors.
+    Raises :class:`~repro.errors.ConvergenceError` when the
     elimination degenerates (singular Schur complement, residual
     check failure, negative mass) — callers treat that as a signal to
     fall back to the dense reference path.
@@ -198,11 +201,6 @@ def solve_boundary_blocktridiag(process, R: np.ndarray,
             "block elimination residual too large", residual=worst)
 
     # Tail-aware normalization (eq. 24), as in the dense reference.
-    tail = np.linalg.solve(np.eye(d) - R, np.ones(d))
-    if np.any(tail < 0):
-        raise ValidationError(
-            "(I - R)^{-1} e has negative entries; sp(R) >= 1 (unstable QBD)"
-        )
     if min(float(v.min()) for v in pi if v.size) < -1e-8 * amp:
         raise ConvergenceError(
             "block elimination produced a significantly negative vector")

@@ -1,32 +1,17 @@
-"""Kronecker products: sparse assembly and matrix-free application.
+"""Kronecker products for sparse assembly.
 
-Two sparsity regimes matter for the gang chains:
-
-* **assembly** — the QBD blocks are sums of two-factor Kronecker
-  products (service phase x vacation phase).  :func:`kron2` builds
-  them, dispatching to ``scipy.sparse.kron`` when the caller wants CSR
-  output, with the same scalar shortcuts as the dense fast path.
-
-* **application** — the Kronecker *sum* ``kron(A, I) + kron(I, B)``
-  never needs materializing: by the row-major vec identity
-  ``kron(A, B) vec(X) = vec(A X B^T)`` its action on ``vec(X)`` is
-  ``vec(A X + X B^T)`` — two GEMMs instead of an ``(nm)^2`` operand.
-  :class:`KronSumOperator` wraps that as a scipy ``LinearOperator``,
-  and :func:`solve_sylvester` uses the same identity to solve the
-  generalized Sylvester equation of the Newton step in
-  :func:`repro.qbd.rmatrix.refine_R` by GMRES, replacing the dense
-  ``d^2 x d^2`` Kronecker linearization for large phase dimensions.
+The QBD blocks are sums of two-factor Kronecker products (service
+phase x vacation phase).  :func:`kron2` builds them, dispatching to
+``scipy.sparse.kron`` when the caller wants CSR output, with the same
+scalar shortcuts as the dense fast path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sp
-from scipy.sparse import linalg as _spla
 
-from repro.obs import metrics
-
-__all__ = ["kron2", "KronSumOperator", "solve_sylvester"]
+__all__ = ["kron2"]
 
 
 def kron2(a, b, *, sparse: bool = False):
@@ -54,87 +39,3 @@ def kron2(a, b, *, sparse: bool = False):
         return _sp.csr_array(_sp.kron(_sp.csr_array(a), _sp.csr_array(b),
                                       format="csr"))
     return np.kron(a, b)
-
-
-class KronSumOperator(_spla.LinearOperator):
-    """Matrix-free ``kron(A, I_m) + kron(I_n, B)`` on row-major vecs.
-
-    ``A`` is ``n x n``, ``B`` is ``m x m``; the operator has shape
-    ``(nm, nm)`` and acts on ``vec(X)`` (row-major, ``X`` being
-    ``n x m``) as ``vec(A X + X B^T)``.  Either factor may be dense or
-    sparse; the apply is two matrix products either way.
-    """
-
-    def __init__(self, A, B):
-        self.A = A
-        self.B = B
-        self.n = A.shape[0]
-        self.m = B.shape[0]
-        super().__init__(dtype=np.float64,
-                         shape=(self.n * self.m, self.n * self.m))
-
-    def _matvec(self, x):
-        X = np.asarray(x, dtype=np.float64).reshape(self.n, self.m)
-        return (self.A @ X + (self.B @ X.T).T).ravel()
-
-    def _rmatvec(self, x):
-        # Transpose action: kron(A, I)^T + kron(I, B)^T on vec(X) is
-        # vec(A^T X + X B).
-        X = np.asarray(x, dtype=np.float64).reshape(self.n, self.m)
-        return (self.A.T @ X + X @ self.B).ravel()
-
-    def toarray(self) -> np.ndarray:
-        """Materialized operator — for tests and tiny operands only."""
-        from repro.kernels.sparse import to_dense
-
-        A = to_dense(self.A)
-        B = to_dense(self.B)
-        return (np.kron(A, np.eye(self.m)) + np.kron(np.eye(self.n), B))
-
-
-def solve_sylvester(R: np.ndarray, M1: np.ndarray, A2: np.ndarray,
-                    F: np.ndarray, *, tol: float = 1e-12,
-                    maxiter: int | None = None) -> np.ndarray | None:
-    """Solve ``H M1 + R H A2 = -F`` matrix-free, or ``None`` on failure.
-
-    This is the generalized Sylvester equation of one Newton step on
-    the quadratic residual ``F(R) = A0 + R A1 + R^2 A2`` (with
-    ``M1 = A1 + R A2``).  In row-major vec form the coefficient matrix
-    is ``kron(I, M1^T) + kron(R, A2^T)``, whose action on ``vec(H)``
-    is ``vec(H M1 + R H A2)`` — two ``d x d`` GEMMs.  GMRES over that
-    ``LinearOperator`` replaces the dense ``d^2 x d^2`` factorization,
-    taking the Newton step from ``O(d^6)`` to ``O(k d^3)``.
-    """
-    d = M1.shape[0]
-
-    def _apply(x):
-        H = x.reshape(d, d)
-        return (H @ M1 + R @ (H @ A2)).ravel()
-
-    op = _spla.LinearOperator((d * d, d * d), matvec=_apply,
-                              dtype=np.float64)
-    rhs = -np.asarray(F, dtype=np.float64).ravel()
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros((d, d))
-    rtol = max(min(tol, 1e-8), 1e-12)
-    callback = None
-    if metrics.enabled():
-        # Count matvecs (≈ inner GMRES iterations); the callback is
-        # only installed when the registry is armed, so the disabled
-        # path hands scipy a plain None.
-        iters = [0]
-
-        def callback(_):
-            iters[0] += 1
-
-    h, info = _spla.gmres(op, rhs, rtol=rtol, atol=0.0,
-                          maxiter=maxiter if maxiter is not None else 50,
-                          restart=min(d * d, 100),
-                          callback=callback, callback_type="pr_norm")
-    if callback is not None:
-        metrics.inc("gmres.solves", converged=info == 0)
-        metrics.observe("gmres.iterations", iters[0])
-    if info != 0 or not np.all(np.isfinite(h)):
-        return None
-    return h.reshape(d, d)

@@ -299,13 +299,12 @@ def render_report(summary: TraceSummary) -> str:
     lines += _profile_lines(summary)
     lines += _rollup_section(summary, "backend", ("backend.",))
     lines += _rollup_section(
-        summary, "solver", ("rsolve.", "fallback.", "gmres.", "boundary.",
+        summary, "solver", ("rsolve.", "fallback.", "boundary.",
                             "fixed_point."))
     lines += _rollup_section(
         summary, "resilience", ("faults.", "sweep."))
-    remaining_prefixes = ("backend.", "rsolve.", "fallback.", "gmres.",
-                          "boundary.", "fixed_point.", "faults.",
-                          "sweep.")
+    remaining_prefixes = ("backend.", "rsolve.", "fallback.", "boundary.",
+                          "fixed_point.", "faults.", "sweep.")
     snap = summary.metrics
     leftovers = {
         "counters": {k: v for k, v in (snap.get("counters") or {}).items()

@@ -300,18 +300,19 @@ def _truncation_walk(sols, c: int, truncation_mass: float,
     """Truncation levels ``K`` and the powers ``P[:, j] = pi_b R^(j+1)``.
 
     Every slice follows the rule tail(K) = pi_b R^{K-c+1} (I - R)^{-1} e
-    and stops at the first level ``K >= c + 1`` whose tail is within
-    ``truncation_mass`` or that reaches ``max_levels``.  The powers are
-    sequential products written into one buffer; the tails of a block
-    of levels are evaluated in one stacked einsum, and powers past a
-    slice's stopping level are computed but never read.
+    (the ``(I - R)^{-1} e`` its boundary solve kept) and stops at the
+    first level ``K >= c + 1`` whose tail is within ``truncation_mass``
+    or that reaches ``max_levels``.  The powers are sequential products
+    written into one buffer; the tails of a block of levels are
+    evaluated in one stacked einsum, and powers past a slice's stopping
+    level are computed but never read.
     """
     n = len(sols)
     Rs = np.stack([np.asarray(s.R, dtype=np.float64) for s in sols])
     d = Rs.shape[1]
     pib = np.stack([np.asarray(s.boundary_pi[s.boundary_levels],
                                dtype=np.float64) for s in sols])
-    w = np.linalg.solve(np.eye(d)[None] - Rs, np.ones((n, d, 1)))[..., 0]
+    w = np.stack([s.tail for s in sols])
     # Tail(K) reads P[:, K - c], and K never passes max(max_levels, c+1).
     P = np.empty((n, max(max_levels - c, 1) + 1, d))
     if n == 1:

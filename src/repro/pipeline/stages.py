@@ -10,14 +10,16 @@ class is stacked across the (point, class) jobs:
 * the Theorem 4.4 drift tests and the ``R`` solves, grouped by phase
   dimension, run as ``(njobs, m, m)`` kernels
   (:mod:`repro.kernels.batched`, LAPACK called per slice).  A job's
-  ``R`` is seeded with its class's previous iterate and accepted by
+  ``R`` is seeded with its class's previous iterate where
+  :func:`~repro.qbd.rmatrix.warm_seed` allows it, and accepted by
   :func:`~repro.resilience.fallback.accept_R`, the resilience chain's
   own test, so each slice carries the bits and the
   :class:`~repro.resilience.fallback.SolveReport` its single solve
-  would.  A job with another primary method, a solve budget, a fault
-  armed at its ``R`` solve or a matrix-free seed, or whose stacked
-  attempt fails, goes through the resilience chain alone
-  (:func:`solve_rmatrix`);
+  would.  A stacked attempt is bounded at 64 doubling or 8 Newton
+  steps, so a job with a solve budget stacks too.  A job with another
+  primary method or a fault armed at its ``R`` solve, or whose stacked
+  attempt fails, goes through the resilience chain alone, under its
+  budget (:func:`solve_rmatrix`);
 * effective-quantum extraction stacks the classes of one state space
   (:func:`repro.pipeline.extract.extract_effective_quanta`) and
   reduces each quantum as soon as its stack is built.
@@ -49,7 +51,7 @@ import numpy as np
 from repro.core.vacation import reduce_order
 from repro.errors import UnstableSystemError
 from repro.kernels import batched as bk
-from repro.kernels import select_backend, to_dense
+from repro.kernels import to_dense
 from repro.obs import metrics
 from repro.obs.trace import SharedTimings, span
 from repro.phasetype import PhaseType
@@ -60,6 +62,7 @@ from repro.pipeline.extract import (
     sub_generator_pattern,
 )
 from repro.qbd.boundary import solve_boundary
+from repro.qbd.rmatrix import warm_seed
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience import faults
@@ -152,8 +155,8 @@ def finish_class(ctx: SolveContext, p: int, report, R,
     art = ctx.classes[p]
     with span("stage.boundary", timings=ctx.timings, stage="boundary",
               klass=p):
-        pi = solve_boundary(art.process, R, backend=ctx.opts.backend)
-    sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
+        pi, tail = solve_boundary(art.process, R, backend=ctx.opts.backend)
+    sol = QBDStationaryDistribution(boundary_pi=tuple(pi), R=R, tail=tail,
                                     drift_report=report,
                                     solve_report=solve_report)
     art.solution, art.R = sol, R
@@ -252,26 +255,11 @@ def _drift_alone(job: _Job) -> None:
 
 def _stackable(job: _Job) -> bool:
     """Whether the stacked ``R`` solve reproduces this job's resilient
-    solve: logarithmic reduction first, no solve budget, no fault armed
-    at the ``R`` solve, and no matrix-free refinement of its seed."""
-    opts = job.pt.opts
-    if opts.rmatrix_method != "logreduction" \
-            or opts.solve_budget is not None:
-        return False
-    if faults.spec_for("rmatrix.solve") or faults.spec_for("rmatrix.result"):
-        return False
-    d = job.art.process.phase_dim
-    return (_seed(job) is None
-            or select_backend(opts.backend, d * d) != "sparse")
-
-
-def _seed(job: _Job):
-    """The job's warm ``R`` seed, ``None`` where ``solve_R`` drops it."""
-    prev = job.art.R
-    d = job.art.process.phase_dim
-    if prev is None or prev.shape != (d, d) or not np.all(np.isfinite(prev)):
-        return None
-    return prev
+    solve: logarithmic reduction first and no fault armed at the ``R``
+    solve."""
+    return (job.pt.opts.rmatrix_method == "logreduction"
+            and not faults.spec_for("rmatrix.solve")
+            and not faults.spec_for("rmatrix.result"))
 
 
 def _rsolve(jobs: list[_Job]) -> None:
@@ -281,7 +269,8 @@ def _rsolve(jobs: list[_Job]) -> None:
         with _span("rsolve", group):
             t0 = time.monotonic()
             A0, A1, A2 = _stacked(group)
-            seeds = [_seed(j) for j in group]
+            seeds = [warm_seed(j.art.R, A1.shape[1], j.pt.opts.backend)
+                     for j in group]
             R0 = np.stack([np.zeros_like(A1[0]) if s is None else s
                            for s in seeds])
             seeded = np.array([s is not None for s in seeds])

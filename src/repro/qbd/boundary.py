@@ -46,7 +46,8 @@ __all__ = ["solve_boundary"]
 
 
 def solve_boundary(process: QBDProcess, R: np.ndarray, *,
-                   backend: str | None = None) -> list[np.ndarray]:
+                   backend: str | None = None,
+                   ) -> tuple[list[np.ndarray], np.ndarray]:
     """Solve for the boundary stationary vectors ``pi_0 .. pi_b``.
 
     Parameters
@@ -65,8 +66,11 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
 
     Returns
     -------
-    list of ndarray
-        Boundary level vectors, not yet padded with the geometric tail.
+    (list of ndarray, ndarray)
+        Boundary level vectors, not yet padded with the geometric tail,
+        and the normalization's tail vector ``(I - R)^{-1} e`` (kept on
+        :class:`~repro.qbd.stationary.QBDStationaryDistribution` so
+        the extraction's truncation walk does not solve it again).
     """
     b = process.boundary_levels
     offsets = list(accumulate(process.boundary_dims(), initial=0))
@@ -75,12 +79,19 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
     d = process.phase_dim
     if R.shape != (d, d):
         raise ValidationError(f"R must be {d}x{d}, got {R.shape}")
+    # Normalization coefficients of level b: (I-R)^{-1} e.
+    tail = np.linalg.solve(np.eye(d) - R, np.ones(d))
+    if (tail < 0).any():
+        raise ValidationError(
+            "(I - R)^{-1} e has negative entries; sp(R) >= 1 (unstable QBD)"
+        )
 
     if b >= 1 and select_backend(backend, n, site="boundary") == "sparse":
         try:
-            pi = solve_boundary_blocktridiag(process, R, backend=backend)
+            pi = solve_boundary_blocktridiag(process, R, tail=tail,
+                                             backend=backend)
             metrics.inc("boundary.solves", path="blocktridiag")
-            return pi
+            return pi, tail
         except ConvergenceError:
             # Degenerate elimination: the dense path handles it.
             metrics.inc("boundary.dense_fallbacks")
@@ -93,13 +104,8 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
     M = process.G.copy()
     M[offsets[b]:, offsets[b]:] += R @ to_dense(process.A2)
 
-    # Normalization coefficients: 1 for levels < b, (I-R)^{-1} e for level b.
+    # Normalization coefficients: 1 for levels < b, the tail for level b.
     norm = np.ones(n)
-    tail = np.linalg.solve(np.eye(d) - R, np.ones(d))
-    if (tail < 0).any():
-        raise ValidationError(
-            "(I - R)^{-1} e has negative entries; sp(R) >= 1 (unstable QBD)"
-        )
     norm[offsets[b]:] = tail
 
     # Replace one balance column with the normalization.  Any single
@@ -152,4 +158,4 @@ def solve_boundary(process: QBDProcess, R: np.ndarray, *,
     if mass <= 0:
         raise ValidationError("boundary solve produced zero probability mass")
     x = x / mass
-    return [x[offsets[i]:offsets[i + 1]].copy() for i in range(b + 1)]
+    return [x[offsets[i]:offsets[i + 1]].copy() for i in range(b + 1)], tail

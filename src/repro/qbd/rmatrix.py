@@ -40,12 +40,15 @@ Warm starts
 ``"substitution"`` it replaces the cold ``R = A0 (-A1)^{-1}`` start;
 for every other method a few steps of Newton's method on the quadratic
 residual (each step solves the generalized Sylvester equation
-``H (A1 + R A2) + R H A2 = -F(R)`` via Kronecker linearization,
-:func:`refine_R`) are attempted first, falling back silently to the
-cold algorithm if the refinement does not converge.  Near a fixed
-point of Section 4.3 the vacation blocks change by a shrinking
-perturbation per iteration, so the previous ``R`` is an excellent
-seed and one or two Newton steps replace a full reduction.
+``H (A1 + R A2) + R H A2 = -F(R)`` via its dense ``d^2 x d^2``
+Kronecker linearization, :func:`refine_R`) are attempted first,
+falling back silently to the cold algorithm if the refinement does not
+converge.  Near a fixed point of Section 4.3 the vacation blocks
+change by a shrinking perturbation per iteration, so the previous
+``R`` is an excellent seed and one or two Newton steps replace a full
+reduction.  :func:`warm_seed` decides whether a seed is used at all:
+past the backend selector's dense side for the ``d^2 x d^2`` operator
+the solve starts cold, here and in the stacked solve stage alike.
 """
 
 from __future__ import annotations
@@ -58,12 +61,11 @@ from scipy import linalg as _sla
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.kernels import select_backend
-from repro.kernels.kron import solve_sylvester
 from repro.obs import metrics
 from repro.resilience.faults import maybe_corrupt, maybe_fault
 
-__all__ = ["solve_R", "solve_G", "r_from_g", "refine_R", "METHODS",
-           "RSolveDiagnostics"]
+__all__ = ["solve_R", "solve_G", "r_from_g", "refine_R", "warm_seed",
+           "METHODS", "RSolveDiagnostics"]
 
 METHODS = ("logreduction", "cr", "substitution", "spectral")
 
@@ -102,6 +104,27 @@ class RSolveDiagnostics:
 
 def _quad_residual(R, A0, A1, A2) -> float:
     return float(np.max(np.abs(R @ R @ A2 + R @ A1 + A0)))
+
+
+def warm_seed(R0, d: int, backend: str | None) -> np.ndarray | None:
+    """The warm-start iterate of a ``d``-phase ``R`` solve, or ``None``.
+
+    ``R0`` (as float64) when it is a finite ``d x d`` matrix whose
+    Newton operator, ``d^2 x d^2``, is on
+    :func:`~repro.kernels.select_backend`'s dense side; ``None`` — a
+    cold start — otherwise (a shape mismatch means the vacation order
+    changed between iterations).  :func:`solve_R` and the stacked solve
+    stage (:mod:`repro.pipeline.stages`) both seed through this rule,
+    so a job starts warm or cold alike on either path.
+    """
+    if R0 is None:
+        return None
+    R0 = np.asarray(R0, dtype=np.float64)
+    if R0.shape != (d, d) or not np.all(np.isfinite(R0)):
+        return None
+    if select_backend(backend, d * d, site="rsolve") != "dense":
+        return None
+    return R0
 
 
 def _check_deadline(deadline: float | None, what: str, it: int,
@@ -147,14 +170,13 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         iteration's ``R``).  ``"substitution"`` iterates from it
         directly; the other methods first try a short Newton
         refinement (:func:`refine_R`) and fall back to their cold
-        algorithm when it fails.  A shape mismatch (the vacation order
-        changed between iterations) silently discards ``R0``.
+        algorithm when it fails.  :func:`warm_seed` silently discards
+        a seed of the wrong shape, a non-finite one, and one whose
+        Newton operator is past the backend's dense side.
     backend:
-        ``"auto"`` / ``"dense"`` / ``"sparse"`` kernel selection,
-        forwarded to :func:`refine_R` (the only step with a sparse
-        variant: the matrix-free Newton correction for large phase
-        dimensions).  The cold algorithms are dense ``d x d`` BLAS
-        regardless.
+        ``"auto"`` / ``"dense"`` / ``"sparse"`` mode; it only decides
+        whether ``R0`` is used (:func:`warm_seed`).  Every algorithm
+        is dense ``d x d`` BLAS.
     return_info:
         When ``True``, return ``(R, RSolveDiagnostics)`` instead of
         ``R`` alone — iteration count and final residual survive the
@@ -174,10 +196,7 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         raise ValidationError(
             f"unknown R-matrix method {method!r}; use one of {METHODS}")
     maybe_fault("rmatrix.solve", key=method)
-    if R0 is not None:
-        R0 = np.asarray(R0, dtype=np.float64)
-        if R0.shape != A1.shape or not np.all(np.isfinite(R0)):
-            R0 = None
+    R0 = warm_seed(R0, A1.shape[0], backend)
     R = None
     iterations = 0
     refined = False
@@ -187,8 +206,7 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
                                               deadline=deadline)
     else:
         if R0 is not None:
-            warm = refine_R(A0, A1, A2, R0, tol=tol, backend=backend,
-                            return_info=True)
+            warm = refine_R(A0, A1, A2, R0, tol=tol, return_info=True)
             if warm is not None:
                 R, iterations = warm
                 refined = True
@@ -221,20 +239,15 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
 
 def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
              max_steps: int = 8,
-             backend: str | None = None,
              return_info: bool = False):
     """Newton refinement of a warm-start iterate for ``R``.
 
     Newton's method on ``F(R) = A0 + R A1 + R^2 A2``: the Fréchet
     derivative at ``R`` maps ``H`` to ``H (A1 + R A2) + R H A2``, so
     each step solves that generalized Sylvester equation for the
-    correction ``H``.  Small phase dimensions use the dense Kronecker
-    linearization (a ``d^2 x d^2`` solve); past the backend selector's
-    threshold on the linearized size ``d^2``, the correction comes
-    from the matrix-free GMRES solve of
-    :func:`repro.kernels.kron.solve_sylvester` instead — the
-    ``d^2 x d^2`` operand is never materialized.  Quadratically
-    convergent from a good seed.
+    correction ``H`` through its dense Kronecker linearization (a
+    ``d^2 x d^2`` solve; :func:`warm_seed` keeps large ``d`` away).
+    Quadratically convergent from a good seed.
 
     Returns the refined ``R`` once the quadratic residual drops below
     ``tol * max(1, max|A1|)`` and ``sp(R) < 1``, or ``None`` when the
@@ -252,9 +265,6 @@ def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
     d = A1.shape[0]
     if R.shape != A1.shape:
         return None
-    matrix_free = select_backend(backend, d * d, site="rsolve") == "sparse"
-    if matrix_free:
-        maybe_fault("kernels.sparse", key="refine_R")
     scale = max(1.0, float(np.max(np.abs(A1))))
     target = max(tol, 1e-14) * scale
     diag = np.arange(d)
@@ -271,12 +281,6 @@ def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
             return None
         prev_resid = resid
         steps += 1
-        if matrix_free:
-            H = solve_sylvester(R, A1 + R @ A2, A2, F, tol=tol)
-            if H is None:
-                return None
-            R = R + H
-            continue
         # vec-row-major: vec(A H B) = (A kron B^T) vec(H), so the
         # matrix is kron(I, X^T) + kron(R, A2^T) with X = A1 + R A2.
         # The first term only fills the d diagonal blocks: add X^T

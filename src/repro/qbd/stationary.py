@@ -34,6 +34,9 @@ class QBDStationaryDistribution:
         Tuple of stationary vectors for boundary levels ``0..b``.
     R:
         Rate matrix of the repeating portion.
+    tail:
+        ``(I - R)^{-1} e``, the boundary solve's normalization vector:
+        ``pi_b R^k tail`` is the mass of the levels beyond ``b + k - 1``.
     drift_report:
         The Theorem 4.4 stability diagnostics.
     solve_report:
@@ -42,6 +45,7 @@ class QBDStationaryDistribution:
 
     boundary_pi: tuple[np.ndarray, ...]
     R: np.ndarray
+    tail: np.ndarray
     drift_report: DriftReport
     solve_report: SolveReport
 
@@ -185,7 +189,7 @@ def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
     R, solve_report = resilient_solve_R(
         process.A0, process.A1, process.A2, method=method, tol=tol,
         R0=R0, backend=backend)
-    pi = solve_boundary(process, R, backend=backend)
-    return QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
+    pi, tail = solve_boundary(process, R, backend=backend)
+    return QBDStationaryDistribution(boundary_pi=tuple(pi), R=R, tail=tail,
                                      drift_report=report,
                                      solve_report=solve_report)

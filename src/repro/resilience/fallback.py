@@ -36,9 +36,10 @@ Budgets
 -------
 Every solve has an iteration budget summed over all attempts
 (:data:`MAX_TOTAL_ITERATIONS`) and an optional wall-clock budget (the
-scenario's ``solve_budget``).  Exhausting either raises
-:class:`~repro.errors.SolverBudgetExceededError` with the attempt
-history attached as ``exc.report``.  The wall-clock budget is
+scenario's ``solve_budget``; a slice of the stacked solve stage is
+bounded by its step counts instead and ignores it).  Exhausting either
+raises :class:`~repro.errors.SolverBudgetExceededError` with the
+attempt history attached as ``exc.report``.  The wall-clock budget is
 enforced both between attempts and *inside* each attempt: the
 deadline is threaded into the solver's iteration loops, so a single
 runaway attempt (large blocks creeping toward an unstable fixed
@@ -49,7 +50,7 @@ iteration cap first.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class AttemptRecord:
     iterations: int | None
     residual: float | None
     elapsed: float
-    #: Kernel backend the attempt ran with (``None``: pre-backend
-    #: record, equivalent to ``"auto"``).
+    #: Backend mode the attempt ran with (``None`` is ``"auto"``).
     backend: str | None = None
 
     def describe(self) -> str:
@@ -109,15 +109,6 @@ class AttemptRecord:
                 f"{f' reg={self.regularization:.1g}' if self.regularization else ''}"
                 f"{bk}]"
                 f" -> {self.outcome}{detail}")
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (round-trips via :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttemptRecord":
-        # Tolerate records written before ``backend`` existed.
-        return cls(**{f: data.get(f, None) for f in cls.__dataclass_fields__})
 
 
 @dataclass
@@ -150,17 +141,6 @@ class SolveReport:
                 f"({len(self.attempts)} attempt(s), "
                 f"{self.total_elapsed:.3g}s)")
         return "\n".join([head] + ["  " + a.describe() for a in self.attempts])
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (round-trips via :meth:`from_dict`)."""
-        return {"method": self.method,
-                "attempts": [a.to_dict() for a in self.attempts]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolveReport":
-        return cls(method=data.get("method"),
-                   attempts=[AttemptRecord.from_dict(a)
-                             for a in data.get("attempts", [])])
 
 
 def default_chain(method: str = "logreduction") -> tuple[str, ...]:
@@ -229,19 +209,11 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
     into every attempt's iteration loop as a deadline (see
     ``solve_R(..., deadline=)``), so one runaway attempt cannot exceed
     it by more than a single iteration.  ``R0`` is an optional
-    warm-start iterate forwarded to every
-    :func:`~repro.qbd.rmatrix.solve_R` attempt (each method uses or
-    ignores it as described there); the attempt is still validated,
-    so a stale seed can only cost a retry, never a wrong answer.
-
-    The chain is backend-aware: ``backend`` is forwarded to every
-    attempt, and the first failure of an attempt whose backend engages
-    the sparse kernels downgrades the remaining attempts of that
-    method (and the rest of the chain) to ``backend="dense"`` — a
-    sparse-path defect costs one extra attempt, never the solve.  The
-    downgrade attempt is granted on top of :data:`ATTEMPTS_PER_METHOD`
-    and skips the tolerance adjustments, since the failure says
-    nothing about the tolerance.
+    warm-start iterate and ``backend`` the backend mode, both
+    forwarded to every :func:`~repro.qbd.rmatrix.solve_R` attempt
+    (:func:`~repro.qbd.rmatrix.warm_seed` decides whether the seed is
+    used); the attempt is still validated, so a stale seed can only
+    cost a retry, never a wrong answer.
 
     Raises
     ------
@@ -253,21 +225,12 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
         Every method and retry failed within budget (``exc.report``
         attached).
     """
-    from repro.kernels import select_backend
     from repro.qbd.rmatrix import solve_R
 
     chain = default_chain(method)
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
     A2 = np.asarray(A2, dtype=np.float64)
-    d = A1.shape[0]
-
-    def _sparse_active(bk: str | None) -> bool:
-        # Mirrors refine_R: the only sparse path in the R solve is the
-        # matrix-free Newton correction on the d^2-sized linearization.
-        return select_backend(bk, d * d, site="rsolve") == "sparse"
-
-    cur_backend = backend
 
     report = SolveReport()
     t0 = time.monotonic()
@@ -300,11 +263,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
     for m in chain:
         attempt_tol = tol
         regularization = 0.0
-        budget_attempts = ATTEMPTS_PER_METHOD
-        if _sparse_active(cur_backend):
-            budget_attempts += 1  # the dense downgrade is a bonus attempt
-        attempt = 0
-        while attempt < budget_attempts:
+        for attempt in range(ATTEMPTS_PER_METHOD):
             _out_of_budget()
             max_iter = min(_method_max_iter(m),
                            MAX_TOTAL_ITERATIONS - iterations_used)
@@ -316,7 +275,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
             try:
                 R, info = solve_R(A0, A1_eff, A2, method=m, tol=attempt_tol,
                                   max_iter=max_iter, R0=R0,
-                                  backend=cur_backend, return_info=True,
+                                  backend=backend, return_info=True,
                                   deadline=deadline)
             except (ConvergenceError, np.linalg.LinAlgError) as exc:
                 elapsed = time.monotonic() - t_attempt
@@ -331,15 +290,8 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                     regularization=regularization, outcome="error",
                     error=f"{type(exc).__name__}: {exc}",
                     iterations=iters, residual=resid, elapsed=elapsed,
-                    backend=cur_backend))
+                    backend=backend))
                 metrics.inc("fallback.attempts", method=m, outcome="error")
-                attempt += 1
-                if _sparse_active(cur_backend):
-                    # Sparse-path failure: fall back to the dense chain
-                    # without touching the tolerance schedule.
-                    cur_backend = "dense"
-                    metrics.inc("fallback.backend_downgrades", method=m)
-                    continue
                 # Ran out of steam: relax the tolerance, add a tiny
                 # killing rate to break near-singularity.
                 attempt_tol *= TOL_RELAX
@@ -356,7 +308,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                 outcome="ok" if reason is None else "invalid",
                 error=reason, iterations=info.iterations,
                 residual=float(residual[0]), elapsed=elapsed,
-                backend=cur_backend))
+                backend=backend))
             if reason is None:
                 metrics.inc("fallback.attempts", method=m, outcome="ok")
                 metrics.inc("fallback.solves", status="ok",
@@ -365,13 +317,6 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                 return np.clip(R, 0.0, None), report
             iterations_used += _method_max_iter(m) if m != "spectral" else 1
             metrics.inc("fallback.attempts", method=m, outcome="invalid")
-            attempt += 1
-            if _sparse_active(cur_backend):
-                # A sparse-path attempt produced a bad answer: retry
-                # dense before blaming the tolerance.
-                cur_backend = "dense"
-                metrics.inc("fallback.backend_downgrades", method=m)
-                continue
             # Converged to a bad answer: tighten, drop regularization.
             attempt_tol *= TOL_TIGHTEN
             regularization = 0.0

@@ -28,14 +28,11 @@ Instrumented sites
     One grid point of :func:`repro.workloads.sweeps.sweep`; ``key`` is
     the swept value.
 ``"kernels.sparse"``
-    The sparse kernel paths: ``key`` is ``"boundary"`` (entry of the
-    block-tridiagonal boundary solver) or ``"refine_R"`` (the
-    matrix-free Newton refinement).  Raise-style; injecting
+    Entry of the block-tridiagonal boundary solver; ``key`` is
+    ``"boundary"``.  Raise-style; injecting
     :class:`~repro.errors.ConvergenceError` here proves the dense
-    fallbacks — :func:`repro.qbd.boundary.solve_boundary` reverts to
-    the dense system and
-    :func:`repro.resilience.fallback.resilient_solve_R` downgrades the
-    failing attempt's backend to ``"dense"``.
+    fallback — :func:`repro.qbd.boundary.solve_boundary` reverts to
+    the dense system.
 
 Usage (tests)
 -------------

@@ -166,9 +166,11 @@ class EngineSpec:
     max_iterations: int = 200
     tol: float = 1e-5
     heavy_traffic_only: bool = False
-    #: Wall-clock budget in seconds for each R-matrix solve (the
-    #: ``budget`` of :func:`~repro.resilience.fallback.resilient_solve_R`;
-    #: the check fires mid-attempt).  ``None`` disables the clock.
+    #: Wall-clock budget in seconds for each R-matrix solve of the
+    #: fallback chain (the ``budget`` of
+    #: :func:`~repro.resilience.fallback.resilient_solve_R`; the check
+    #: fires mid-attempt).  A stacked solve needs none: it is bounded
+    #: at 64 doubling or 8 Newton steps.  ``None`` disables the clock.
     solve_budget: float | None = None
     # Sweep execution knobs (not hashed).  ``workers`` or
     # ``checkpoint`` makes :func:`repro.scenario.run` serve a swept

@@ -137,8 +137,7 @@ class TestStackOfOneEqualsSerialTwins:
             if not seeded:
                 continue
             R, refined, iters, ok = _one(A0, A1, A2, R0, True)
-            warm = refine_R(A0, A1, A2, R0, tol=TOL, backend="dense",
-                            return_info=True)
+            warm = refine_R(A0, A1, A2, R0, tol=TOL, return_info=True)
             if warm is None:
                 assert not refined[0]
                 continue

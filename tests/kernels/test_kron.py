@@ -1,10 +1,9 @@
-"""Tests for sparse Kronecker assembly and the matrix-free operators."""
+"""Tests for sparse Kronecker assembly."""
 
 import numpy as np
-import pytest
 from scipy import sparse as sp
 
-from repro.kernels import KronSumOperator, kron2, solve_sylvester
+from repro.kernels import kron2
 
 
 def blocks(n, m, seed=0):
@@ -37,59 +36,3 @@ class TestKron2:
         out = kron2(sp.csr_array(A), B)
         assert sp.issparse(out)
         assert np.allclose(out.toarray(), np.kron(A, B))
-
-
-class TestKronSumOperator:
-    def test_matvec_matches_materialized(self):
-        A, B = blocks(4, 3, seed=4)
-        op = KronSumOperator(A, B)
-        dense = op.toarray()
-        x = np.random.default_rng(4).standard_normal(12)
-        assert np.allclose(op @ x, dense @ x, atol=1e-12)
-
-    def test_rmatvec_is_transpose(self):
-        A, B = blocks(3, 5, seed=5)
-        op = KronSumOperator(A, B)
-        dense = op.toarray()
-        x = np.random.default_rng(5).standard_normal(15)
-        assert np.allclose(op.rmatvec(x), dense.T @ x, atol=1e-12)
-
-    def test_sparse_factors(self):
-        A, B = blocks(4, 4, seed=6)
-        op = KronSumOperator(sp.csr_array(A), sp.csr_array(B))
-        dense = np.kron(A, np.eye(4)) + np.kron(np.eye(4), B)
-        x = np.ones(16)
-        assert np.allclose(op @ x, dense @ x, atol=1e-12)
-
-
-class TestSolveSylvester:
-    def rand_system(self, d, seed):
-        rng = np.random.default_rng(seed)
-        R = 0.3 * rng.random((d, d)) / d          # sp(R) well below 1
-        M1 = -np.eye(d) * d - rng.random((d, d))  # dominant, invertible
-        A2 = rng.random((d, d))
-        F = rng.standard_normal((d, d))
-        return R, M1, A2, F
-
-    @pytest.mark.parametrize("d", [3, 6, 10])
-    def test_matches_dense_kronecker_solve(self, d):
-        R, M1, A2, F = self.rand_system(d, seed=d)
-        H = solve_sylvester(R, M1, A2, F, tol=1e-12)
-        assert H is not None
-        # Defining equation: H M1 + R H A2 = -F.
-        assert np.allclose(H @ M1 + R @ H @ A2, -F, atol=1e-8)
-        M = np.kron(np.eye(d), M1.T) + np.kron(R, A2.T)
-        H_ref = np.linalg.solve(M, -F.ravel()).reshape(d, d)
-        assert np.allclose(H, H_ref, atol=1e-8)
-
-    def test_zero_rhs(self):
-        R, M1, A2, _ = self.rand_system(4, seed=11)
-        H = solve_sylvester(R, M1, A2, np.zeros((4, 4)))
-        assert np.array_equal(H, np.zeros((4, 4)))
-
-    def test_failure_returns_none(self):
-        d = 4
-        # Singular coefficient: M1 = 0 and R = 0 gives a zero operator.
-        H = solve_sylvester(np.zeros((d, d)), np.zeros((d, d)),
-                            np.zeros((d, d)), np.ones((d, d)), maxiter=2)
-        assert H is None

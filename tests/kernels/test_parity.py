@@ -83,8 +83,8 @@ def test_boundary_solver_parity(chain):
     if not report.stable:
         return
     R = solve_R(process.A0, process.A1, process.A2)
-    dense_pi = solve_boundary(process, R, backend="dense")
-    block_pi = solve_boundary_blocktridiag(process, R)
+    dense_pi, tail = solve_boundary(process, R, backend="dense")
+    block_pi = solve_boundary_blocktridiag(process, R, tail=tail)
     for pb, pd in zip(block_pi, dense_pi):
         assert np.allclose(pb, pd, atol=1e-10)
 

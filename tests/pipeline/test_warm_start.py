@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.generator import build_class_qbd
 from repro.phasetype import erlang, exponential
-from repro.qbd.rmatrix import METHODS, refine_R, solve_R
+from repro.qbd.rmatrix import METHODS, refine_R, solve_R, warm_seed
 from repro.resilience.fallback import resilient_solve_R
 
 
@@ -80,3 +80,63 @@ class TestResilientWarmStart:
         assert report.method == "logreduction"
         assert report.fallbacks == 0
         assert len(report.attempts) == 1
+
+
+class TestSeedPastDenseNewton:
+    """A seed whose ``d^2 x d^2`` Newton operator is past the backend
+    selector's dense side is dropped: the job restarts cold, on the
+    serial and on the stacked path alike."""
+
+    @pytest.fixture(scope="class")
+    def large_blocks(self):
+        proc, _ = build_class_qbd(1, exponential(0.4), exponential(1.0),
+                                  erlang(8, 1.0), erlang(8, 2.0))
+        assert proc.phase_dim == 16
+        return proc.A0, proc.A1, proc.A2
+
+    @pytest.mark.parametrize("d, backend, used", [
+        (15, None, True), (16, None, False), (16, "auto", False),
+        (16, "dense", True), (40, "dense", True),
+        (6, "sparse", True), (7, "sparse", False),
+    ])
+    def test_rule(self, d, backend, used):
+        # auto: d^2 >= 256 is sparse; sparse: d^2 >= 48 is.
+        assert (warm_seed(np.zeros((d, d)), d, backend) is not None) == used
+
+    def test_large_seed_restarts_cold(self, large_blocks):
+        cold = solve_R(*large_blocks)
+        seed = cold * 1.001
+        warm, info = solve_R(*large_blocks, R0=seed, return_info=True)
+        assert not info.refined
+        assert warm.tobytes() == cold.tobytes()
+        _, dense = solve_R(*large_blocks, R0=seed, backend="dense",
+                           return_info=True)
+        assert dense.refined
+
+    def test_chunk_with_such_a_class_makes_no_serial_solve(self,
+                                                           monkeypatch):
+        """Figure 4's quick sweep has a 16-phase class, which holds a
+        warm seed from its second iteration on."""
+        from repro.kernels import batched
+        from repro.pipeline import stages
+        from repro.scenario import figure_scenarios, run
+
+        chain_calls, stacked_dims, seeded_dims = [], set(), set()
+        chain, stacked = stages.resilient_solve_R, batched.batched_solve_R
+
+        def count_chain(A0, A1, A2, **kwargs):
+            chain_calls.append(A1.shape[0])
+            return chain(A0, A1, A2, **kwargs)
+
+        def count_stack(A0, A1, A2, *, seeded, **kwargs):
+            stacked_dims.add(A1.shape[1])
+            if seeded.any():
+                seeded_dims.add(A1.shape[1])
+            return stacked(A0, A1, A2, seeded=seeded, **kwargs)
+
+        monkeypatch.setattr(stages, "resilient_solve_R", count_chain)
+        monkeypatch.setattr(stages.bk, "batched_solve_R", count_stack)
+        [fig4] = figure_scenarios(4, grid="quick")
+        assert all(p.error is None for p in run(fig4).points)
+        assert chain_calls == []
+        assert 16 in stacked_dims and max(seeded_dims) < 16

@@ -43,7 +43,7 @@ class TestDeadColumns:
         rho = lam / mu
         proc = process_with_dead_phase(lam, mu)
         R = np.array([[rho]])
-        pi = solve_boundary(proc, R, backend="dense")
+        pi, _ = solve_boundary(proc, R, backend="dense")
         assert np.all(np.isfinite(pi[0])) and np.all(np.isfinite(pi[1]))
         assert pi[0][1] == pytest.approx(0.0, abs=1e-12)
         # The live states reproduce the M/M/1 geometric solution.
@@ -55,7 +55,7 @@ class TestDeadColumns:
         # into the primary solve before the lstsq fallback could mask
         # the damage.
         proc = process_with_dead_phase(0.3, 1.0)
-        pi = solve_boundary(proc, np.array([[0.3]]), backend="dense")
+        pi, _ = solve_boundary(proc, np.array([[0.3]]), backend="dense")
         for v in pi:
             assert np.all(np.isfinite(v))
             assert np.all(v >= 0.0)
@@ -112,15 +112,15 @@ def test_plan_G_equals_block_G_and_oracle_bits(args):
     assert np.array_equal(rebuilt.G, proc.G)
     want, lstsq = boundary_oracle.solve_boundary_dense(proc, R)
     assert not lstsq
-    _assert_bits(solve_boundary(proc, R, backend="dense"), want)
-    _assert_bits(solve_boundary(rebuilt, R, backend="dense"), want)
+    _assert_bits(solve_boundary(proc, R, backend="dense")[0], want)
+    _assert_bits(solve_boundary(rebuilt, R, backend="dense")[0], want)
 
 
 def test_dead_state_bits_equal_oracle():
     proc = process_with_dead_phase(0.5, 1.0)
     R = np.array([[0.5]])
     want, _ = boundary_oracle.solve_boundary_dense(proc, R)
-    _assert_bits(solve_boundary(proc, R, backend="dense"), want)
+    _assert_bits(solve_boundary(proc, R, backend="dense")[0], want)
 
 
 def test_lstsq_fallback_bits_equal_oracle():
@@ -137,8 +137,9 @@ def test_lstsq_fallback_bits_equal_oracle():
     R = np.eye(2) * (lam / mu)
     want, lstsq = boundary_oracle.solve_boundary_dense(proc, R)
     assert lstsq
-    got = solve_boundary(proc, R, backend="dense")
+    got, tail = solve_boundary(proc, R, backend="dense")
     _assert_bits(got, want)
-    assert sum(v.sum() for v in got[:-1]) + \
-        got[-1] @ np.linalg.solve(np.eye(2) - R, np.ones(2)) \
+    assert tail.tobytes() == np.linalg.solve(np.eye(2) - R,
+                                             np.ones(2)).tobytes()
+    assert sum(v.sum() for v in got[:-1]) + got[-1] @ tail \
         == pytest.approx(1.0)

@@ -196,8 +196,7 @@ class TestRefineNewtonMatrix:
         # A warm seed a few Newton steps out, as a neighbouring grid
         # point or the previous fixed-point iterate hands over.
         seed = R * (1.0 + 0.02 * np.cos(np.arange(R.size))).reshape(R.shape)
-        got, steps = refine_R(A0, A1, A2, seed, backend="dense",
-                              return_info=True)
+        got, steps = refine_R(A0, A1, A2, seed, return_info=True)
         want, want_steps = _refine_kron_sum(A0, A1, A2, seed)
         assert steps == want_steps >= 2
         assert np.array_equal(got, want)

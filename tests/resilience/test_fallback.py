@@ -1,7 +1,5 @@
 """Tests for the solver fallback chain, retries, and budgets."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,12 +11,7 @@ from repro.errors import (
 from repro.qbd import QBDProcess, solve_qbd
 from repro.qbd.rmatrix import METHODS
 from repro.resilience import fallback, faults
-from repro.resilience.fallback import (
-    AttemptRecord,
-    SolveReport,
-    default_chain,
-    resilient_solve_R,
-)
+from repro.resilience.fallback import default_chain, resilient_solve_R
 
 
 def phase_blocks():
@@ -197,47 +190,3 @@ class TestSolveQBDIntegration:
         sol = solve_qbd(phase_process())
         assert sol.solve_report is not None
         assert sol.solve_report.method == "logreduction"
-
-
-class TestReportSerialization:
-    def make_record(self, **overrides):
-        base = dict(method="cr", attempt=1, tol=1e-12,
-                    regularization=1e-10, outcome="invalid",
-                    error="R spectral radius 1.01 >= 1",
-                    iterations=17, residual=3.2e-9, elapsed=0.05,
-                    backend="sparse")
-        base.update(overrides)
-        return AttemptRecord(**base)
-
-    def test_attempt_record_roundtrip(self):
-        rec = self.make_record()
-        data = rec.to_dict()
-        assert data["backend"] == "sparse"
-        assert AttemptRecord.from_dict(json.loads(json.dumps(data))) == rec
-
-    def test_attempt_record_tolerates_pre_backend_dicts(self):
-        data = self.make_record().to_dict()
-        del data["backend"]  # record written before the backend field
-        rec = AttemptRecord.from_dict(data)
-        assert rec.backend is None
-        assert rec.method == "cr"
-
-    def test_solve_report_roundtrip(self):
-        report = SolveReport(method="cr", attempts=[
-            self.make_record(method="logreduction", outcome="error",
-                             iterations=None, residual=None, backend=None),
-            self.make_record(outcome="ok", error=None),
-        ])
-        data = json.loads(json.dumps(report.to_dict()))
-        back = SolveReport.from_dict(data)
-        assert back == report
-        assert back.method == "cr"
-        assert back.fallbacks == 1
-        assert [a.outcome for a in back.attempts] == ["error", "ok"]
-
-    def test_live_report_roundtrips(self):
-        A0, A1, A2 = phase_blocks()
-        _, report = resilient_solve_R(A0, A1, A2)
-        back = SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert back == report
-        assert back.attempts[0].iterations is not None  # satellite bugfix

@@ -134,15 +134,26 @@ class TestFigureParity:
 
 class TestSolveBudgetParity:
     @pytest.mark.parametrize("number", [2, 5])
-    def test_generous_budget_keeps_every_bit(self, number):
-        """A budgeted job solves ``R`` through the resilience chain one
-        job at a time, an unbudgeted one on the stacked kernels; a
-        budget that does not bind changes no number (the daemon stores
-        a budgeted point under its unbudgeted key)."""
+    def test_generous_budget_keeps_every_bit(self, number, monkeypatch):
+        """A budgeted job solves ``R`` on the stacked kernels like an
+        unbudgeted one, with no serial chain call; a budget that does
+        not bind changes no number (the daemon stores a budgeted point
+        under its unbudgeted key)."""
+        from repro.pipeline import stages
+
+        chain_calls = []
+        solve = stages.resilient_solve_R
+
+        def counted(*args, **kwargs):
+            chain_calls.append(kwargs.get("budget"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "resilient_solve_R", counted)
         for sc in figure_scenarios(number, grid="quick"):
             plain = _hex_dump(run(sc))
             budgeted = _hex_dump(run(sc.with_engine(solve_budget=60.0)))
             assert budgeted == plain, sc.name
+        assert chain_calls == []
 
 
 class TestKillAndResume:
@@ -276,8 +287,9 @@ class TestChunkRecords:
             time.sleep(2 * budget)
             return ConvergenceError("injected slow attempt")
 
-        # A budgeted job solves through the resilience chain, one class
-        # at a time in point order: the second call is the middle point.
+        # The armed fault sends every job to the resilience chain, one
+        # class at a time in point order: the second call is the middle
+        # point, and its budget expires there.
         with faults.inject("rmatrix.solve", raises=overrun,
                            keys=("logreduction",), calls={1}):
             got = sweep("lambda", grid, tiny_config, **kwargs)
