@@ -106,8 +106,9 @@ ENGINE_FLAGS: tuple[tuple[str, str, dict], ...] = (
     ("solve_budget", "--solve-budget",
      {"type": float, "metavar": "S",
       "help": "wall-clock budget in seconds for each R-matrix solve "
-              "of the fallback chain (enforced mid-attempt; default: "
-              "none)"}),
+              "of the fallback chain (checked between attempts and "
+              "inside substitution and cyclic-reduction attempts; "
+              "default: none)"}),
     ("horizon", "--horizon",
      {"type": float, "metavar": "T",
       "help": "simulated time per run (default 20000)"}),

@@ -90,11 +90,6 @@ class ClassConfig:
         return self.service.rate
 
     @property
-    def quantum_rate(self) -> float:
-        """``gamma_p = 1 / E[G_p]``."""
-        return self.quantum.rate
-
-    @property
     def overhead_rate(self) -> float:
         """``delta_p = 1 / E[C_p]``."""
         return self.overhead.rate

@@ -110,11 +110,6 @@ class ClassStateSpace:
                 * len(self.cycle_phases_at(level)))
 
     @property
-    def repeating_dim(self) -> int:
-        """Phase dimension of the repeating levels (``level >= c_p``)."""
-        return self.level_dim(self.partitions)
-
-    @property
     def boundary_levels(self) -> int:
         """The paper's boundary: levels ``0 .. c_p``."""
         return self.partitions

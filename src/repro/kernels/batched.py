@@ -2,28 +2,28 @@
 
 Every figure of the paper is a sweep: dozens of nearby grid points,
 each solving the same family of QBDs with slightly perturbed blocks.
-The per-point solvers in :mod:`repro.qbd` are small dense BLAS calls
-wrapped in Python control flow, so solving points one at a time pays
-the interpreter overhead once per matrix product.  The kernels here
-run the *same recurrences* on ``(npoints, m, m)`` stacks — one
+Small dense BLAS calls wrapped in Python control flow pay the
+interpreter overhead once per matrix product, so the kernels here run
+their recurrences on ``(npoints, m, m)`` stacks — one
 ``np.matmul``/``np.linalg.solve`` per step for the whole batch — with
 per-slice convergence masks so points converge and drop out of the
-batch individually, exactly where their serial solve would stop.
+batch individually, exactly where each would stop alone.
 
 Design rules (all load-bearing for the bit identity of the stacked
-solve stage, :func:`repro.pipeline.stages.solve_points`, with the
-per-point kernels):
+solve stage, :func:`repro.pipeline.stages.solve_points`, with single
+solves):
 
-* **Same recurrence, same stopping rule.**  Each ``R`` kernel mirrors
-  its serial twin in :mod:`repro.qbd.rmatrix` step for step
-  (``solve_G`` logreduction, ``r_from_g``, ``refine_R`` Newton), so a
-  batched slice follows the trajectory its serial solve would.  The
-  twins stay for single solves: a faulted or fallback solve runs
-  them one job at a time, faster than a stack of one, and
-  ``tests/kernels/test_batched.py`` pins each stack of one to its
-  twin bit for bit.  The drift test has no twin:
-  :func:`repro.qbd.stability.drift` runs :func:`batched_drift` on a
-  stack of one.
+* **One implementation per recurrence.**  The ``R`` kernels are the
+  library's only logarithmic reduction (:func:`batched_solve_G`),
+  ``R``-from-``G`` recovery (:func:`batched_r_from_g`) and warm-start
+  Newton refinement (:func:`batched_refine_R`).  The solve stage runs
+  them on its job stacks; :func:`repro.qbd.rmatrix.solve_R` — the
+  fallback chain's faulted, other-method and failed jobs — runs them
+  on a stack of one, so the chain and the stage cannot drift apart.
+  Each slice checks its own stopping rule and freezes at its own
+  step, exactly where it would stop alone.  The drift test is the
+  same: :func:`repro.qbd.stability.drift` runs :func:`batched_drift`
+  on a stack of one.
 * **Composition independence.**  Stacked ``matmul``/``solve``/``inv``
   dispatch to LAPACK/BLAS per slice, so a slice's result does not
   depend on which other points share the batch — a resumed sweep
@@ -76,13 +76,14 @@ def batched_gth(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The Grassmann–Taksar–Heyman elimination: only additions and
     multiplications of non-negative quantities, with the diagonal
-    ignored (recomputed from row sums), so stiff generators suffer no
-    catastrophic cancellation.  The elimination loop runs over the
-    small phase dimension while every update is vectorized across the
-    batch.  Returns ``(pi, ok)`` where ``ok[i]`` is ``False`` for
-    slices whose elimination detected a reducible structure.  The
-    one-chain reference is ``solve_stationary_gth`` in
-    ``tests/markov/ctmc_oracle.py``; the two agree to a few ulps.
+    never read (each pivot is the sum of its row's remaining rates),
+    so stiff generators suffer no catastrophic cancellation.  The
+    elimination loop runs over the small phase dimension while every
+    update is vectorized across the batch.  Returns ``(pi, ok)`` where
+    ``ok[i]`` is ``False`` for slices whose elimination detected a
+    reducible structure.  The one-chain reference is
+    ``solve_stationary_gth`` in ``tests/markov/ctmc_oracle.py``; the
+    two agree to a few ulps.
     """
     T = np.asarray(T, dtype=np.float64)
     n, m, _ = T.shape
@@ -90,8 +91,6 @@ def batched_gth(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m == 1:
         return np.ones((n, 1)), ok
     A = T.copy()
-    idx = np.arange(m)
-    A[:, idx, idx] = 0.0
     for k in range(m - 1, 0, -1):
         scale = A[:, k, :k].sum(axis=1)
         good = scale > 0.0
@@ -99,7 +98,6 @@ def batched_gth(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = np.where(good, scale, 1.0)
         A[:, :k, k] /= s[:, None]
         A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
-        A[:, idx[:k], idx[:k]] = 0.0
     pi = np.zeros((n, m))
     pi[:, 0] = 1.0
     for k in range(1, m):
@@ -163,9 +161,14 @@ def batched_solve_G(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep logarithmic reduction for ``G`` across a block stack.
 
-    The recurrence is :func:`repro.qbd.rmatrix.solve_G` verbatim; each
-    slice checks the same stochasticity-defect / correction stopping
-    rule and freezes at its own convergence step.  Returns
+    ``G``, the minimal non-negative solution of
+    ``A0 G^2 + A1 G + A2 = 0``, by Latouche–Ramaswami logarithmic
+    reduction on the uniformized QBD.  Convergence is quadratic, so
+    ``max_iter`` counts *doubling* steps (64 covers any practical
+    case: the residual after ``k`` steps is of order ``xi^(2^k)``).  A
+    slice stops once its stochasticity defect ``max|1 - G e|`` or its
+    remaining correction ``max|T|`` drops below ``tol`` (``G`` of a
+    recurrent QBD is stochastic) and freezes at that step.  Returns
     ``(G, iterations, ok)`` with per-slice doubling-step counts;
     ``ok=False`` marks slices that failed to uniformize, went
     non-finite, hit a singular ``I - U``, or exhausted ``max_iter``.
@@ -210,10 +213,14 @@ def batched_solve_G(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
 
 def batched_r_from_g(A0: np.ndarray, A1: np.ndarray, G: np.ndarray,
                      ok: np.ndarray | None = None) -> np.ndarray:
-    """``R = A0 (-(A1 + A0 G))^{-1}`` per slice (cf. ``r_from_g``).
+    """Recover ``R`` from ``G`` per slice: ``R = A0 (-(A1 + A0 G))^{-1}``.
 
-    Slices masked out by ``ok`` (or whose ``U`` is singular) yield
-    garbage rows; callers re-check finiteness and mask them.
+    ``U = A1 + A0 G`` is the generator of the process restricted to a
+    level before first passage down; its negated inverse collects
+    expected sojourn times, and ``R`` is the expected number of visits
+    to level ``n+1`` states per unit time in level ``n`` states.
+    Slices masked out by ``ok``, and slices whose ``U`` is singular,
+    come back non-finite; callers re-check finiteness.
     """
     d = A1.shape[1]
     U = A1 + A0 @ G
@@ -232,11 +239,14 @@ def batched_r_from_g(A0: np.ndarray, A1: np.ndarray, G: np.ndarray,
 def _batched_kron_operator(R, B, A2t):
     """Stack of ``kron(R, A2^T) + kron(I, B^T)`` linearizations.
 
+    With row-major ``vec``, ``vec(P H Q) = kron(P, Q^T) vec(H)``, so
+    this is the Newton map ``H -> H B + R H A2`` for ``B = A1 + R A2``.
     ``kron(P, Q)[x1*d + x2, x3*d + x4] = P[x1, x3] Q[x2, x4]``, so the
     broadcast places the left factor on the outer row/column axes and
-    the right factor on the inner ones.  As in the serial refinement,
-    ``B^T`` is then added onto the diagonal blocks only, so each slice
-    pairs the exact operands of the serial operator, bit for bit.
+    the right factor on the inner ones.  ``kron(I, B^T)`` only fills
+    the ``d`` diagonal blocks, so ``B^T`` is added there instead of
+    building it; the sum has the bits of the textbook expression
+    (``tests/qbd/test_rmatrix.py`` pins the two).
     """
     n, d, _ = R.shape
     M = R[:, :, None, :, None] * A2t[:, None, :, None, :]
@@ -251,12 +261,23 @@ def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep Newton refinement of warm-start ``R`` iterates.
 
-    Per-slice mirror of :func:`repro.qbd.rmatrix.refine_R` (dense
-    Kronecker path): same residual target, the same divergence /
-    non-finiteness / negativity / spectral-radius guards, applied per
-    slice.  Returns ``(R, steps, ok)`` with per-slice Newton step
-    counts; a slice with ``ok=False`` simply fell back — the caller
-    runs its cold solve — never an error.
+    Newton's method on ``F(R) = A0 + R A1 + R^2 A2``: the Fréchet
+    derivative at ``R`` maps ``H`` to ``H (A1 + R A2) + R H A2``, so
+    each step solves that generalized Sylvester equation for the
+    correction ``H`` through its dense ``d^2 x d^2`` Kronecker
+    linearization (:func:`repro.qbd.rmatrix.warm_seed` keeps large
+    ``d`` away).  Quadratically convergent from a good seed.
+
+    A slice is accepted once its quadratic residual drops below
+    ``tol * max(1, max|A1|)`` within ``max_steps``; it fails when its
+    residual stops shrinking (the seed was too far off) or goes
+    non-finite, when its step's system is singular, and when the
+    result is not the minimal solvent (finite, essentially
+    non-negative, ``sp(R) < 1``: Newton from a far-off seed can land
+    on another solvent).  Returns ``(R, steps, ok)`` with per-slice
+    Newton step counts; a slice with ``ok=False`` simply fell back —
+    the caller runs its cold solve — never an error.  This is an
+    accelerator, not a method: it cannot solve from scratch.
     """
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
@@ -303,7 +324,7 @@ def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
             good = sub[sub_ok]
             R[good] = R[good] + h[sub_ok].reshape(-1, d, d)
     # Slices that ran out of steps: accept only if the final residual
-    # already meets the target (the serial for-else branch).
+    # already meets the target.
     tail = np.flatnonzero(ok & ~done)
     if tail.size:
         Ra = R[tail]
@@ -336,14 +357,16 @@ def batched_solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
 
     Slices flagged in ``seeded`` first try the batched Newton
     refinement from ``R0``; failures (and unseeded slices) fall through
-    to the lockstep logarithmic reduction — the exact
-    ``solve_R(method="logreduction")`` decision tree, batched.
+    to the lockstep logarithmic reduction and recover ``R`` from ``G``.
+    This is the ``"logreduction"`` attempt of the library: the solve
+    stage runs it on its job stacks and
+    :func:`repro.qbd.rmatrix.solve_R` on a stack of one.
 
     Returns ``(R, refined, iterations, ok)``: ``refined`` marks slices
     served by the warm refinement, ``iterations`` counts their Newton
     steps (doubling steps for the cold slices), and ``ok=False`` marks
-    slices the caller must re-solve serially (resilience chain, other
-    methods).
+    slices that failed (the stage re-solves each through the
+    resilience chain; a single solve raises).
     """
     n = A1.shape[0]
     refined = np.zeros(n, dtype=bool)

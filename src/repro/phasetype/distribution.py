@@ -440,24 +440,6 @@ class PhaseType:
         c = new_mean / self.mean
         return PhaseType.from_trusted(self._alpha, self._S / c)
 
-    def embedded_generator(self) -> np.ndarray:
-        """Full ``(m+1) x (m+1)`` generator including the absorbing state."""
-        m = self.order
-        Q = np.zeros((m + 1, m + 1))
-        Q[:m, :m] = self._S
-        Q[:m, m] = self.exit_rates
-        return Q
-
-    def is_irreducible_representation(self) -> bool:
-        """Check that every phase is reachable from ``alpha`` and reaches absorption.
-
-        Irreducible representations are required by the stability
-        analysis of Theorem 4.4 (via Neuts' condition on the generator
-        ``A = A0 + A1 + A2``).  A representation failing this check can
-        be repaired with :meth:`trimmed`.
-        """
-        return len(self._reachable_phases()) == self.order
-
     def _reachable_phases(self) -> list[int]:
         """Phases reachable from the initial vector (BFS over positive rates)."""
         m = self.order

@@ -17,7 +17,9 @@ This package provides:
 * :mod:`~repro.qbd.rmatrix` — four ``R`` solvers (logarithmic
   reduction, cyclic reduction, successive substitution, and a
   spectral invariant-subspace solve — the rungs of the resilience
-  fallback chain);
+  fallback chain; the logarithmic reduction and the warm-start Newton
+  refinement are the stacked kernels of :mod:`repro.kernels.batched`
+  on a stack of one);
 * :mod:`~repro.qbd.stability` — the mean-drift stability test
   (Theorem 4.4);
 * :mod:`~repro.qbd.boundary` / :mod:`~repro.qbd.stationary` — boundary
@@ -26,7 +28,7 @@ This package provides:
   closed-form level moments (eq. 37).
 """
 
-from repro.qbd.rmatrix import solve_G, solve_R
+from repro.qbd.rmatrix import solve_R
 from repro.qbd.stability import drift, is_stable
 from repro.qbd.stationary import QBDStationaryDistribution, solve_qbd
 from repro.qbd.structure import QBDProcess
@@ -34,7 +36,6 @@ from repro.qbd.structure import QBDProcess
 __all__ = [
     "QBDProcess",
     "solve_R",
-    "solve_G",
     "drift",
     "is_stable",
     "solve_qbd",

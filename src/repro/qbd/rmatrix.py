@@ -27,6 +27,14 @@ Four algorithms are provided:
   requiring ``G`` to be diagonalizable); it serves as the last rung of
   the resilience fallback chain.
 
+The logarithmic reduction, the recovery of ``R`` from ``G`` and the
+warm-start Newton refinement have one implementation each, the stacked
+kernels of :mod:`repro.kernels.batched`: the solve stage runs them on
+its job stacks and :func:`solve_R` runs them on a stack of one, so a
+single solve and a stacked slice follow the same code.  Cyclic
+reduction, substitution and the spectral solve live here; they serve
+the fallback chain only.
+
 All but ``"spectral"`` converge only for *positive recurrent* QBDs
 (``sp(R) < 1``); call :func:`repro.qbd.stability.is_stable` first, or
 rely on the iteration budget raising
@@ -41,7 +49,8 @@ Warm starts
 for every other method a few steps of Newton's method on the quadratic
 residual (each step solves the generalized Sylvester equation
 ``H (A1 + R A2) + R H A2 = -F(R)`` via its dense ``d^2 x d^2``
-Kronecker linearization, :func:`refine_R`) are attempted first,
+Kronecker linearization,
+:func:`~repro.kernels.batched.batched_refine_R`) are attempted first,
 falling back silently to the cold algorithm if the refinement does not
 converge.  Near a fixed point of Section 4.3 the vacation blocks
 change by a shrinking perturbation per iteration, so the previous
@@ -61,11 +70,15 @@ from scipy import linalg as _sla
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.kernels import select_backend
+from repro.kernels.batched import (
+    batched_r_from_g,
+    batched_refine_R,
+    batched_solve_R,
+)
 from repro.obs import metrics
 from repro.resilience.faults import maybe_corrupt, maybe_fault
 
-__all__ = ["solve_R", "solve_G", "r_from_g", "refine_R", "warm_seed",
-           "METHODS", "RSolveDiagnostics"]
+__all__ = ["solve_R", "warm_seed", "METHODS", "RSolveDiagnostics"]
 
 METHODS = ("logreduction", "cr", "substitution", "spectral")
 
@@ -93,7 +106,7 @@ class RSolveDiagnostics:
         ``R``.
     refined:
         ``True`` when the result came from the warm-start Newton
-        refinement (:func:`refine_R`) rather than the cold algorithm.
+        refinement rather than the cold algorithm.
     """
 
     method: str
@@ -169,10 +182,11 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         Optional warm-start iterate (e.g. the previous fixed-point
         iteration's ``R``).  ``"substitution"`` iterates from it
         directly; the other methods first try a short Newton
-        refinement (:func:`refine_R`) and fall back to their cold
-        algorithm when it fails.  :func:`warm_seed` silently discards
-        a seed of the wrong shape, a non-finite one, and one whose
-        Newton operator is past the backend's dense side.
+        refinement (:func:`~repro.kernels.batched.batched_refine_R`)
+        and fall back to their cold algorithm when it fails.
+        :func:`warm_seed` silently discards a seed of the wrong shape,
+        a non-finite one, and one whose Newton operator is past the
+        backend's dense side.
     backend:
         ``"auto"`` / ``"dense"`` / ``"sparse"`` mode; it only decides
         whether ``R0`` is used (:func:`warm_seed`).  Every algorithm
@@ -182,12 +196,22 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         ``R`` alone — iteration count and final residual survive the
         success path.
     deadline:
-        Optional :func:`time.monotonic` timestamp; the iterative
-        methods check it once per iteration and raise
+        Optional :func:`time.monotonic` timestamp; substitution and
+        cyclic reduction check it once per iteration and raise
         :class:`~repro.errors.ConvergenceError` when it passes, so a
-        wall-clock budget binds *inside* an attempt, not just between
-        attempts (:func:`repro.resilience.fallback.resilient_solve_R`
-        threads its wall-clock ``budget`` through here).
+        wall-clock budget binds *inside* such an attempt, not just
+        between attempts (:func:`repro.resilience.fallback.resilient_solve_R`
+        threads its wall-clock ``budget`` through here).  A
+        logarithmic reduction does not read the clock: it is bounded
+        by ``max_iter`` doubling steps (64 in the fallback chain).
+
+    ``"logreduction"`` is :func:`~repro.kernels.batched.batched_solve_R`
+    on a stack of one, the stacked solve stage's own attempt: a singular
+    ``I - U`` or a non-finite iterate fails it with
+    :class:`~repro.errors.ConvergenceError` (carrying its doubling
+    count) rather than :class:`numpy.linalg.LinAlgError`.  Blocks whose
+    ``A1`` has no negative diagonal raise
+    :class:`~repro.errors.ValidationError` for both reductions.
     """
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
@@ -197,32 +221,40 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
             f"unknown R-matrix method {method!r}; use one of {METHODS}")
     maybe_fault("rmatrix.solve", key=method)
     R0 = warm_seed(R0, A1.shape[0], backend)
-    R = None
-    iterations = 0
     refined = False
     if method == "substitution":
         R, iterations = _solve_r_substitution(A0, A1, A2, tol=tol,
                                               max_iter=max_iter, R0=R0,
                                               deadline=deadline)
     else:
-        if R0 is not None:
-            warm = refine_R(A0, A1, A2, R0, tol=tol, return_info=True)
-            if warm is not None:
-                R, iterations = warm
-                refined = True
-        if R is None:
-            if method == "logreduction":
-                G, iterations = solve_G(A0, A1, A2, tol=tol,
-                                        max_iter=max_iter, return_info=True,
-                                        deadline=deadline)
-            elif method == "cr":
-                G, iterations = _solve_g_cr(A0, A1, A2, tol=tol,
-                                            max_iter=max_iter,
-                                            deadline=deadline)
-            else:  # spectral: non-iterative
-                G = _solve_g_spectral(A0, A1, A2, tol=tol)
-                iterations = 0
-            R = r_from_g(A0, A1, G)
+        # The stacked kernels, on a stack of one.
+        one = tuple(np.ascontiguousarray(A)[None] for A in (A0, A1, A2))
+        seed = None if R0 is None else np.ascontiguousarray(R0)[None]
+        if method == "logreduction":
+            _uniformization_rate(A1)
+            R, warm, steps, ok = batched_solve_R(
+                *one, R0=seed, seeded=np.array([seed is not None]),
+                tol=tol, max_iter=max_iter)
+            if not ok[0]:
+                raise ConvergenceError(
+                    "logarithmic reduction did not converge "
+                    "(unstable QBD?)", iterations=int(steps[0]))
+            R, refined, iterations = R[0], bool(warm[0]), int(steps[0])
+        else:
+            R = None
+            if seed is not None:
+                Rw, steps, ok = batched_refine_R(*one, seed, tol=tol)
+                if ok[0]:
+                    R, iterations, refined = Rw[0], int(steps[0]), True
+            if R is None:
+                if method == "cr":
+                    G, iterations = _solve_g_cr(A0, A1, A2, tol=tol,
+                                                max_iter=max_iter,
+                                                deadline=deadline)
+                else:  # spectral: non-iterative
+                    G = _solve_g_spectral(A0, A1, A2, tol=tol)
+                    iterations = 0
+                R = batched_r_from_g(one[0], one[1], G[None])[0]
     info = None
     if return_info or metrics.enabled():
         residual = _quad_residual(R, A0, A1, A2)
@@ -234,83 +266,6 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
     R = maybe_corrupt("rmatrix.result", R, key=method)
     if return_info:
         return R, info
-    return R
-
-
-def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
-             max_steps: int = 8,
-             return_info: bool = False):
-    """Newton refinement of a warm-start iterate for ``R``.
-
-    Newton's method on ``F(R) = A0 + R A1 + R^2 A2``: the Fréchet
-    derivative at ``R`` maps ``H`` to ``H (A1 + R A2) + R H A2``, so
-    each step solves that generalized Sylvester equation for the
-    correction ``H`` through its dense Kronecker linearization (a
-    ``d^2 x d^2`` solve; :func:`warm_seed` keeps large ``d`` away).
-    Quadratically convergent from a good seed.
-
-    Returns the refined ``R`` once the quadratic residual drops below
-    ``tol * max(1, max|A1|)`` and ``sp(R) < 1``, or ``None`` when the
-    refinement fails to converge (the caller falls back to a cold
-    solve) — this is an opportunistic accelerator, never an error
-    source.  It is intentionally *not* part of :data:`METHODS`: it
-    cannot solve from scratch.  With ``return_info=True`` a successful
-    refinement returns ``(R, newton_steps)`` instead (failures are
-    still ``None``).
-    """
-    A0 = np.asarray(A0, dtype=np.float64)
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    R = np.asarray(R0, dtype=np.float64).copy()
-    d = A1.shape[0]
-    if R.shape != A1.shape:
-        return None
-    scale = max(1.0, float(np.max(np.abs(A1))))
-    target = max(tol, 1e-14) * scale
-    diag = np.arange(d)
-    prev_resid = np.inf
-    steps = 0
-    for _ in range(max_steps):
-        F = A0 + R @ A1 + R @ R @ A2
-        resid = float(np.max(np.abs(F)))
-        if not np.isfinite(resid):
-            return None
-        if resid <= target:
-            break
-        if resid >= prev_resid:  # diverging: the seed was too far off
-            return None
-        prev_resid = resid
-        steps += 1
-        # vec-row-major: vec(A H B) = (A kron B^T) vec(H), so the
-        # matrix is kron(I, X^T) + kron(R, A2^T) with X = A1 + R A2.
-        # The first term only fills the d diagonal blocks: add X^T
-        # there instead of building it.
-        M = np.kron(R, A2.T)
-        blocks = M.reshape(d, d, d, d)      # blocks[i, :, j, :] = block (i, j)
-        blocks[diag, :, diag, :] += (A1 + R @ A2).T
-        try:
-            h = np.linalg.solve(M, -F.ravel())
-        except np.linalg.LinAlgError:
-            return None
-        R = R + h.reshape(d, d)
-    else:
-        F = A0 + R @ A1 + R @ R @ A2
-        resid = float(np.max(np.abs(F)))
-        if not (np.isfinite(resid) and resid <= target):
-            return None
-    if not np.all(np.isfinite(R)):
-        return None
-    # The minimal solution is the unique *nonnegative* solvent with
-    # sp(R) < 1; Newton from a far-off seed can land on a different
-    # solvent (one of its eigenvalues sits on the unit circle and it
-    # has negative entries), so both checks are required.
-    if float(R.min()) < -1e-8 * max(1.0, float(np.max(np.abs(R)))):
-        return None
-    sp = float(np.max(np.abs(np.linalg.eigvals(R))))
-    if sp >= 1.0:
-        return None
-    if return_info:
-        return R, steps
     return R
 
 
@@ -337,66 +292,12 @@ def _solve_r_substitution(A0, A1, A2, *, tol: float, max_iter: int,
     )
 
 
-def solve_G(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
-            tol: float = 1e-12, max_iter: int = 64,
-            return_info: bool = False,
-            deadline: float | None = None):
-    """Minimal non-negative solution of ``A0 G^2 + A1 G + A2 = 0``.
-
-    Uses logarithmic reduction on the uniformized QBD.  For a positive
-    recurrent process ``G`` is stochastic; convergence is quadratic, so
-    ``max_iter`` counts *doubling* steps (64 covers any practical
-    case — the residual after ``k`` steps is order ``xi^(2^k)``).
-    With ``return_info=True`` returns ``(G, doubling_steps)``; a
-    passed ``deadline`` (:func:`time.monotonic`) aborts mid-iteration
-    with :class:`~repro.errors.ConvergenceError`.
-    """
-    D0, D1, D2 = _uniformized_blocks(A0, A1, A2)
-    d = D1.shape[0]
-    I = np.eye(d)
-    inv = np.linalg.inv(I - D1)
-    H = inv @ D0   # up-step kernel
-    L = inv @ D2   # down-step kernel
-    G = L.copy()
-    T = H.copy()
-    defect = correction = float("inf")
-    for it in range(1, max_iter + 1):
-        _check_deadline(deadline, "logarithmic reduction", it - 1,
-                        max(defect, correction))
-        U = H @ L + L @ H
-        M = H @ H
-        H = np.linalg.solve(I - U, M)
-        M = L @ L
-        L = np.linalg.solve(I - U, M)
-        G += T @ L
-        T = T @ H
-        # For a recurrent QBD G is stochastic; track both the defect of
-        # stochasticity and the shrinking correction term.
-        defect = float(np.max(np.abs(1.0 - G.sum(axis=1))))
-        correction = float(np.max(np.abs(T)))
-        if correction < tol or defect < tol:
-            break
-    else:
-        raise ConvergenceError(
-            "logarithmic reduction did not converge (unstable QBD?)",
-            iterations=max_iter, residual=max(defect, correction),
-        )
-    G = np.clip(G, 0.0, None)
-    if return_info:
-        return G, it
-    return G
-
-
-def _uniformized_blocks(A0, A1, A2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniformize the repeating part: ``(D0, D1, D2)`` is a discrete
-    QBD with the same ``G`` matrix (``D1`` carries the lazy self-loop)."""
-    A0 = np.asarray(A0, dtype=np.float64)
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
+def _uniformization_rate(A1) -> float:
+    """``max(-diag A1)``, the rate that uniformizes the repeating part."""
     rate = float(np.max(-np.diag(A1)))
     if rate <= 0:
         raise ValidationError("A1 has no negative diagonal; not a CTMC QBD")
-    return A0 / rate, A1 / rate + np.eye(A1.shape[0]), A2 / rate
+    return rate
 
 
 def _solve_g_cr(A0, A1, A2, *, tol: float, max_iter: int = 64,
@@ -409,9 +310,10 @@ def _solve_g_cr(A0, A1, A2, *, tol: float, max_iter: int = 64,
     taboo of going down), from which
     ``G = (I - U)^{-1} D2``.
     """
-    D0, D1, D2 = _uniformized_blocks(A0, A1, A2)
-    d = D1.shape[0]
-    I = np.eye(d)
+    rate = _uniformization_rate(A1)
+    I = np.eye(A1.shape[0])
+    # A discrete QBD with the same G (D1 carries the lazy self-loop).
+    D0, D1, D2 = A0 / rate, A1 / rate + I, A2 / rate
     down, local, up = D2.copy(), D1.copy(), D0.copy()
     local_hat = D1.copy()
     correction = float("inf")
@@ -485,16 +387,3 @@ def _solve_g_spectral(A0, A1, A2, *, tol: float) -> np.ndarray:
             "spectral solve residual too large (ill-conditioned "
             "eigenbasis?)", residual=residual)
     return np.clip(G, 0.0, None)
-
-
-def r_from_g(A0: np.ndarray, A1: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Recover ``R`` from ``G``: ``R = A0 (-(A1 + A0 G))^{-1}``.
-
-    ``U = A1 + A0 G`` is the generator of the process restricted to a
-    level before first passage down; its negated inverse collects
-    expected sojourn times, and ``R`` is the expected number of visits
-    to level ``n+1`` states per unit time in level ``n`` states.
-    """
-    A0 = np.asarray(A0, dtype=np.float64)
-    U = np.asarray(A1, dtype=np.float64) + A0 @ np.asarray(G, dtype=np.float64)
-    return A0 @ np.linalg.inv(-U)

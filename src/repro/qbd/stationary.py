@@ -71,10 +71,6 @@ class QBDStationaryDistribution:
         """Total probability of level ``i``: ``pi_i e``."""
         return float(self.level(i).sum())
 
-    def level_marginal(self, max_level: int) -> np.ndarray:
-        """Vector of ``P(level = i)`` for ``i = 0..max_level``."""
-        return np.array([self.level_mass(i) for i in range(max_level + 1)])
-
     def tail_probability(self, k: int) -> float:
         """``P(level > k)`` in closed form.
 

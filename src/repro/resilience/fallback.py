@@ -40,11 +40,13 @@ scenario's ``solve_budget``; a slice of the stacked solve stage is
 bounded by its step counts instead and ignores it).  Exhausting either
 raises :class:`~repro.errors.SolverBudgetExceededError` with the
 attempt history attached as ``exc.report``.  The wall-clock budget is
-enforced both between attempts and *inside* each attempt: the
-deadline is threaded into the solver's iteration loops, so a single
-runaway attempt (large blocks creeping toward an unstable fixed
-point) is cut off mid-iteration instead of running to its full
-iteration cap first.
+enforced between attempts and *inside* the linearly or slowly
+converging ones: the deadline is threaded into the substitution and
+cyclic-reduction loops, so a single runaway attempt (large blocks
+creeping toward an unstable fixed point) is cut off mid-iteration
+instead of running to its full iteration cap first.  A logarithmic
+reduction attempt — the stacked solve stage's kernel on a stack of
+one — does not read the clock; it is bounded at 64 doubling steps.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
     report)`` on the first attempt that passes :func:`accept_R`.
     ``budget`` is the wall-clock budget of the whole solve in seconds
     (``None``: no clock).  It is checked between attempts and threaded
-    into every attempt's iteration loop as a deadline (see
-    ``solve_R(..., deadline=)``), so one runaway attempt cannot exceed
-    it by more than a single iteration.  ``R0`` is an optional
+    into the substitution and cyclic-reduction loops as a deadline
+    (see ``solve_R(..., deadline=)``), so one runaway attempt cannot
+    exceed it by more than a single iteration.  ``R0`` is an optional
     warm-start iterate and ``backend`` the backend mode, both
     forwarded to every :func:`~repro.qbd.rmatrix.solve_R` attempt
     (:func:`~repro.qbd.rmatrix.warm_seed` decides whether the seed is

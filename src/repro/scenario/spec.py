@@ -168,9 +168,11 @@ class EngineSpec:
     heavy_traffic_only: bool = False
     #: Wall-clock budget in seconds for each R-matrix solve of the
     #: fallback chain (the ``budget`` of
-    #: :func:`~repro.resilience.fallback.resilient_solve_R`; the check
-    #: fires mid-attempt).  A stacked solve needs none: it is bounded
-    #: at 64 doubling or 8 Newton steps.  ``None`` disables the clock.
+    #: :func:`~repro.resilience.fallback.resilient_solve_R`; checked
+    #: between attempts and inside substitution and cyclic-reduction
+    #: attempts).  A logarithmic-reduction attempt needs none, on the
+    #: stack or in the chain: it is bounded at 64 doubling or 8 Newton
+    #: steps.  ``None`` disables the clock.
     solve_budget: float | None = None
     # Sweep execution knobs (not hashed).  ``workers`` or
     # ``checkpoint`` makes :func:`repro.scenario.run` serve a swept

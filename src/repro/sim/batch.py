@@ -54,16 +54,6 @@ class BatchArrivalGangSimulation(GangSimulation):
                     f"batch pmf for class {p} must be a probability vector")
             self._batch_pmfs.append(arr / arr.sum())
 
-    def mean_batch_size(self, p: int) -> float:
-        pmf = self._batch_pmfs[p]
-        return float(np.dot(pmf, np.arange(1, pmf.size + 1)))
-
-    def offered_load(self, p: int) -> float:
-        """``rho_p`` including the batch factor."""
-        cls = self.config.classes[p]
-        return (cls.arrival_rate * self.mean_batch_size(p)
-                / (self.config.partitions(p) * cls.service_rate))
-
     def _on_arrival(self, p: int) -> None:
         cls = self.config.classes[p]
         now = self.sim.now

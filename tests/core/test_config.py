@@ -17,7 +17,7 @@ class TestClassConfig:
         c = make_class(lam=0.4, mu=2.0)
         assert c.arrival_rate == pytest.approx(0.4)
         assert c.service_rate == pytest.approx(2.0)
-        assert c.quantum_rate == pytest.approx(0.5)
+        assert c.quantum.rate == pytest.approx(0.5)
         assert c.overhead_rate == pytest.approx(100.0)
 
     def test_rejects_nonpositive_partition(self):

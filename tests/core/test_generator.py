@@ -26,7 +26,7 @@ class TestStructuralInvariants:
         proc, space = simple_chain()
         # Validation in QBDProcess already checks row sums; spot-check
         # block shapes here.
-        assert proc.phase_dim == space.repeating_dim
+        assert proc.phase_dim == space.level_dim(space.partitions)
         assert proc.boundary_levels == 2
 
     def test_erlang_quantum_and_vacation(self):

@@ -52,7 +52,7 @@ def test_generator_structure_always_valid(chain):
     c, arrival, service, quantum, vacation, policy = chain
     process, space = build_class_qbd(c, arrival, service, quantum,
                                      vacation, policy=policy)
-    assert process.phase_dim == space.repeating_dim
+    assert process.phase_dim == space.level_dim(space.partitions)
     assert process.boundary_levels == c
 
 

@@ -34,7 +34,8 @@ class TestBasics:
         assert [space.in_service(i) for i in range(6)] == [0, 1, 2, 3, 3, 3]
 
     def test_repeating_dim(self, space):
-        assert space.repeating_dim == space.level_dim(3) == 5
+        # Every level from c_p on has the repeating part's dimension.
+        assert space.level_dim(space.partitions) == space.level_dim(4) == 5
 
     def test_boundary_levels_is_c(self, space):
         assert space.boundary_levels == 3

@@ -1,11 +1,12 @@
 """The stacked kernels of :mod:`repro.kernels.batched`, pinned.
 
-A stacked slice must get the bits its job gets as a stack of one, and a
-stack of one must get the bits of the serial twins in
-:mod:`repro.qbd.rmatrix` that single and budgeted solves run: that is
-what lets a chunk's points, a budgeted point and a lone point report
-the same numbers.  The GTH of the drift test has no serial twin in the
-product; it agrees with the one-chain oracle to a few ulps.
+A stacked slice must get the bits its job gets as a stack of one: the
+fallback chain's single solves (:func:`repro.qbd.rmatrix.solve_R`) and
+the drift test (:func:`repro.qbd.stability.drift`) run these kernels on
+a stack of one, so that is what lets a chunk's points and a lone point
+report the same numbers (``tests/workloads/test_batched_sweeps.py``
+checks whole sweeps through the chain).  The GTH agrees with the
+one-chain oracle to a few ulps.
 
 The blocks are the ones the solve stage builds (``build_class_qbd_fast``)
 for the Figure 2 and Figure 5 presets on the quick grid, captured as the
@@ -16,9 +17,8 @@ fixed-point iterate as their seed.
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ReducibleChainError
+from repro.errors import ReducibleChainError
 from repro.kernels import batched
-from repro.qbd.rmatrix import r_from_g, refine_R, solve_G
 from repro.qbd.stability import drift
 from repro.scenario import get_scenario, run
 from tests.markov.ctmc_oracle import solve_stationary_gth
@@ -115,37 +115,6 @@ class TestSliceEqualsStackOfOne:
             assert np.array_equal(refined2, refined[keep])
             assert np.array_equal(iters2, iters[keep])
             assert np.array_equal(ok2, ok[keep])
-
-
-class TestStackOfOneEqualsSerialTwins:
-    def test_cold_solve_is_solve_G_then_r_from_g(self, captured):
-        for A0, A1, A2, R0, _ in _slices(captured[0]):
-            R, refined, iters, ok = _one(A0, A1, A2, R0, False)
-            try:
-                G, doublings = solve_G(A0, A1, A2, tol=TOL, max_iter=64,
-                                       return_info=True)
-            except ConvergenceError:
-                assert not ok[0]
-                continue
-            assert ok[0] and not refined[0]
-            assert iters[0] == doublings
-            assert R[0].tobytes() == r_from_g(A0, A1, G).tobytes()
-
-    def test_warm_solve_is_refine_R(self, captured):
-        refinements = 0
-        for A0, A1, A2, R0, seeded in _slices(captured[0]):
-            if not seeded:
-                continue
-            R, refined, iters, ok = _one(A0, A1, A2, R0, True)
-            warm = refine_R(A0, A1, A2, R0, tol=TOL, return_info=True)
-            if warm is None:
-                assert not refined[0]
-                continue
-            refinements += 1
-            assert ok[0] and refined[0]
-            assert iters[0] == warm[1]
-            assert R[0].tobytes() == warm[0].tobytes()
-        assert refinements > 100
 
 
 class TestGTH:

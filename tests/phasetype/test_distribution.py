@@ -185,18 +185,9 @@ class TestUtilities:
         with pytest.raises(ValueError):
             exponential(1.0).rescaled(0.0)
 
-    def test_embedded_generator_rows_sum_zero(self):
-        Q = erlang(3, mean=1.0).embedded_generator()
-        assert np.allclose(Q.sum(axis=1), 0.0)
-        assert Q.shape == (4, 4)
-
-    def test_irreducible_representation(self):
-        assert erlang(2, mean=1.0).is_irreducible_representation()
-
     def test_trimmed_removes_unreachable(self):
         # Phase 2 unreachable: alpha mass only on phase 0, no 0->1 rate.
         d = PhaseType([1.0, 0.0], [[-1.0, 0.0], [0.0, -2.0]])
-        assert not d.is_irreducible_representation()
         t = d.trimmed()
         assert t.order == 1
         assert t.mean == pytest.approx(d.mean)

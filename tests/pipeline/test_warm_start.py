@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.generator import build_class_qbd
+from repro.kernels.batched import batched_refine_R
 from repro.phasetype import erlang, exponential
-from repro.qbd.rmatrix import METHODS, refine_R, solve_R, warm_seed
+from repro.qbd.rmatrix import METHODS, solve_R, warm_seed
 from repro.resilience.fallback import resilient_solve_R
 
 
@@ -43,6 +44,13 @@ class TestSolveRWarmStart:
         bad = np.full_like(R_exact, np.nan)
         warm = solve_R(*blocks, R0=bad)
         np.testing.assert_allclose(warm, R_exact, atol=1e-9)
+
+
+def refine_R(A0, A1, A2, R0):
+    """The Newton refinement of one seed, as a stack of one: the
+    refined ``R``, or ``None`` when the refinement fell back."""
+    R, _, ok = batched_refine_R(A0[None], A1[None], A2[None], R0[None])
+    return R[0] if ok[0] else None
 
 
 class TestRefineR:

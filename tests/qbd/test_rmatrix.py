@@ -1,19 +1,31 @@
-"""Tests for the R/G matrix solvers."""
+"""Tests for the R/G matrix solvers.
+
+``G`` (logarithmic reduction), ``R`` from ``G`` and the warm-start
+Newton refinement are the stacked kernels of
+:mod:`repro.kernels.batched`; single solves run them on a stack of
+one, and so do these tests.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.generator import build_class_qbd
 from repro.errors import ValidationError
-from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
-from repro.qbd.rmatrix import (
-    METHODS,
-    RSolveDiagnostics,
-    r_from_g,
-    refine_R,
-    solve_G,
-    solve_R,
+from repro.kernels.batched import (
+    _batched_kron_operator,
+    batched_r_from_g,
+    batched_refine_R,
+    batched_solve_G,
 )
+from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
+from repro.qbd.rmatrix import METHODS, RSolveDiagnostics, solve_R
+
+
+def solve_G(A0, A1, A2):
+    """``(G, doubling_steps)`` of one QBD, as a stack of one."""
+    G, iterations, ok = batched_solve_G(A0[None], A1[None], A2[None])
+    assert ok[0]
+    return G[0], int(iterations[0])
 
 
 def mm1_blocks(lam, mu):
@@ -44,7 +56,7 @@ class TestMM1:
     def test_g_is_one(self):
         # For a recurrent chain, G is stochastic; scalar case: G = 1.
         A0, A1, A2 = mm1_blocks(0.6, 1.0)
-        G = solve_G(A0, A1, A2)
+        G, _ = solve_G(A0, A1, A2)
         assert G[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -83,20 +95,20 @@ class TestPhaseCase:
 
     def test_g_stochastic(self):
         A0, A1, A2 = phase_blocks()
-        G = solve_G(A0, A1, A2)
+        G, _ = solve_G(A0, A1, A2)
         assert np.all(G >= 0)
         assert G.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_g_quadratic_residual(self):
         A0, A1, A2 = phase_blocks()
-        G = solve_G(A0, A1, A2)
+        G, _ = solve_G(A0, A1, A2)
         residual = A0 @ G @ G + A1 @ G + A2
         assert np.max(np.abs(residual)) < 1e-9
 
     def test_r_from_g_consistency(self):
         A0, A1, A2 = phase_blocks()
-        G = solve_G(A0, A1, A2)
-        R = r_from_g(A0, A1, G)
+        G, _ = solve_G(A0, A1, A2)
+        [R] = batched_r_from_g(A0[None], A1[None], G[None])
         assert R == pytest.approx(solve_R(A0, A1, A2, method="substitution"),
                                   abs=1e-8)
 
@@ -115,8 +127,10 @@ class TestFailureModes:
         assert R[0, 0] == pytest.approx(1.0, abs=1e-4)
 
     def test_no_diagonal_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_G(np.array([[0.0]]), np.array([[0.0]]), np.array([[0.0]]))
+        zero = np.array([[0.0]])
+        for method in ("logreduction", "cr"):
+            with pytest.raises(ValidationError, match="negative diagonal"):
+                solve_R(zero, zero, zero, method=method)
 
 
 class TestReturnInfo:
@@ -154,15 +168,18 @@ class TestReturnInfo:
 
     def test_solve_g_return_info(self):
         A0, A1, A2 = phase_blocks()
-        G, iterations = solve_G(A0, A1, A2, return_info=True)
+        G, iterations = solve_G(A0, A1, A2)
         assert iterations >= 1
+        _, info = solve_R(A0, A1, A2, return_info=True)
+        assert info.iterations == iterations
         assert np.allclose(G.sum(axis=1), 1.0, atol=1e-8)
 
 
 def _refine_kron_sum(A0, A1, A2, R, *, tol=1e-12, max_steps=8):
     """Dense Newton refinement with the matrix built as the textbook
-    ``kron(I, X^T) + kron(R, A2^T)``: the expression ``refine_R``
-    shortcuts by adding ``X^T`` to the diagonal blocks only."""
+    ``kron(I, X^T) + kron(R, A2^T)``: the expression
+    ``_batched_kron_operator`` shortcuts by adding ``X^T`` to the
+    diagonal blocks only."""
     d = A1.shape[0]
     target = max(tol, 1e-14) * max(1.0, float(np.max(np.abs(A1))))
     prev, steps = np.inf, 0
@@ -196,7 +213,14 @@ class TestRefineNewtonMatrix:
         # A warm seed a few Newton steps out, as a neighbouring grid
         # point or the previous fixed-point iterate hands over.
         seed = R * (1.0 + 0.02 * np.cos(np.arange(R.size))).reshape(R.shape)
-        got, steps = refine_R(A0, A1, A2, seed, return_info=True)
+        d = seed.shape[0]
+        X = A1 + seed @ A2
+        [M] = _batched_kron_operator(seed[None], X[None], A2.T[None])
+        assert np.array_equal(
+            M, np.kron(np.eye(d), X.T) + np.kron(seed, A2.T))
+        got, steps, ok = batched_refine_R(A0[None], A1[None], A2[None],
+                                          seed[None])
         want, want_steps = _refine_kron_sum(A0, A1, A2, seed)
-        assert steps == want_steps >= 2
-        assert np.array_equal(got, want)
+        assert ok[0]
+        assert steps[0] == want_steps >= 2
+        assert np.array_equal(got[0], want)

@@ -173,8 +173,8 @@ class TestSolveQBDIntegration:
         assert faulted.solve_report.fallbacks > 0
         assert faulted.mean_level == pytest.approx(clean.mean_level,
                                                    abs=1e-8)
-        assert faulted.level_marginal(20) == pytest.approx(
-            clean.level_marginal(20), abs=1e-8)
+        assert [faulted.level_mass(i) for i in range(21)] == pytest.approx(
+            [clean.level_mass(i) for i in range(21)], abs=1e-8)
 
     def test_fallback_through_to_spectral(self):
         process = phase_process()

@@ -140,13 +140,6 @@ class TestBatchArrivals:
             .run(25_000.0).total_mean_jobs for s in range(3)])
         assert bursty > single
 
-    def test_offered_load_accounts_for_batches(self, cfg):
-        sim = BatchArrivalGangSimulation(cfg, [[0.5, 0.5], [1.0]])
-        assert sim.mean_batch_size(0) == pytest.approx(1.5)
-        assert sim.offered_load(0) == pytest.approx(
-            cfg.classes[0].arrival_rate * 1.5
-            / (cfg.partitions(0) * cfg.classes[0].service_rate))
-
 
 class TestTraceGeneration:
     def test_trace_statistics_match_config(self, cfg):

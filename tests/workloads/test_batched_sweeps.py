@@ -156,6 +156,42 @@ class TestSolveBudgetParity:
         assert chain_calls == []
 
 
+class TestChainEqualsStage:
+    @pytest.mark.parametrize("number", [2, 5])
+    def test_every_job_through_the_chain_keeps_every_bit(self, number,
+                                                         monkeypatch):
+        """An identity corruption armed at ``rmatrix.result`` changes no
+        ``R`` but keeps every job off the stack (``stages._stackable``),
+        so each job is solved by ``resilient_solve_R``, whose
+        logarithmic reduction is the stacked kernel on a stack of one:
+        the sweep keeps every bit of the default run."""
+        from repro.pipeline import stages
+
+        calls = {"chain": 0, "stacked": 0}
+        chain, stacked = stages.resilient_solve_R, stages.bk.batched_solve_R
+
+        def count_chain(*args, **kwargs):
+            calls["chain"] += 1
+            return chain(*args, **kwargs)
+
+        def count_stacked(A0, *args, **kwargs):
+            calls["stacked"] += A0.shape[0]
+            return stacked(A0, *args, **kwargs)
+
+        monkeypatch.setattr(stages, "resilient_solve_R", count_chain)
+        monkeypatch.setattr(stages.bk, "batched_solve_R", count_stacked)
+        for sc in figure_scenarios(number, grid="quick"):
+            plain = _hex_dump(run(sc))
+            jobs = calls["stacked"]
+            calls.update(chain=0, stacked=0)
+            with faults.inject("rmatrix.result", corrupt=lambda R: R):
+                through_chain = _hex_dump(run(sc))
+            assert through_chain == plain, sc.name
+            assert calls == {"chain": jobs, "stacked": 0}, sc.name
+            assert jobs > 0
+            calls.update(chain=0, stacked=0)
+
+
 class TestKillAndResume:
     GRID = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
 
